@@ -196,7 +196,7 @@ def _cmd_cut(args) -> int:
         return 0
     print(f"r = {cut.r}")
     print("# side filled with r (det = 0):")
-    print(cut.filled_w if isinstance(cut.filled_w, str) else serialize_graph(cut.filled_w))
+    print(serialize_graph(cut.filled_w))
     print("# side filled with 1/r (negative definite):")
     print(serialize_graph(cut.filled_v))
     return 0
@@ -217,7 +217,10 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_check_certificate(args) -> int:
-    data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise PlumbingError("certificate JSON nests too deeply") from None
     cert = certificate_from_json(data)
     res = check_certificate(cert)
     if res.ok:

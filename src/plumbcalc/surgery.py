@@ -19,15 +19,23 @@ which is the inductive engine behind the orderability / foliation
 certificates built here.  ``lo_certificate`` constructs the recursive
 witness for a non-rational graph, reducing the node count at every step
 until a graph with at most one bad vertex remains; det-0 sides are
-decomposed further into Seifert (star-shaped) leaves.  ``check_certificate``
-re-verifies every claim from scratch with lattice/Laufer primitives only;
-it trusts nothing the builder wrote.
+decomposed further into Seifert (star-shaped) leaves.
+
+Each certificate tag has one claim table (``_TABLES``): a function that
+takes a node's graph and stored edge and returns the node's ordered
+claims, the fields it carries (edge, slope, jump witness, Seifert data)
+and the graphs its children must have.  The tables are the single
+statement of the certificate format.  The builder records what a table
+returns; ``check_certificate`` recomputes every table from the serialized
+graphs with lattice/Laufer primitives only and trusts nothing the builder
+wrote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Iterable
 
@@ -47,7 +55,7 @@ from .graph import (
     subgraph,
 )
 from .lattice import definiteness, determinant, is_negative_definite
-from .laufer import is_bad_set, is_rational, min_bad, stabilize
+from .laufer import is_bad_set, is_rational, stabilize
 
 # ---------------------------------------------------------------------------
 # Negative continued fractions and strings
@@ -102,18 +110,17 @@ def attach_string(
 ) -> PlumbingGraph:
     """Attach the string expansion of slope ``r`` by one edge at ``at``;
     the first term of the continued fraction sits next to ``at``."""
+    return _attach_chain(g, at, negative_cf(r).terms)
+
+
+def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
+    """Attach a chain of fresh vertices with the given weights at ``at``."""
     if not g.has_vertex(at):
         raise GraphStructureError(f"unknown vertex {at!r}")
-    cf = negative_cf(r)
-    ids = fresh_ids(g, "q", len(cf.terms))
+    ids = fresh_ids(g, "q", len(weights))
     ws = g.weights()
-    edges = list(g.edges)
-    prev = at
-    for vid, term in zip(ids, cf.terms):
-        ws[vid] = Fraction(term)
-        edges.append((prev, vid))
-        prev = vid
-    return PlumbingGraph(ws, edges)
+    ws.update(zip(ids, map(Fraction, weights)))
+    return PlumbingGraph(ws, list(g.edges) + list(zip([at, *ids], ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +145,64 @@ def attach_slope_vertex(
 ) -> PlumbingGraph:
     """Attach a single transient vertex decorated by the rational slope
     ``r`` (the pre-expansion form of ``attach_string``)."""
-    if not g.has_vertex(at):
-        raise GraphStructureError(f"unknown vertex {at!r}")
-    (u,) = fresh_ids(g, "q", 1)
-    ws = g.weights()
-    ws[u] = Fraction(r)
-    return PlumbingGraph(ws, list(g.edges) + [(at, u)])
+    return _attach_chain(g, at, [r])
+
+
+@dataclass(frozen=True)
+class Claim:
+    kind: str
+    expected: object
+    got: object
+
+
+@dataclass(frozen=True)
+class _Cut:
+    side_v: PlumbingGraph
+    side_w: PlumbingGraph
+    det_w: Fraction
+    det_w_minus: Fraction
+    r: Fraction
+    filled_v: PlumbingGraph
+    filled_w: PlumbingGraph
+    decorated_v: PlumbingGraph
+
+
+def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> _Cut:
+    """Split ``g`` at the edge (v, w); fill the w-side with the string of
+    r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v
+    (``decorated_v`` holds 1/r as a single slope vertex instead)."""
+    split = delete(g, edges=[(v, w)])
+    side_v = component_of(split, v)
+    side_w = component_of(split, w)
+    det_w = determinant(side_w)
+    det_w_minus = determinant(delete(side_w, vertices=[w]))
+    if det_w <= 0 or det_w_minus <= 0:
+        raise InternalCheckError("side determinants must be positive")
+    r = -det_w_minus / det_w
+    return _Cut(
+        side_v, side_w, det_w, det_w_minus, r,
+        attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
+        attach_slope_vertex(side_v, v, 1 / r),
+    )
+
+
+def _cut_claims(g: PlumbingGraph, cut: _Cut) -> list[Claim]:
+    """The identities of a cut of a negative definite graph, as listed in
+    ``cut_and_fill``."""
+    det_g = determinant(g)
+    claims = [
+        Claim("filled_w_det_zero", True, determinant(cut.filled_w) == 0),
+        Claim(
+            "filled_w_semidefinite", True,
+            definiteness(cut.filled_w).is_negative_semidefinite,
+        ),
+        Claim("filled_v_negative_definite", True, is_negative_definite(cut.filled_v)),
+        Claim("decorated_v_det", det_g / cut.det_w_minus, determinant(cut.decorated_v)),
+    ]
+    if g.has_integer_weights():
+        reduction = gcd(int(cut.det_w), int(cut.det_w_minus))
+        claims.append(Claim("filled_v_det", det_g / reduction, determinant(cut.filled_v)))
+    return claims
 
 
 def cut_and_fill(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> CutResult:
@@ -165,52 +224,16 @@ def cut_and_fill(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> CutResult:
         raise GraphStructureError("cut_and_fill requires a connected graph")
     if not is_negative_definite(g):
         raise GraphStructureError("cut_and_fill requires a negative definite graph")
-    split = delete(g, edges=[e])
-    side_v = component_of(split, v)
-    side_w = component_of(split, w)
-    det_g = determinant(g)
-    det_w = determinant(side_w)
-    det_w_minus = determinant(delete(side_w, vertices=[w]))
-    if det_w <= 0 or det_w_minus <= 0:
-        raise InternalCheckError("side determinants of a definite graph must be > 0")
-    r = -det_w_minus / det_w
-    decorated_w = attach_slope_vertex(side_w, w, r)
-    decorated_v = attach_slope_vertex(side_v, v, 1 / r)
-    filled_w = attach_string(side_w, w, r)
-    filled_v = attach_string(side_v, v, 1 / r)
-    checks = [
-        ("det of the r-filled side is not 0", determinant(filled_w) == 0),
-        ("det of the slope-decorated w-side is not 0", determinant(decorated_w) == 0),
-        (
-            "r-filled side is not negative semidefinite",
-            definiteness(filled_w).is_negative_semidefinite,
-        ),
-        (
-            "1/r-filled side is not negative definite",
-            is_negative_definite(filled_v),
-        ),
-        (
-            "slope-decorated v-side is not negative definite",
-            is_negative_definite(decorated_v),
-        ),
-        (
-            "det identity for the slope-decorated v-side failed",
-            determinant(decorated_v) * det_w_minus == det_g,
-        ),
-    ]
-    if g.has_integer_weights():
-        reduction = gcd(int(det_w), int(det_w_minus))
-        checks.append(
-            (
-                "det identity for the string-expanded v-side failed",
-                determinant(filled_v) * reduction == det_g,
-            )
-        )
-    for message, ok in checks:
-        if not ok:
-            raise InternalCheckError(message)
+    cut = _cut(g, v, w)
+    decorated_w = attach_slope_vertex(cut.side_w, w, cut.r)
+    _check_claims([
+        *_cut_claims(g, cut),
+        Claim("decorated_w_det_zero", True, determinant(decorated_w) == 0),
+        Claim("decorated_v_negative_definite", True, is_negative_definite(cut.decorated_v)),
+    ])
     return CutResult(
-        side_v, side_w, (v, w), r, filled_v, filled_w, decorated_v, decorated_w
+        cut.side_v, cut.side_w, (v, w), cut.r, cut.filled_v, cut.filled_w,
+        cut.decorated_v, decorated_w,
     )
 
 
@@ -223,13 +246,6 @@ TAG_CASE1 = "Case1"
 TAG_CASE2 = "Case2"
 TAG_SEMIDEF_CUT = "SemidefCut"
 TAG_SEMIDEF_LEAF = "SemidefLeaf"
-
-
-@dataclass(frozen=True)
-class Claim:
-    kind: str
-    expected: object
-    got: object
 
 
 @dataclass(frozen=True)
@@ -267,50 +283,231 @@ class CheckResult:
         return self.ok
 
 
-def _record(claims: list[Claim], kind: str, expected, got) -> None:
-    claims.append(Claim(kind, expected, got))
-    if expected != got:
-        raise InternalCheckError(f"builder claim {kind!r} failed: {expected} vs {got}")
+# ---------------------------------------------------------------------------
+# Claim tables: what each tag claims, stated once for builder and checker
+# ---------------------------------------------------------------------------
+
+_DEFINITE_TAGS = (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
+_SEMIDEF_TAGS = (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF)
 
 
-def _node_count(g: PlumbingGraph) -> int:
-    return len(nodes(g))
+@dataclass(frozen=True)
+class _Table:
+    """A node's ordered claims, the fields it carries, and for each child
+    the graph it must have with the tags it may carry.  A table raises
+    ``InternalCheckError`` when the node's structure is invalid: a bug in
+    the builder, a rejected node in the checker."""
+
+    claims: tuple[Claim, ...]
+    children: tuple[tuple[PlumbingGraph, tuple[str, ...]], ...] = ()
+    edge: tuple[VertexId, VertexId] | None = None
+    r: Fraction | None = None
+    jump: JumpInfo | None = None
+    seifert: object | None = None
 
 
-def _common_claims(g: PlumbingGraph, claims: list[Claim]) -> None:
-    _record(claims, "connected", True, g.is_connected())
-    _record(claims, "det", determinant(g), determinant(g))
+def _holds(claims) -> bool:
+    return all(c.expected == c.got for c in claims)
 
 
-def _select_case1(g: PlumbingGraph, forced: VertexId | None = None):
-    """Lexicographically least valid (v, w): removing v leaves >= 2
-    node-containing components, the stabilized run jumps in a component
-    different from the one holding w, and w's component has a node."""
-    gnodes = set(nodes(g))
-    candidates = (forced,) if forced is not None else g.vertices
-    for v in candidates:
-        split = delete(g, vertices=[v])
-        comps = split.component_vertex_sets()
-        if sum(1 for c in comps if c & gnodes) < 2:
-            continue
-        gdown = stabilize(g, [v])
-        verdict = is_rational(gdown)
-        if verdict.rational:
+def _check_claims(claims) -> None:
+    for c in claims:
+        if c.expected != c.got:
             raise InternalCheckError(
-                f"stabilizing {v!r} made the graph rational although m >= 2"
+                f"claim {c.kind!r} fails: expected {c.expected}, got {c.got}"
             )
-        jump = verdict.jump
-        comp_i = next(c for c in comps if jump.vertex in c)
-        for w in g.neighbors(v):
-            cw = next(c for c in comps if w in c)
-            if cw == comp_i or not (cw & gnodes):
-                continue
-            info = JumpInfo(
-                gdown.weight(v), jump.step, jump.vertex, jump.value,
-                tuple(sorted(comp_i)),
-            )
-            return v, w, gdown, info
-    return None
+
+
+def _m_le_1(g: PlumbingGraph) -> bool:
+    """m <= 1: ``g`` is rational or a single vertex is a bad set.
+
+    ``min_bad`` tries sizes in ascending order from the empty set, so this
+    equals ``min_bad(g)[0] <= 1`` at no more than n ``is_bad_set`` calls.
+    Nodes go first, as they are the likely bad vertices.
+    """
+    if is_rational(g).rational:
+        return True
+    return any(
+        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
+    )
+
+
+def _definite_claims(g: PlumbingGraph) -> list[Claim]:
+    """The claims opening every node over a negative definite graph."""
+    det = determinant(g)
+    return [
+        Claim("connected", True, g.is_connected()),
+        Claim("det", det, det),
+        Claim("negative_definite", True, is_negative_definite(g)),
+        Claim("not_rational", True, not is_rational(g).rational),
+    ]
+
+
+def _semidefinite_claims(g: PlumbingGraph) -> list[Claim]:
+    """The claims opening every node over a det-0 semidefinite graph."""
+    det = determinant(g)
+    return [
+        Claim("connected", True, g.is_connected()),
+        Claim("det", det, det),
+        Claim("det_zero", True, det == 0),
+        Claim("negative_semidefinite", True, definiteness(g).is_negative_semidefinite),
+    ]
+
+
+def _base_m1(g: PlumbingGraph, edge) -> _Table:
+    """Leaf: a non-rational graph with at most one bad vertex."""
+    return _Table((*_definite_claims(g), Claim("m_le_1", True, _m_le_1(g))))
+
+
+def _cut_vertex(g: PlumbingGraph, v: VertexId):
+    """(stabilized graph, jump witness, valid targets w) for cutting at v,
+    or None when fewer than two components of g - v hold a node.
+
+    When m >= 2 the stabilized graph stays non-rational and its canonical
+    Laufer run jumps inside one component of g - v; a valid target is a
+    neighbour of v in another component that holds a node.  The witness
+    is None, with no targets, when the stabilized graph is rational.
+    """
+    gnodes = set(nodes(g))
+    comps = delete(g, vertices=[v]).component_vertex_sets()
+    if sum(1 for c in comps if c & gnodes) < 2:
+        return None
+    gdown = stabilize(g, [v])
+    j = is_rational(gdown).jump
+    if j is None:
+        return gdown, None, ()
+    comp_of = {u: c for c in comps for u in c}
+    jumped = comp_of[j.vertex]
+    targets = tuple(
+        w for w in g.neighbors(v) if comp_of[w] != jumped and comp_of[w] & gnodes
+    )
+    info = JumpInfo(
+        gdown.weight(v), j.step, j.vertex, j.value, tuple(sorted(jumped))
+    )
+    return gdown, info, targets
+
+
+def _case1(g: PlumbingGraph, edge) -> _Table:
+    """Cut at (v, w) chosen by ``_cut_vertex``: the 1/r-filled v-side,
+    minimized, recurses with fewer nodes; the r-filled w-side is det-0."""
+    v, w = edge
+    claims = _definite_claims(g)
+    found = _cut_vertex(g, v)
+    if found is None:
+        raise InternalCheckError("cut vertex does not separate two node components")
+    gdown, jump, targets = found
+    claims.append(Claim("stabilized_not_rational", True, jump is not None))
+    _check_claims(claims)
+    if w not in targets:
+        raise InternalCheckError("cut edge leads to the jump side or to no node")
+    jumped = subgraph(gdown, set(jump.component) | {v})
+    cut = _cut(g, v, w)
+    claims += [
+        Claim("jump_component_not_rational", True, not is_rational(jumped).rational),
+        Claim("r", cut.r, cut.r),
+        *_cut_claims(g, cut),
+    ]
+    _check_claims(claims)
+    child = minimize(cut.filled_v)
+    claims += [
+        Claim("child_not_rational", True, not is_rational(child).rational),
+        Claim("node_count_decreases", True, len(nodes(child)) < len(nodes(g))),
+    ]
+    return _Table(
+        tuple(claims),
+        ((child, _DEFINITE_TAGS), (cut.filled_w, _SEMIDEF_TAGS)),
+        edge=(v, w), r=cut.r, jump=jump,
+    )
+
+
+def _case2(g: PlumbingGraph, edge) -> _Table:
+    """No valid cut vertex and two adjacent nodes: blow up the node edge;
+    the new (-1)-vertex is the child's forced cut vertex."""
+    claims = _definite_claims(g)
+    ns = nodes(g)
+    claims.append(
+        Claim("two_adjacent_nodes", True, len(ns) == 2 and g.has_edge(*ns))
+    )
+    _check_claims(claims)
+    blown = blow_up_edge(g, ns)
+    claims.append(Claim("child_not_rational", True, not is_rational(blown).rational))
+    return _Table(tuple(claims), ((blown, (TAG_BASE_M1, TAG_CASE1)),), edge=ns)
+
+
+def _separates_nodes(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> bool:
+    gnodes = set(nodes(g))
+    return all(c & gnodes for c in delete(g, edges=[e]).component_vertex_sets())
+
+
+def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
+    """Cut a det-0 graph along an edge with nodes on both sides; both fills
+    stay det-0 and semidefinite with fewer nodes."""
+    claims = _semidefinite_claims(g)
+    v, w = edge
+    if not _separates_nodes(g, (v, w)):
+        raise InternalCheckError("cut edge does not separate two nodes")
+    cut = _cut(g, v, w)
+    count = len(nodes(g))
+    claims.append(Claim("r", cut.r, cut.r))
+    for name, filled in (("v", cut.filled_v), ("w", cut.filled_w)):
+        claims += [
+            Claim(f"filled_{name}_det_zero", True, determinant(filled) == 0),
+            Claim(
+                f"filled_{name}_semidefinite", True,
+                definiteness(filled).is_negative_semidefinite,
+            ),
+            Claim(f"filled_{name}_fewer_nodes", True, len(nodes(filled)) < count),
+        ]
+    return _Table(
+        tuple(claims),
+        ((cut.filled_v, _SEMIDEF_TAGS), (cut.filled_w, _SEMIDEF_TAGS)),
+        edge=(v, w), r=cut.r,
+    )
+
+
+def _star_data(g: PlumbingGraph):
+    from .seifert import star_to_seifert
+
+    try:
+        return star_to_seifert(minimize(g))
+    except PlumbingError:
+        return None
+
+
+def _semidef_leaf(g: PlumbingGraph, edge) -> _Table:
+    """Leaf: a det-0 semidefinite graph with at most one node, carrying its
+    Seifert invariants when it minimizes to a true star."""
+    claims = (*_semidefinite_claims(g), Claim("nodes_le_1", True, len(nodes(g)) <= 1))
+    return _Table(claims, seifert=_star_data(g))
+
+
+_TABLES = {
+    TAG_BASE_M1: _base_m1,
+    TAG_CASE1: _case1,
+    TAG_CASE2: _case2,
+    TAG_SEMIDEF_CUT: _semidef_cut,
+    TAG_SEMIDEF_LEAF: _semidef_leaf,
+}
+
+
+# ---------------------------------------------------------------------------
+# Building certificates
+# ---------------------------------------------------------------------------
+
+
+def _build(
+    g: PlumbingGraph, tag: str, table: _Table, forced_child: VertexId | None = None
+) -> CertificateNode:
+    """Record a node from its table, then build its children."""
+    _check_claims(table.claims)
+    children = tuple(
+        semidef_decompose(graph) if tags == _SEMIDEF_TAGS
+        else _certify(graph, forced_child)
+        for graph, tags in table.children
+    )
+    return CertificateNode(
+        g, tag, table.claims, children, table.edge, table.r, table.jump, table.seifert
+    )
 
 
 def lo_certificate(g: PlumbingGraph) -> CertificateNode:
@@ -333,104 +530,37 @@ def lo_certificate(g: PlumbingGraph) -> CertificateNode:
     return _certify(g)
 
 
-def _base_leaf(g: PlumbingGraph) -> CertificateNode:
-    claims: list[Claim] = []
-    _common_claims(g, claims)
-    _record(claims, "negative_definite", True, is_negative_definite(g))
-    _record(claims, "not_rational", True, not is_rational(g).rational)
-    m, _ = min_bad(g)
-    _record(claims, "m_le_1", True, m <= 1)
-    return CertificateNode(g, TAG_BASE_M1, tuple(claims))
-
-
 def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNode:
-    if forced is None:
-        m, _ = min_bad(g)
-        if m <= 1:
-            return _base_leaf(g)
-    else:
-        if is_bad_set(g, {forced}):
-            return _base_leaf(g)
-    sel = _select_case1(g, forced)
-    if sel is not None:
-        return _case1_node(g, sel)
+    if forced is None or is_bad_set(g, {forced}):
+        base = _base_m1(g, None)
+        # a bad forced vertex alone gives m <= 1; _build re-verifies it
+        if forced is not None or _holds(base.claims):
+            return _build(g, TAG_BASE_M1, base)
+    edge = _select_case1(g, forced)
+    if edge is not None:
+        return _build(g, TAG_CASE1, _case1(g, edge))
     if forced is not None:
         raise InternalCheckError("forced blow-up vertex admitted no valid cut")
-    return _case2_node(g)
-
-
-def _case1_node(g: PlumbingGraph, sel) -> CertificateNode:
-    v, w, gdown, info = sel
-    claims: list[Claim] = []
-    _common_claims(g, claims)
-    _record(claims, "negative_definite", True, is_negative_definite(g))
-    _record(claims, "not_rational", True, not is_rational(g).rational)
-    _record(claims, "stabilized_not_rational", True, not is_rational(gdown).rational)
-    comp_graph = subgraph(gdown, set(info.component) | {v})
-    _record(
-        claims, "jump_component_not_rational", True,
-        not is_rational(comp_graph).rational,
-    )
-    cut = cut_and_fill(g, (v, w))
-    _record(claims, "r", -determinant(delete(cut.side_w, vertices=[w]))
-            / determinant(cut.side_w), cut.r)
-    _record(claims, "filled_w_det_zero", True, determinant(cut.filled_w) == 0)
-    _record(
-        claims, "filled_w_semidefinite", True,
-        definiteness(cut.filled_w).is_negative_semidefinite,
-    )
-    _record(
-        claims, "filled_v_negative_definite", True,
-        is_negative_definite(cut.filled_v),
-    )
-    det_w_minus = determinant(delete(cut.side_w, vertices=[w]))
-    _record(
-        claims, "decorated_v_det",
-        determinant(g) / det_w_minus,
-        determinant(cut.decorated_v),
-    )
-    _record(
-        claims, "filled_v_det",
-        determinant(g) / gcd(int(determinant(cut.side_w)), int(det_w_minus)),
-        determinant(cut.filled_v),
-    )
-    child_graph = minimize(cut.filled_v)
-    _record(claims, "child_not_rational", True, not is_rational(child_graph).rational)
-    _record(
-        claims, "node_count_decreases", True,
-        _node_count(child_graph) < _node_count(g),
-    )
-    children = (_certify(child_graph), semidef_decompose(cut.filled_w))
-    return CertificateNode(
-        g, TAG_CASE1, tuple(claims), children, edge=(v, w), r=cut.r, jump=info
-    )
-
-
-def _case2_node(g: PlumbingGraph) -> CertificateNode:
-    ns = nodes(g)
-    if len(ns) != 2 or not g.has_edge(*ns):
-        raise InternalCheckError(
-            "no cut vertex found but the graph is not two adjacent nodes"
-        )
-    claims: list[Claim] = []
-    _common_claims(g, claims)
-    _record(claims, "negative_definite", True, is_negative_definite(g))
-    _record(claims, "not_rational", True, not is_rational(g).rational)
-    _record(claims, "two_adjacent_nodes", True, True)
-    blown = blow_up_edge(g, (ns[0], ns[1]))
+    case2 = _case2(g, None)
+    ((blown, _),) = case2.children
     (u,) = set(blown.vertices) - set(g.vertices)
-    child = _certify(blown, forced=u)
-    _record(claims, "child_not_rational", True, not is_rational(blown).rational)
-    return CertificateNode(g, TAG_CASE2, tuple(claims), (child,), edge=(ns[0], ns[1]))
+    return _build(g, TAG_CASE2, case2, forced_child=u)
 
 
-def _try_star_data(g: PlumbingGraph):
-    from .seifert import star_to_seifert
-
-    try:
-        return star_to_seifert(minimize(g))
-    except PlumbingError:
-        return None
+def _select_case1(g: PlumbingGraph, forced: VertexId | None = None):
+    """Lexicographically least valid cut edge (v, w), see ``_cut_vertex``."""
+    for v in (forced,) if forced is not None else g.vertices:
+        found = _cut_vertex(g, v)
+        if found is None:
+            continue
+        _, jump, targets = found
+        if jump is None:
+            raise InternalCheckError(
+                f"stabilizing {v!r} made the graph rational although m >= 2"
+            )
+        if targets:
+            return v, targets[0]
+    return None
 
 
 def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
@@ -446,53 +576,13 @@ def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
         raise GraphStructureError(
             "semidefinite decomposition requires a negative semidefinite graph"
         )
-    claims: list[Claim] = []
-    _common_claims(g0, claims)
-    _record(claims, "det_zero", True, determinant(g0) == 0)
-    _record(
-        claims, "negative_semidefinite", True,
-        definiteness(g0).is_negative_semidefinite,
-    )
-    gnodes = set(nodes(g0))
-    if len(gnodes) <= 1:
-        _record(claims, "nodes_le_1", True, len(gnodes) <= 1)
-        return CertificateNode(
-            g0, TAG_SEMIDEF_LEAF, tuple(claims), seifert=_try_star_data(g0)
-        )
-    chosen = None
-    for e in g0.edges:
-        comps = delete(g0, edges=[e]).component_vertex_sets()
-        if all(c & gnodes for c in comps):
-            chosen = e
-            break
-    if chosen is None:
+    leaf = _semidef_leaf(g0, None)
+    if _holds(leaf.claims):
+        return _build(g0, TAG_SEMIDEF_LEAF, leaf)
+    edge = next((e for e in g0.edges if _separates_nodes(g0, e)), None)
+    if edge is None:
         raise InternalCheckError("no edge separates two nodes of a 2-node tree")
-    vp, wp = chosen
-    split = delete(g0, edges=[chosen])
-    side_v = component_of(split, vp)
-    side_w = component_of(split, wp)
-    det_w = determinant(side_w)
-    det_w_minus = determinant(delete(side_w, vertices=[wp]))
-    if det_w <= 0 or det_w_minus <= 0:
-        raise InternalCheckError("proper subgraph determinants must be positive")
-    r2 = -det_w_minus / det_w
-    _record(claims, "r", -det_w_minus / det_w, r2)
-    filled_w = attach_string(side_w, wp, r2)
-    filled_v = attach_string(side_v, vp, 1 / r2)
-    for name, filled in (("v", filled_v), ("w", filled_w)):
-        _record(claims, f"filled_{name}_det_zero", True, determinant(filled) == 0)
-        _record(
-            claims, f"filled_{name}_semidefinite", True,
-            definiteness(filled).is_negative_semidefinite,
-        )
-        _record(
-            claims, f"filled_{name}_fewer_nodes", True,
-            _node_count(filled) < len(gnodes),
-        )
-    children = (semidef_decompose(filled_v), semidef_decompose(filled_w))
-    return CertificateNode(
-        g0, TAG_SEMIDEF_CUT, tuple(claims), children, edge=(vp, wp), r=r2
-    )
+    return _build(g0, TAG_SEMIDEF_CUT, _semidef_cut(g0, edge))
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +593,14 @@ def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
 def check_certificate(cert: CertificateNode) -> CheckResult:
     """Re-verify every claim of a certificate from scratch.
 
-    Nothing from the builder is trusted: determinants, definiteness,
-    rationality, the slope formulas, the child graphs, and the node-count
-    descent are all recomputed from the serialized graphs.  The first
-    failing claim's path is reported.  Jump witnesses are checked against
-    the canonical (smallest-id tie-break) Laufer run, which is the run
-    this certificate format prescribes.
+    Each node's claim table is recomputed from its graph and stored edge:
+    determinants, definiteness, rationality, the slope, the jump witness,
+    the Seifert data and the child graphs.  A node is rejected when a
+    recomputed claim fails, when a stored claim or field differs from the
+    recomputed one, or when a child's graph or tag does not match.  The
+    first failing node's path is reported.  Jump witnesses come from the
+    canonical (smallest-id tie-break) Laufer run, which is the run this
+    certificate format prescribes.
     """
     try:
         return _check_node(cert, "root")
@@ -520,246 +612,36 @@ def _fail(path: str, reason: str) -> CheckResult:
     return CheckResult(False, path, reason)
 
 
-def _verify_claims(
-    node: CertificateNode, recomputed: dict[str, object], path: str
-) -> CheckResult | None:
-    seen = set()
-    for c in node.claims:
-        if c.kind not in recomputed:
-            return _fail(path, f"unexpected claim {c.kind!r}")
-        val = recomputed[c.kind]
-        if c.expected != val or c.got != val:
-            return _fail(
-                path,
-                f"claim {c.kind!r}: recomputed {val}, stored {c.expected}/{c.got}",
-            )
-        seen.add(c.kind)
-    missing = set(recomputed) - seen
-    if missing:
-        return _fail(path, f"missing claims: {sorted(missing)}")
-    return None
-
-
 def _check_node(node: CertificateNode, path: str) -> CheckResult:
-    try:
-        g = node.graph
-        recomputed: dict[str, object] = {
-            "connected": g.is_connected(),
-            "det": determinant(g),
-        }
-        if not g.is_connected():
-            return _fail(path, "graph not connected")
-        if node.tag == TAG_BASE_M1:
-            recomputed["negative_definite"] = is_negative_definite(g)
-            if not recomputed["negative_definite"]:
-                return _fail(path, "not negative definite")
-            recomputed["not_rational"] = not is_rational(g).rational
-            m, _ = min_bad(g)
-            recomputed["m_le_1"] = m <= 1
-            if node.children:
-                return _fail(path, "base leaf must have no children")
-            bad = _verify_claims(node, recomputed, path)
-            return bad if bad is not None else CheckResult(True)
-        if node.tag == TAG_CASE1:
-            return _check_case1(node, recomputed, path)
-        if node.tag == TAG_CASE2:
-            return _check_case2(node, recomputed, path)
-        if node.tag == TAG_SEMIDEF_CUT:
-            return _check_semidef_cut(node, recomputed, path)
-        if node.tag == TAG_SEMIDEF_LEAF:
-            recomputed["det_zero"] = determinant(g) == 0
-            recomputed["negative_semidefinite"] = definiteness(
-                g
-            ).is_negative_semidefinite
-            recomputed["nodes_le_1"] = _node_count(g) <= 1
-            for key in ("det_zero", "negative_semidefinite", "nodes_le_1"):
-                if not recomputed[key]:
-                    return _fail(path, f"leaf violates {key}")
-            if node.children:
-                return _fail(path, "semidefinite leaf must have no children")
-            bad = _verify_claims(node, recomputed, path)
-            return bad if bad is not None else CheckResult(True)
+    table_of = _TABLES.get(node.tag) if isinstance(node.tag, str) else None
+    if table_of is None:
         return _fail(path, f"unknown tag {node.tag!r}")
+    try:
+        table = table_of(node.graph, node.edge)
+        _check_claims(table.claims)
+    except InternalCheckError as exc:
+        return _fail(path, str(exc))
     except Exception as exc:
         return _fail(path, f"exception: {exc}")
-
-
-def _check_case1(
-    node: CertificateNode, recomputed: dict[str, object], path: str
-) -> CheckResult:
-    g = node.graph
-    if node.edge is None or node.jump is None or len(node.children) != 2:
-        return _fail(path, "Case1 node needs an edge, a jump witness, two children")
-    v, w = node.edge
-    if not g.has_edge(v, w):
-        return _fail(path, f"edge {node.edge} not in graph")
-    recomputed["negative_definite"] = is_negative_definite(g)
-    if not recomputed["negative_definite"]:
-        return _fail(path, "not negative definite")
-    recomputed["not_rational"] = not is_rational(g).rational
-
-    gnodes = set(nodes(g))
-    split = delete(g, vertices=[v])
-    comps = split.component_vertex_sets()
-    if sum(1 for c in comps if c & gnodes) < 2:
-        return _fail(path, "cut vertex does not separate two node components")
-    comp_set = frozenset(node.jump.component)
-    if comp_set not in comps:
-        return _fail(path, "stored jump component is not a component of g - v")
-    comp_w = next(c for c in comps if w in c)
-    if comp_w == comp_set or not (comp_w & gnodes):
-        return _fail(path, "target component invalid (jump side or node-free)")
-
-    gdown = stabilize(g, [v])
-    if gdown.weight(v) != node.jump.stabilized_weight:
-        return _fail(path, "stabilized weight mismatch")
-    verdict = is_rational(gdown)
-    recomputed["stabilized_not_rational"] = not verdict.rational
-    if verdict.rational:
-        return _fail(path, "stabilized graph is rational")
-    j = verdict.jump
-    if (j.step, j.vertex, j.value) != (
-        node.jump.step,
-        node.jump.vertex,
-        node.jump.value,
-    ):
-        return _fail(path, "jump witness does not match the canonical run")
-    if j.vertex not in comp_set:
-        return _fail(path, "jump vertex outside the stored component")
-    comp_graph = subgraph(gdown, set(comp_set) | {v})
-    recomputed["jump_component_not_rational"] = not is_rational(comp_graph).rational
-
-    cut_split = delete(g, edges=[(v, w)])
-    side_v = component_of(cut_split, v)
-    side_w = component_of(cut_split, w)
-    det_w = determinant(side_w)
-    det_w_minus = determinant(delete(side_w, vertices=[w]))
-    if det_w <= 0 or det_w_minus <= 0:
-        return _fail(path, "side determinants not positive")
-    r = -det_w_minus / det_w
-    recomputed["r"] = r
-    if node.r != r:
-        return _fail(path, f"stored slope {node.r} != recomputed {r}")
-    filled_w = attach_string(side_w, w, r)
-    filled_v = attach_string(side_v, v, 1 / r)
-    decorated_v = attach_slope_vertex(side_v, v, 1 / r)
-    recomputed["filled_w_det_zero"] = determinant(filled_w) == 0
-    recomputed["filled_w_semidefinite"] = definiteness(
-        filled_w
-    ).is_negative_semidefinite
-    recomputed["filled_v_negative_definite"] = is_negative_definite(filled_v)
-    recomputed["decorated_v_det"] = determinant(decorated_v)
-    if recomputed["decorated_v_det"] != determinant(g) / det_w_minus:
-        return _fail(path, "det identity for the slope-decorated v-side failed")
-    recomputed["filled_v_det"] = determinant(filled_v)
-    expected_det = determinant(g) / gcd(int(det_w), int(det_w_minus))
-    if recomputed["filled_v_det"] != expected_det:
-        return _fail(path, "det identity for the filled v-side failed")
-
-    child0, child1 = node.children
-    if child0.graph != minimize(filled_v):
-        return _fail(path, "recursing child graph mismatch")
-    if child1.graph != filled_w:
-        return _fail(path, "det-0 child graph mismatch")
-    recomputed["child_not_rational"] = not is_rational(child0.graph).rational
-    recomputed["node_count_decreases"] = _node_count(child0.graph) < _node_count(g)
-    if not recomputed["node_count_decreases"]:
-        return _fail(path, "node count did not decrease")
-    if child0.tag not in (TAG_BASE_M1, TAG_CASE1, TAG_CASE2):
-        return _fail(path, f"recursing child has tag {child0.tag!r}")
-    if child1.tag not in (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF):
-        return _fail(path, f"det-0 child has tag {child1.tag!r}")
-    bad = _verify_claims(node, recomputed, path)
-    if bad is not None:
-        return bad
-    res = _check_node(child0, path + ".children[0]")
-    if not res:
-        return res
-    return _check_node(child1, path + ".children[1]")
-
-
-def _check_case2(
-    node: CertificateNode, recomputed: dict[str, object], path: str
-) -> CheckResult:
-    g = node.graph
-    if node.edge is None or len(node.children) != 1:
-        return _fail(path, "Case2 node needs an edge and one child")
-    recomputed["negative_definite"] = is_negative_definite(g)
-    if not recomputed["negative_definite"]:
-        return _fail(path, "not negative definite")
-    recomputed["not_rational"] = not is_rational(g).rational
-    ns = nodes(g)
-    two_adjacent = len(ns) == 2 and g.has_edge(*ns)
-    recomputed["two_adjacent_nodes"] = two_adjacent
-    if not two_adjacent:
-        return _fail(path, "graph does not consist of two adjacent nodes")
-    if tuple(sorted(node.edge)) != ns:
-        return _fail(path, "Case2 edge is not the node edge")
-    blown = blow_up_edge(g, (ns[0], ns[1]))
-    (child,) = node.children
-    if child.graph != blown:
-        return _fail(path, "blown-up child graph mismatch")
-    recomputed["child_not_rational"] = not is_rational(blown).rational
-    if child.tag not in (TAG_BASE_M1, TAG_CASE1):
-        return _fail(path, f"Case2 child has tag {child.tag!r}")
-    bad = _verify_claims(node, recomputed, path)
-    if bad is not None:
-        return bad
-    return _check_node(child, path + ".children[0]")
-
-
-def _check_semidef_cut(
-    node: CertificateNode, recomputed: dict[str, object], path: str
-) -> CheckResult:
-    g = node.graph
-    if node.edge is None or len(node.children) != 2:
-        return _fail(path, "SemidefCut node needs an edge and two children")
-    recomputed["det_zero"] = determinant(g) == 0
-    recomputed["negative_semidefinite"] = definiteness(g).is_negative_semidefinite
-    if not (recomputed["det_zero"] and recomputed["negative_semidefinite"]):
-        return _fail(path, "not a det-0 semidefinite graph")
-    vp, wp = node.edge
-    if not g.has_edge(vp, wp):
-        return _fail(path, f"edge {node.edge} not in graph")
-    gnodes = set(nodes(g))
-    split = delete(g, edges=[(vp, wp)])
-    comps = split.component_vertex_sets()
-    if not all(c & gnodes for c in comps):
-        return _fail(path, "cut edge does not separate two nodes")
-    side_v = component_of(split, vp)
-    side_w = component_of(split, wp)
-    det_w = determinant(side_w)
-    det_w_minus = determinant(delete(side_w, vertices=[wp]))
-    if det_w <= 0 or det_w_minus <= 0:
-        return _fail(path, "side determinants not positive")
-    r2 = -det_w_minus / det_w
-    recomputed["r"] = r2
-    if node.r != r2:
-        return _fail(path, f"stored slope {node.r} != recomputed {r2}")
-    filled_v = attach_string(side_v, vp, 1 / r2)
-    filled_w = attach_string(side_w, wp, r2)
-    child_v, child_w = node.children
-    if child_v.graph != filled_v or child_w.graph != filled_w:
-        return _fail(path, "filled child graphs mismatch")
-    for name, filled in (("v", filled_v), ("w", filled_w)):
-        recomputed[f"filled_{name}_det_zero"] = determinant(filled) == 0
-        recomputed[f"filled_{name}_semidefinite"] = definiteness(
-            filled
-        ).is_negative_semidefinite
-        recomputed[f"filled_{name}_fewer_nodes"] = _node_count(filled) < len(gnodes)
-        for key in ("det_zero", "semidefinite", "fewer_nodes"):
-            if not recomputed[f"filled_{name}_{key}"]:
-                return _fail(path, f"filled_{name}_{key} fails")
-    for child in node.children:
-        if child.tag not in (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF):
-            return _fail(path, f"semidefinite child has tag {child.tag!r}")
-    bad = _verify_claims(node, recomputed, path)
-    if bad is not None:
-        return bad
-    res = _check_node(child_v, path + ".children[0]")
-    if not res:
-        return res
-    return _check_node(child_w, path + ".children[1]")
+    for stored, fresh in zip_longest(node.claims, table.claims):
+        if stored != fresh:
+            return _fail(path, f"stored claim {stored} != recomputed {fresh}")
+    for name in ("edge", "r", "jump", "seifert"):
+        stored, fresh = getattr(node, name), getattr(table, name)
+        if stored != fresh:
+            return _fail(path, f"stored {name} {stored} != recomputed {fresh}")
+    if len(node.children) != len(table.children):
+        return _fail(path, f"{node.tag} node needs {len(table.children)} children")
+    for i, (child, (graph, tags)) in enumerate(zip(node.children, table.children)):
+        if child.graph != graph:
+            return _fail(path, f"children[{i}] graph differs from the recomputed one")
+        if child.tag not in tags:
+            return _fail(path, f"children[{i}] of a {node.tag} node has tag {child.tag!r}")
+    for i, child in enumerate(node.children):
+        res = _check_node(child, f"{path}.children[{i}]")
+        if not res:
+            return res
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +650,7 @@ def _check_semidef_cut(
 
 
 def _value_to_json(v):
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
-        return str(Fraction(v))
-    raise TypeError(f"unsupported claim value {v!r}")
+    return v if isinstance(v, bool) else str(Fraction(v))
 
 
 def _value_from_json(v):
@@ -817,9 +693,24 @@ def certificate_to_json(node: CertificateNode) -> dict:
     return out
 
 
-def certificate_from_json(data: dict) -> CertificateNode:
+def certificate_from_json(data) -> CertificateNode:
+    """Rebuild a certificate from its JSON form.  A missing key or a value
+    of the wrong shape raises ``PlumbingError``."""
+    try:
+        return _node_from_json(data)
+    except PlumbingError:
+        raise
+    except KeyError as exc:
+        raise PlumbingError(f"certificate node lacks the key {exc}") from None
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
+        raise PlumbingError(f"malformed certificate: {exc}") from None
+
+
+def _node_from_json(data) -> CertificateNode:
     from .seifert import SeifertData
 
+    if not isinstance(data, dict):
+        raise PlumbingError("certificate node must be a JSON object")
     jump = None
     if "jump" in data:
         j = data["jump"]
@@ -845,7 +736,7 @@ def certificate_from_json(data: dict) -> CertificateNode:
             )
             for c in data["claims"]
         ),
-        children=tuple(certificate_from_json(c) for c in data["children"]),
+        children=tuple(_node_from_json(c) for c in data["children"]),
         edge=tuple(data["edge"]) if "edge" in data else None,
         r=Fraction(data["r"]) if "r" in data else None,
         jump=jump,

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from plumbcalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 E8_TEXT = (
     "vertex a1 -2\nvertex a2 -2\nvertex a3 -2\nvertex a4 -2\n"
@@ -66,6 +69,16 @@ def test_classify_with_certificate(s237_file, tmp_path, capsys):
     assert main(["check-certificate", str(out)]) == 0
 
 
+def test_readme_classify_example(capsys):
+    # the README example runs on the shipped file and prints what it shows
+    command = "$ plumbcalc classify examples/s237.graph\n"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert (ROOT / "examples" / "s237.graph").read_text(encoding="utf-8") in readme
+    shown = readme.split(command, 1)[1].split("```", 1)[0]
+    assert main(["classify", str(ROOT / "examples" / "s237.graph")]) == 0
+    assert capsys.readouterr().out == shown
+
+
 def test_zmin_and_sequence(s237_file, capsys):
     assert main(["zmin", s237_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -114,6 +127,27 @@ def test_certificate_roundtrip(s237_file, tmp_path, capsys):
             claim["expected"] = False
     out.write_text(json.dumps(data))
     assert main(["check-certificate", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        '{"graph": "vertex a -1", "tag": "BaseM1", "claims": 5, "children": []}',
+        '{"graph": 5, "tag": "BaseM1", "claims": [], "children": []}',
+        '{"graph": "vertex a -1", "tag": "BaseM1", "claims": [], "children": [],'
+        ' "jump": {}}',
+        '{"graph": "vertex a -1", "tag": "BaseM1", "claims": [], "children": [[]]}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
+    ],
+)
+def test_check_certificate_shape_errors(tmp_path, capsys, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert main(["check-certificate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_certificate_of_rational_graph_fails(e8_file):

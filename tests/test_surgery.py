@@ -17,13 +17,14 @@ from plumbcalc.graph import (
     serialize_graph,
 )
 from plumbcalc.lattice import definiteness, determinant, is_negative_definite
-from plumbcalc.laufer import is_rational
+from plumbcalc.laufer import is_rational, min_bad
 from plumbcalc.surgery import (
     TAG_BASE_M1,
     TAG_CASE1,
     TAG_CASE2,
     TAG_SEMIDEF_CUT,
     TAG_SEMIDEF_LEAF,
+    _m_le_1,
     attach_string,
     certificate_from_json,
     certificate_to_json,
@@ -35,6 +36,7 @@ from plumbcalc.surgery import (
     semidef_decompose,
 )
 
+from conftest import make_star
 from oracles import cf_eval_convergents
 
 
@@ -194,6 +196,24 @@ def test_certificate_case2_deep(case2_deep):
     assert check_certificate(cert).ok
 
 
+def test_certificate_chain_of_six_stars():
+    # six Sigma(2,3,11) stars (centre -1) joined tip to tip through -4
+    # vertices: m grows with the chain, so a bad-set search over subsets
+    # would take minutes here
+    ws, edges = {}, []
+    for i in range(6):
+        star_ws, star_edges = make_star(f"s{i}", -1, [-2, -3, -11])
+        ws.update(star_ws)
+        edges += star_edges
+        if i:
+            ws[f"j{i}"] = -4
+            edges += [(f"s{i - 1}l3", f"j{i}"), (f"j{i}", f"s{i}l2")]
+    g = PlumbingGraph(ws, edges)
+    cert = lo_certificate(g)
+    assert cert.tag == TAG_CASE1
+    assert check_certificate(cert).ok
+
+
 def test_certificate_input_validation(e8, s237):
     with pytest.raises(GraphStructureError):
         lo_certificate(e8)  # rational
@@ -238,6 +258,97 @@ def test_checker_survives_garbage():
         )
     )
     assert not res.ok  # rational graph, missing claims
+
+
+def _base_leaf_json(g, not_rational, m_le_1):
+    """A hand-written one-node BaseM1 certificate whose boolean claims are
+    stored as given, expected and got alike."""
+    det = str(determinant(g))
+    claims = [
+        ("connected", True), ("det", det), ("negative_definite", True),
+        ("not_rational", not_rational), ("m_le_1", m_le_1),
+    ]
+    return {
+        "graph": serialize_graph(g),
+        "tag": TAG_BASE_M1,
+        "claims": [{"kind": k, "expected": v, "got": v} for k, v in claims],
+        "children": [],
+    }
+
+
+def test_checker_rejects_false_claims(two_star_m2):
+    # each stored claim agrees with the recomputed value, but says false
+    forgeries = [
+        _base_leaf_json(parse_graph("vertex a -2"), not_rational=False, m_le_1=True),
+        _base_leaf_json(two_star_m2, not_rational=True, m_le_1=False),
+    ]
+    for data in forgeries:
+        res = check_certificate(certificate_from_json(data))
+        assert not res.ok and res.path == "root"
+
+
+def _walk_json(data):
+    yield data
+    for child in data["children"]:
+        yield from _walk_json(child)
+
+
+def test_checker_verifies_seifert_data(two_star_m2):
+    data = certificate_to_json(lo_certificate(two_star_m2))
+    assert check_certificate(certificate_from_json(data)).ok
+    tampers = [
+        lambda s: s.update(e0=-99),
+        lambda s: s["legs"].__setitem__(0, [97, 1]),
+    ]
+    for tamper in tampers:
+        forged = json.loads(json.dumps(data))
+        leaf = next(n for n in _walk_json(forged) if "seifert" in n)
+        assert leaf["tag"] == TAG_SEMIDEF_LEAF
+        tamper(leaf["seifert"])
+        assert not check_certificate(certificate_from_json(forged)).ok
+
+
+def test_checker_rejects_fields_a_tag_does_not_carry(two_star_m2, case2_shallow, s237):
+    extra = {
+        "edge": ["c", "p2"],
+        "r": "-1/2",
+        "jump": {"stabilized_weight": "-2", "step": 0, "vertex": "c",
+                 "value": 2, "component": ["c"]},
+        "seifert": {"e0": -1, "legs": [[2, 1], [3, 1], [7, 1]]},
+    }
+    certs = [lo_certificate(g) for g in (two_star_m2, case2_shallow, s237)]
+    certs.append(semidef_decompose(cut_and_fill(two_star_m2, ("xl1", "xc")).filled_w))
+    pool = [certificate_to_json(c) for c in certs]
+    tried = set()
+    for cert in pool:
+        for i, node in enumerate(_walk_json(cert)):
+            for key, value in extra.items():
+                if key in node:
+                    continue
+                forged = json.loads(json.dumps(cert))
+                target = list(_walk_json(forged))[i]
+                target[key] = value
+                assert not check_certificate(certificate_from_json(forged)).ok
+                tried.add((node["tag"], key))
+    assert {tag for tag, _ in tried} == {
+        TAG_BASE_M1, TAG_CASE1, TAG_CASE2, TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF
+    }
+
+
+def test_m_le_1_matches_min_bad(census6, two_star_m2, case2_deep):
+    graphs = [g for g in census6 if not is_rational(g).rational]
+    assert len(graphs) == 2221
+    for g in (two_star_m2, case2_deep):
+        graphs += [
+            n.graph for n in _walk(lo_certificate(g))
+            if n.tag in (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
+        ]
+    ms = set()
+    for g in graphs:
+        m, _ = min_bad(g)
+        assert _m_le_1(g) == (m <= 1), serialize_graph(g)
+        ms.add(m)
+    assert {1, 2} <= ms
 
 
 # -- semidefinite decomposition ----------------------------------------------
