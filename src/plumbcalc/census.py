@@ -41,11 +41,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import GraphStructureError
 from .classify import ClassificationReport, classify
 from .graph import PlumbingGraph, canonical_code, is_minimal, parse_graph
+from .lattice import combine
 from .laufer import is_rational
 
 MAX_VERTICES_LIMIT = 8
@@ -104,56 +105,29 @@ class _RootedTrees:
             ]
             for pick in product(*pools):
                 children = tuple(c for group in pick for c in group)
-                ds = [c[1] for c in children]
-                k = len(ds)
-                prefix = [1] * (k + 1)
-                for i in range(k):
-                    prefix[i + 1] = prefix[i] * ds[i]
-                suffix = [1] * (k + 1)
-                for i in range(k - 1, -1, -1):
-                    suffix[i] = suffix[i + 1] * ds[i]
-                s = sum(
-                    children[i][2] * prefix[i] * suffix[i + 1] for i in range(k)
-                )
-                yield children, s, prefix[k]
+                s, prod = 0, 1
+                for _, d, p in children:
+                    s, prod = combine(s, prod, d, p)
+                yield children, s, prod
 
 
-def _graph_from_central(w: int, child_codes: Sequence[tuple]) -> PlumbingGraph:
+def _graph_from_codes(*roots: tuple) -> PlumbingGraph:
+    """The tree of one rooted code, or of two whose roots are joined by an
+    edge; vertices are ``v0, v1, ...`` in depth-first order."""
     weights: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-    counter = 0
-
-    def walk(code) -> str:
-        nonlocal counter
-        vid = f"v{counter}"
-        counter += 1
-        weights[vid] = code[0]
-        for child in code[1]:
-            edges.append((vid, walk(child)))
-        return vid
-
-    root = walk((w, tuple(child_codes)))
-    assert root == "v0"
-    return PlumbingGraph(weights, edges)
-
-
-def _graph_from_bicentral(code1: tuple, code2: tuple) -> PlumbingGraph:
-    weights: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
-    counter = 0
-
-    def walk(code) -> str:
-        nonlocal counter
-        vid = f"v{counter}"
-        counter += 1
-        weights[vid] = code[0]
-        for child in code[1]:
-            edges.append((vid, walk(child)))
-        return vid
-
-    r1 = walk(code1)
-    r2 = walk(code2)
-    edges.append((r1, r2))
+    tops: list[str] = []
+    stack: list[tuple[tuple, str | None]] = [(code, None) for code in reversed(roots)]
+    while stack:
+        (w, kids), parent = stack.pop()
+        vid = f"v{len(weights)}"
+        weights[vid] = w
+        if parent is None:
+            tops.append(vid)
+        else:
+            edges.append((parent, vid))
+        stack.extend((kid, vid) for kid in reversed(kids))
+    edges.extend(zip(tops, tops[1:]))
     return PlumbingGraph(weights, edges)
 
 
@@ -178,21 +152,18 @@ def census_graphs(
     rooted = _RootedTrees(weight_min)
     for n in range(1, max_vertices + 1):
         batch: list[PlumbingGraph] = []
-        limit = (n - 1) // 2
-        for children, s, p in rooted.child_multisets(n - 1, limit) if n > 1 else (
-            ((), 0, 1),
-        ):
+        for children, s, p in rooted.child_multisets(n - 1, (n - 1) // 2):
             codes = tuple(sorted(c[0] for c in children))
             for w in range(weight_min, 0):
                 d = -w * p - s
                 if d > 0:
-                    batch.append(_graph_from_central(w, codes))
+                    batch.append(_graph_from_codes((w, codes)))
         if n % 2 == 0:
             half_entries = rooted.level(n // 2)
             for i, (c1, d1, p1) in enumerate(half_entries):
                 for c2, d2, p2 in half_entries[i:]:
                     if d1 * d2 - p1 * p2 > 0:
-                        batch.append(_graph_from_bicentral(c1, c2))
+                        batch.append(_graph_from_codes(c1, c2))
         batch.sort(key=canonical_code)
         yield from batch
 
@@ -260,17 +231,14 @@ def minimal_det_one(
         out.append(DetOneRecord(g, is_rational(g).rational))
 
     for n in range(1, max_vertices + 1):
-        limit = (n - 1) // 2
-        for children, s, p in rooted.child_multisets(n - 1, limit) if n > 1 else (
-            ((), 0, 1),
-        ):
+        for children, s, p in rooted.child_multisets(n - 1, (n - 1) // 2):
             # need -w*p - s = 1 with an admissible integer weight
             if (1 + s) % p:
                 continue
             w = -(1 + s) // p
             if weight_min <= w <= -1:
                 codes = tuple(sorted(c[0] for c in children))
-                consider(_graph_from_central(w, codes))
+                consider(_graph_from_codes((w, codes)))
         if n % 2 == 0:
             buckets: dict[tuple[int, int], list[tuple]] = {}
             for code, d, p in rooted.level(n // 2):
@@ -287,6 +255,6 @@ def minimal_det_one(
                     else:
                         pairs = product(buckets[(d1, p1)], buckets[(d2, p2)])
                     for c1, c2 in pairs:
-                        consider(_graph_from_bicentral(c1, c2))
+                        consider(_graph_from_codes(c1, c2))
     out.sort(key=lambda rec: (len(rec.graph), canonical_code(rec.graph)))
     return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphStructureError, ParseError
@@ -183,6 +184,7 @@ def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format; all errors carry line numbers."""
     weights: dict[VertexId, Fraction] = {}
     edges: list[tuple[VertexId, VertexId]] = []
+    seen: set[tuple[VertexId, VertexId]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,8 +210,10 @@ def parse_graph(text: str) -> PlumbingGraph:
             for vid in (a, b):
                 if vid not in weights:
                     raise ParseError(f"edge to undeclared vertex {vid!r}", lineno)
-            if _normalize_edge(a, b) in {_normalize_edge(x, y) for x, y in edges}:
+            e = _normalize_edge(a, b)
+            if e in seen:
                 raise ParseError(f"multi-edge between {a!r} and {b!r}", lineno)
+            seen.add(e)
             edges.append((a, b))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
@@ -372,6 +376,19 @@ def component_of(g: PlumbingGraph, v: VertexId) -> PlumbingGraph:
     raise GraphStructureError(f"unknown vertex {v!r}")
 
 
+def rooted_preorder(
+    g: PlumbingGraph, root: VertexId
+) -> list[tuple[VertexId, VertexId | None]]:
+    """(vertex, parent) pairs of the tree holding ``root``, parents first."""
+    order: list[tuple[VertexId, VertexId | None]] = []
+    stack: list[tuple[VertexId, VertexId | None]] = [(root, None)]
+    while stack:
+        v, p = stack.pop()
+        order.append((v, p))
+        stack.extend((c, v) for c in g.neighbors(v) if c != p)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Canonical form and isomorphism
 # ---------------------------------------------------------------------------
@@ -379,11 +396,44 @@ def component_of(g: PlumbingGraph, v: VertexId) -> PlumbingGraph:
 Code = tuple  # nested (weight, (child codes...)) tuples
 
 
-def _rooted_code(g: PlumbingGraph, root: VertexId, parent: VertexId | None) -> Code:
-    kids = tuple(
-        sorted(_rooted_code(g, c, root) for c in g.neighbors(root) if c != parent)
-    )
-    return (g.weight(root), kids)
+def _compare_codes(a: Code, b: Code) -> int:
+    """Three-way comparison in nested-tuple order, without recursion: the
+    built-in tuple comparison recurses once per level and overflows on
+    deep trees."""
+    stack = [((a,), (b,), 0)]  # (sibling codes, sibling codes, next index)
+    while stack:
+        xs, ys, i = stack.pop()
+        if i < len(xs) and i < len(ys):
+            stack.append((xs, ys, i + 1))
+            (wx, kx), (wy, ky) = xs[i], ys[i]
+            if wx != wy:
+                return -1 if wx < wy else 1
+            stack.append((kx, ky, 0))
+        elif len(xs) != len(ys):
+            return -1 if len(xs) < len(ys) else 1
+    return 0
+
+
+_code_key = cmp_to_key(_compare_codes)
+
+
+def _subtree_codes(g: PlumbingGraph, root: VertexId) -> dict[VertexId, Code]:
+    """Rooted code of every subtree of ``g`` rooted at ``root``, children
+    before parents; a code is (weight, sorted child codes)."""
+    codes: dict[VertexId, Code] = {}
+    for v, p in reversed(rooted_preorder(g, root)):
+        kids = [codes[c] for c in g.neighbors(v) if c != p]
+        if len(kids) > 1:
+            kids.sort(key=_code_key)
+        codes[v] = (g.weight(v), tuple(kids))
+    return codes
+
+
+def _centroid_codes(g: PlumbingGraph) -> tuple[VertexId, dict[VertexId, Code]]:
+    """The centroid of a tree with the least rooted code (the least id on
+    ties) and the codes of the subtrees under it."""
+    rooted = [(c, _subtree_codes(g, c)) for c in tree_centroids(g)]
+    return min(rooted, key=lambda rc: _code_key(rc[1][rc[0]]))
 
 
 def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
@@ -393,15 +443,7 @@ def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
         raise GraphStructureError("empty graph has no centroid")
     n = len(g)
     # subtree sizes via one rooted pass, then max-component sizes
-    root = g.vertices[0]
-    order: list[tuple[VertexId, VertexId | None]] = []
-    stack: list[tuple[VertexId, VertexId | None]] = [(root, None)]
-    while stack:
-        v, p = stack.pop()
-        order.append((v, p))
-        for c in g.neighbors(v):
-            if c != p:
-                stack.append((c, v))
+    order = rooted_preorder(g, g.vertices[0])
     size = {v: 1 for v in g.vertices}
     for v, p in reversed(order):
         if p is not None:
@@ -424,32 +466,12 @@ def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
 def canonical_code(g: PlumbingGraph) -> Code:
     """Isomorphism-invariant code: per component, the minimum rooted code
     over its centroid(s); components sorted.  Equal codes iff isomorphic."""
+    comps = g.component_vertex_sets()
     comp_codes = []
-    for comp in g.component_vertex_sets():
-        sub = subgraph(g, comp)
-        code = min(_rooted_code(sub, c, None) for c in tree_centroids(sub))
-        comp_codes.append(code)
-    return tuple(sorted(comp_codes))
-
-
-def _witness(
-    g1: PlumbingGraph,
-    r1: VertexId,
-    p1: VertexId | None,
-    g2: PlumbingGraph,
-    r2: VertexId,
-    p2: VertexId | None,
-    out: dict[VertexId, VertexId],
-) -> None:
-    out[r1] = r2
-    kids1 = sorted(
-        ((_rooted_code(g1, c, r1), c) for c in g1.neighbors(r1) if c != p1)
-    )
-    kids2 = sorted(
-        ((_rooted_code(g2, c, r2), c) for c in g2.neighbors(r2) if c != p2)
-    )
-    for (_, c1), (_, c2) in zip(kids1, kids2):
-        _witness(g1, c1, r1, g2, c2, r2, out)
+    for comp in comps:
+        root, codes = _centroid_codes(g if len(comps) == 1 else subgraph(g, comp))
+        comp_codes.append(codes[root])
+    return tuple(sorted(comp_codes, key=_code_key))
 
 
 def is_isomorphic(
@@ -467,16 +489,25 @@ def is_isomorphic(
         out = []
         for comp in comps:
             sub = subgraph(g, comp)
-            cents = tree_centroids(sub)
-            code, root = min((_rooted_code(sub, c, None), c) for c in cents)
-            out.append((code, sub, root))
-        out.sort(key=lambda t: t[0])
+            out.append((*_centroid_codes(sub), sub))
+        out.sort(key=lambda t: _code_key(t[1][t[0]]))
         return out
 
     k1, k2 = keyed(g1, comps1), keyed(g2, comps2)
     mapping: dict[VertexId, VertexId] = {}
-    for (c1, s1, r1), (c2, s2, r2) in zip(k1, k2):
-        if c1 != c2:
+    for (r1, codes1, s1), (r2, codes2, s2) in zip(k1, k2):
+        if _compare_codes(codes1[r1], codes2[r2]):
             return False, None
-        _witness(s1, r1, None, s2, r2, None, mapping)
+        # match children in (code, id) order, depth first; neighbours come
+        # sorted by id and the sort is stable
+        stack = [(r1, None, r2, None)]
+        while stack:
+            v1, p1, v2, p2 = stack.pop()
+            mapping[v1] = v2
+            kids1 = [c for c in s1.neighbors(v1) if c != p1]
+            kids2 = [c for c in s2.neighbors(v2) if c != p2]
+            kids1.sort(key=lambda c: _code_key(codes1[c]))
+            kids2.sort(key=lambda c: _code_key(codes2[c]))
+            pairs = [(c1, v1, c2, v2) for c1, c2 in zip(kids1, kids2)]
+            stack.extend(reversed(pairs))
     return True, mapping

@@ -3,8 +3,10 @@
 The lattice of a graph is freely generated by its vertices with the
 symmetric intersection form: diagonal entries are the decorations
 ``e_v``, off-diagonal entries are 1 per edge, else 0.  Everything here is
-exact big-rational arithmetic; there is no floating point anywhere,
-because definiteness and det-zero verdicts are boundary sensitive.
+exact: integer graphs are computed in ``int``, and ``Fraction`` appears
+only where a slope vertex carries a rational decoration.  There is no
+floating point anywhere, because definiteness and det-zero verdicts are
+boundary sensitive.
 
 Cycles are plain mappings ``vertex id -> int`` (or ``Fraction`` for
 rational cycles such as the canonical cycle); missing vertices mean
@@ -17,10 +19,10 @@ exactly what the edge-deletion identity
 
     det(G) = det(G - e) - det(G - [v,w])        (e = (v,w))
 
-needs in its degenerate cases.  Both determinant and definiteness exploit
-the forest structure: eliminating leaves first gives a fill-in-free
-symmetric elimination, so each verdict costs O(n) exact rational
-operations instead of O(n^3).
+needs in its degenerate cases.  Both determinant and definiteness come
+from one post-order pass over the forest: for each rooted subtree, D is
+its det(-I) and P the product of its children's D, so each verdict costs
+O(n) exact operations instead of O(n^3).
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
-from .graph import PlumbingGraph, VertexId
+from .graph import PlumbingGraph, VertexId, rooted_preorder
 
 Cycle = Mapping[VertexId, int]
 QCycle = Mapping[VertexId, Fraction]
@@ -84,97 +86,66 @@ def pairing(g: PlumbingGraph, a: Mapping, b: Mapping) -> Fraction:
 
 
 def _post_order(g: PlumbingGraph) -> list[tuple[VertexId, VertexId | None]]:
-    """(vertex, parent) pairs, children before parents, per component."""
+    """(vertex, parent) pairs, children before parents, per component; each
+    component is rooted at its least vertex."""
     seen: set[VertexId] = set()
     order: list[tuple[VertexId, VertexId | None]] = []
     for start in g.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack: list[tuple[VertexId, VertexId | None]] = [(start, None)]
-        pre: list[tuple[VertexId, VertexId | None]] = []
-        while stack:
-            v, p = stack.pop()
-            pre.append((v, p))
-            for c in g.neighbors(v):
-                if c != p:
-                    seen.add(c)
-                    stack.append((c, v))
-        order.extend(reversed(pre))
+        if start not in seen:
+            pre = rooted_preorder(g, start)
+            seen.update(v for v, _ in pre)
+            order.extend(reversed(pre))
     return order
 
 
-def determinant(g: PlumbingGraph) -> Fraction:
-    """det(-I), exact.  Disconnected graphs multiply over components;
-    the empty graph has determinant 1."""
-    if len(g) == 0:
-        return Fraction(1)
+def combine(s, prod, d, p):
+    """Fold one child's (D, P) into its parent's running sums: ``prod`` is
+    the product of the children's D, ``s`` the sum over children of
+    P_c * prod_{c' != c} D_c'.  The parent then has D = -e * prod - s and
+    P = prod (the edge-deletion identity, no division)."""
+    return s * d + p * prod, prod * d
+
+
+def _tree_pass(g: PlumbingGraph) -> Iterator[tuple[VertexId | None, object]]:
+    """The (D, P) pass: (parent, D_v) per vertex in post order, where D_v is
+    det(-I) of the subtree rooted at v.  Integer graphs stay in ``int``;
+    slope graphs run the same pass over ``Fraction``."""
     integral = g.has_integer_weights()
-    # D[v]: det(-I) of the subtree rooted at v; P[v]: same with v removed.
-    D: dict[VertexId, object] = {}
-    P: dict[VertexId, object] = {}
-    children: dict[VertexId, list[VertexId]] = {v: [] for v in g.vertices}
-    roots: list[VertexId] = []
-    order = _post_order(g)
-    for v, p in order:
+    acc: dict[VertexId, tuple] = {}
+    for v, p in _post_order(g):
+        w = g.weight(v)
+        s, prod = acc.pop(v, (0, 1))
+        d = -(w.numerator if integral else w) * prod - s
+        yield p, d
+        if p is not None:
+            ps, pprod = acc.get(p, (0, 1))
+            acc[p] = combine(ps, pprod, d, prod)
+
+
+def determinant(g: PlumbingGraph) -> Fraction:
+    """det(-I), exact: the product of the component roots' D values.  The
+    empty graph has determinant 1."""
+    result = 1
+    for p, d in _tree_pass(g):
         if p is None:
-            roots.append(v)
-        else:
-            children[p].append(v)
-    one = 1 if integral else Fraction(1)
-    for v, _ in order:
-        kids = children[v]
-        ds = [D[c] for c in kids]
-        prod = one
-        for d in ds:
-            prod = prod * d
-        P[v] = prod
-        w = -g.weight(v)
-        if integral:
-            w = int(w)
-        total = w * prod
-        if kids:
-            # sum over children of P[c] * prod of the other D's, no division
-            k = len(ds)
-            prefix = [one] * (k + 1)
-            for i in range(k):
-                prefix[i + 1] = prefix[i] * ds[i]
-            suffix = [one] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suffix[i] = suffix[i + 1] * ds[i]
-            for i, c in enumerate(kids):
-                total -= P[c] * prefix[i] * suffix[i + 1]
-        D[v] = total
-    result = one
-    for r in roots:
-        result = result * D[r]
+            result *= d
     return Fraction(result)
 
 
 def definiteness(g: PlumbingGraph) -> Definiteness:
-    """Exact verdict by symmetric Gaussian elimination with diagonal
-    pivoting in leaf order (fill-in free on forests).
+    """Exact verdict from the (D, P) pass, i.e. Sylvester's criterion with
+    the vertices eliminated in leaf order.
 
-    All pivots < 0: negative definite.  Pivots < 0 plus k fully-zero rows:
-    negative semidefinite of corank k.  Any positive pivot, or a zero
-    diagonal with a nonzero off-diagonal residual: other (indefinite).
+    Every D > 0: negative definite.  D = 0 at k component roots and
+    D > 0 elsewhere: negative semidefinite of corank k.  Any D < 0, or
+    D = 0 below a root (a zero pivot that still meets its parent): other.
     """
-    if len(g) == 0:
-        return Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
-    diag = {v: g.weight(v) for v in g.vertices}
     corank = 0
-    for v, p in _post_order(g):
-        pivot = diag[v]
-        if pivot > 0:
+    for p, d in _tree_pass(g):
+        if d < 0 or (d == 0 and p is not None):
             return Definiteness(DefinitenessKind.OTHER)
-        if pivot == 0:
-            if p is not None:
-                # zero diagonal, off-diagonal 1 to the parent survives
-                return Definiteness(DefinitenessKind.OTHER)
+        if d == 0:
             corank += 1
-            continue
-        if p is not None:
-            diag[p] -= Fraction(1) / pivot
     if corank:
         return Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
     return Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)

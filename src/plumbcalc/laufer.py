@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +31,7 @@ from typing import Iterable
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, subgraph, with_weight
-from .lattice import canonical_cycle, chi, is_negative_definite
+from .lattice import is_negative_definite
 
 logger = logging.getLogger(__name__)
 
@@ -79,30 +80,41 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
 
 
 def _run(g: PlumbingGraph, rng: random.Random | None, record: bool):
-    weights = {v: int(g.weight(v)) for v in g.vertices}
-    mult = {v: 1 for v in g.vertices}
-    pair = {v: weights[v] + g.degree(v) for v in g.vertices}
+    """The computation sequence from l_0 = sum_v E_v.  ``pos`` holds the
+    sorted ranks (positions in ``g.vertices``) of the vertices with positive
+    pairing; a step updates only the stepped vertex and its neighbours, and
+    ``pos[0]`` or ``rng.choice(pos)`` picks what a full rescan in id order
+    would pick, with the same random draws."""
+    vs = g.vertices
+    rank = {v: i for i, v in enumerate(vs)}
+    ws = g.weights()
+    weights = [ws[v].numerator for v in vs]
+    nbrs = [[rank[n] for n in g.neighbors(v)] for v in vs]
+    mult = [1] * len(vs)
+    pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
+    pos = [i for i, x in enumerate(pair) if x > 0]
     steps: list[LauferStep] = []
     first_jump: JumpWitness | None = None
     count = 0
-    while True:
-        pos = [v for v in g.vertices if pair[v] > 0]
-        if not pos:
-            break
-        v = pos[0] if rng is None else rng.choice(pos)
-        val = pair[v]
+    while pos:
+        i = pos[0] if rng is None else rng.choice(pos)
+        val = pair[i]
         if record:
-            steps.append(LauferStep(dict(mult), v, val))
+            steps.append(LauferStep(dict(zip(vs, mult)), vs[i], val))
         if first_jump is None and val >= 2:
-            first_jump = JumpWitness(count, v, val)
-        mult[v] += 1
-        pair[v] += weights[v]
-        for n in g.neighbors(v):
+            first_jump = JumpWitness(count, vs[i], val)
+        mult[i] += 1
+        pair[i] += weights[i]
+        if pair[i] <= 0:
+            del pos[bisect_left(pos, i)]
+        for n in nbrs[i]:
             pair[n] += 1
+            if pair[n] == 1:
+                insort(pos, n)
         count += 1
         if count > _STEP_CAP:
             raise InternalCheckError("computation sequence exceeded step cap")
-    return mult, steps, first_jump
+    return dict(zip(vs, mult)), steps, first_jump
 
 
 def z_min(
@@ -126,6 +138,17 @@ def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
     return mult
 
 
+def _chi_integral(g: PlumbingGraph, z: dict[VertexId, int]) -> Fraction:
+    """chi(z) = -((K, z) + (z, z)) / 2 in integers: by adjunction
+    (K, z) = sum_v z_v (-2 - e_v), so the canonical cycle is not needed."""
+    weights = g.weights()
+    total = 0  # (K, z) + (z, z); the neighbour sums count each edge twice
+    for v, zv in z.items():
+        e = weights[v].numerator
+        total += zv * (-2 - e + e * zv + sum(map(z.__getitem__, g.neighbors(v))))
+    return Fraction(-total, 2)
+
+
 def is_rational(
     g: PlumbingGraph, rng: random.Random | None = None
 ) -> RationalityVerdict:
@@ -136,7 +159,7 @@ def is_rational(
     """
     _check_laufer_input(g)
     mult, _, jump = _run(g, rng, record=False)
-    chi_z = chi(g, mult, canonical_cycle(g))
+    chi_z = _chi_integral(g, mult)
     if (jump is None) != (chi_z >= 1):
         raise InternalCheckError(
             f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"

@@ -173,20 +173,23 @@ def realizable(
     """Exhaustive search for coprime m > a > 0 with (up to permutation)
     x < a/m, y < (m-a)/m, z < 1/m.  Since z < 1/m forces m < 1/z the
     search is finite; permutations are tried in itertools order, then m
-    ascending, then a ascending, so witnesses are deterministic."""
+    ascending, then a ascending, so witnesses are deterministic.  Each m is
+    an integer scan from floor(x*m) + 1 that stops at the first a coprime
+    to m, so the search costs O(1/z) steps."""
     triple = (Fraction(x), Fraction(y), Fraction(z))
     for val in triple:
         if not (0 < val < 1):
             raise GraphStructureError(f"realizability needs values in (0,1), got {val}")
     for perm in permutations(triple):
         px, py, pz = perm
-        m_max = math.ceil(1 / pz) - 1
+        m_max = math.ceil(1 / pz) - 1  # every m <= m_max has pz < 1/m
         for m in range(2, m_max + 1):
-            for a in range(1, m):
-                if gcd(a, m) != 1:
-                    continue
-                if px < Fraction(a, m) and py < Fraction(m - a, m) and pz < Fraction(1, m):
+            # the smallest coprime a with px*m < a < (1 - py)*m
+            a = px.numerator * m // px.denominator + 1
+            while a * py.denominator < (py.denominator - py.numerator) * m:
+                if gcd(a, m) == 1:
                     return True, RealizabilityWitness(m, a, perm)
+                a += 1
     return False, None
 
 
@@ -212,9 +215,9 @@ def foliation_criterion(sd: SeifertData) -> bool:
 
 def brieskorn_seifert(p: int, q: int, r: int) -> SeifertData:
     """Seifert data of the Brieskorn sphere with pairwise coprime indices:
-    alphas (p, q, r), the omegas and e0 solved exhaustively from
-    e0*pqr + sum_i omega_i * (pqr/alpha_i) = -1, so e = -1/(pqr).
-    The graph determinant is asserted to be 1."""
+    alphas (p, q, r), the omegas and e0 solved from
+    e0*pqr + sum_i omega_i * (pqr/alpha_i) = -1 by modular inverses, so
+    e = -1/(pqr).  The graph determinant is asserted to be 1."""
     alphas = (p, q, r)
     for a in alphas:
         if a < 2:
@@ -226,26 +229,16 @@ def brieskorn_seifert(p: int, q: int, r: int) -> SeifertData:
                     f"indices {alphas[i]} and {alphas[j]} are not coprime"
                 )
     P = p * q * r
-    for o1 in range(1, p):
-        if gcd(o1, p) != 1:
-            continue
-        for o2 in range(1, q):
-            if gcd(o2, q) != 1:
-                continue
-            for o3 in range(1, r):
-                if gcd(o3, r) != 1:
-                    continue
-                s = o1 * (P // p) + o2 * (P // q) + o3 * (P // r)
-                if (-1 - s) % P:
-                    continue
-                e0 = (-1 - s) // P
-                sd = SeifertData(e0, ((p, o1), (q, o2), (r, o3)))
-                if orbifold_euler(sd) != Fraction(-1, P):
-                    raise InternalCheckError("Brieskorn data has wrong Euler number")
-                if determinant(seifert_to_graph(sd)) != 1:
-                    raise InternalCheckError("Brieskorn graph determinant is not 1")
-                return sd
-    raise InternalCheckError(f"no Seifert data found for ({p},{q},{r})")
+    # modulo alpha_i only the omega_i term survives: omega_i * (P/alpha_i)
+    # = -1, whose unique solution in (0, alpha_i) is coprime to alpha_i
+    omegas = [-pow(P // a, -1, a) % a for a in alphas]
+    e0 = (-1 - sum(o * (P // a) for a, o in zip(alphas, omegas))) // P
+    sd = SeifertData(e0, tuple(zip(alphas, omegas)))
+    if orbifold_euler(sd) != Fraction(-1, P):
+        raise InternalCheckError("Brieskorn data has wrong Euler number")
+    if determinant(seifert_to_graph(sd)) != 1:
+        raise InternalCheckError("Brieskorn graph determinant is not 1")
+    return sd
 
 
 def brieskorn_cover_rational(m: int, n: int) -> bool:

@@ -6,14 +6,16 @@ expansion for tiny matrices) instead of the tree recursion, definiteness
 from Sylvester minor signs and the all-principal-minors PSD test,
 Z_min from brute-force search over an integer box, tree enumeration from
 Pruefer sequences, and continued fractions from the convergent
-recurrence.
+recurrence.  The Laufer run, the realizability search and the Brieskorn
+Seifert data also have plain reference versions that rescan everything.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import ceil, gcd
 
 from plumbcalc.graph import PlumbingGraph, canonical_code
 from plumbcalc.lattice import intersection_form
@@ -192,3 +194,53 @@ def oracle_pinkham(sd, l_max: int):
         if lhs <= l * sd.e0 - 2:
             witnesses.append(l)
     return witnesses
+
+
+def reference_laufer_run(g: PlumbingGraph, rng=None):
+    """Laufer's computation sequence, rescanning every vertex in id order
+    for the positive pairings before each step.  Returns (Z_min, steps as
+    (cycle before, vertex, pairing value), first jump as (step, vertex,
+    value) or None)."""
+    weights = {v: int(g.weight(v)) for v in g.vertices}
+    mult = {v: 1 for v in g.vertices}
+    pair = {v: weights[v] + g.degree(v) for v in g.vertices}
+    steps, jump = [], None
+    while True:
+        pos = [v for v in g.vertices if pair[v] > 0]
+        if not pos:
+            return mult, steps, jump
+        v = pos[0] if rng is None else rng.choice(pos)
+        steps.append((dict(mult), v, pair[v]))
+        if jump is None and pair[v] >= 2:
+            jump = (len(steps) - 1, v, pair[v])
+        mult[v] += 1
+        pair[v] += weights[v]
+        for n in g.neighbors(v):
+            pair[n] += 1
+
+
+def reference_realizable(x: Fraction, y: Fraction, z: Fraction):
+    """Every coprime m > a > 0 in Fraction arithmetic, permutations in
+    itertools order, then m and a ascending: (m, a, permutation) of the
+    first hit, or None."""
+    for px, py, pz in permutations((x, y, z)):
+        for m in range(2, ceil(1 / pz)):
+            for a in range(1, m):
+                if gcd(a, m) != 1:
+                    continue
+                if px < Fraction(a, m) and py < Fraction(m - a, m) and pz < Fraction(1, m):
+                    return m, a, (px, py, pz)
+    return None
+
+
+def reference_brieskorn(p: int, q: int, r: int):
+    """Every coprime omega triple with an integer e0 solving
+    e0*pqr + sum_i omega_i * (pqr/alpha_i) = -1, by exhaustive scan."""
+    big = p * q * r
+    found = []
+    for o1, o2, o3 in product(range(1, p), range(1, q), range(1, r)):
+        if gcd(o1, p) == gcd(o2, q) == gcd(o3, r) == 1:
+            s = o1 * (big // p) + o2 * (big // q) + o3 * (big // r)
+            if (-1 - s) % big == 0:
+                found.append(((-1 - s) // big, ((p, o1), (q, o2), (r, o3))))
+    return found

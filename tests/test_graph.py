@@ -81,6 +81,18 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_long_path_and_multi_edge_line():
+    n = 3000
+    lines = [f"vertex v{i} -2" for i in range(n)]
+    lines += [f"edge v{i} v{i + 1}" for i in range(n - 1)]
+    g = parse_graph("\n".join(lines))
+    assert len(g) == n and len(g.edges) == n - 1
+    lines.append(f"edge v{n // 2} v{n // 2 - 1}")  # reversed duplicate
+    with pytest.raises(ParseError, match="multi-edge") as info:
+        parse_graph("\n".join(lines))
+    assert info.value.line == len(lines)
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse_graph("vertex a -1\nvertex a -1")
@@ -329,6 +341,42 @@ def test_isomorphism_invariant_under_relabeling(n, rng):
     )
     assert canonical_code(g) == canonical_code(h)
     assert is_isomorphic(g, h)[0]
+
+
+def _code_shape(code):
+    """(vertex count, nesting depth, weights seen) of a code, iteratively."""
+    count, depth, weights = 0, 0, set()
+    stack = [(code, 1)]
+    while stack:
+        (w, kids), d = stack.pop()
+        count, depth = count + 1, max(depth, d)
+        weights.add(w)
+        stack.extend((k, d + 1) for k in kids)
+    return count, depth, weights
+
+
+def test_canonical_code_and_isomorphism_on_long_path():
+    n = 1200
+    path = PlumbingGraph(
+        {f"p{i}": -2 for i in range(n)}, [(f"p{i}", f"p{i + 1}") for i in range(n - 1)]
+    )
+    (code,) = canonical_code(path)  # one component
+    assert _code_shape(code) == (n, n // 2 + 1, {-2})
+    names = [f"q{i}" for i in range(n)]
+    random.Random(3).shuffle(names)
+    relabel = dict(zip(path.vertices, names))
+    other = PlumbingGraph(
+        {relabel[v]: -2 for v in path.vertices},
+        [(relabel[a], relabel[b]) for a, b in path.edges],
+    )
+    ok, witness = is_isomorphic(path, other)
+    assert ok and sorted(witness) == sorted(path.vertices)
+    assert all(other.has_edge(witness[a], witness[b]) for a, b in path.edges)
+    heavier_end = PlumbingGraph(
+        {f"p{i}": -2 if i else -3 for i in range(n)},
+        [(f"p{i}", f"p{i + 1}") for i in range(n - 1)],
+    )
+    assert is_isomorphic(path, heavier_end) == (False, None)
 
 
 def test_fresh_ids_skip_collisions():

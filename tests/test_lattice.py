@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.errors import GraphStructureError, SingularFormError
-from plumbcalc.graph import PlumbingGraph, parse_graph
+from plumbcalc.graph import PlumbingGraph, parse_graph, with_weight
 from plumbcalc.lattice import (
     DefinitenessKind,
     canonical_cycle,
@@ -26,6 +26,8 @@ from oracles import (
     oracle_is_negative_definite,
     oracle_is_negative_semidefinite,
 )
+from plumbcalc.surgery import cut_and_fill
+
 from test_graph import random_tree
 
 
@@ -121,6 +123,15 @@ def test_definiteness_other():
     assert definiteness(g).kind is DefinitenessKind.OTHER
 
 
+def test_definiteness_two_zero_children_is_other():
+    # rooted at a, both children have D = 0, and so does a; the zero below
+    # the root decides, not the root
+    g = parse_graph("vertex a -2\nvertex b 0\nvertex c 0\nedge a b\nedge a c")
+    assert determinant(g) == 0
+    assert definiteness(g).kind is DefinitenessKind.OTHER
+    assert not oracle_is_negative_semidefinite(g)
+
+
 def test_definiteness_zero_isolated_vertex_is_semidefinite():
     g = parse_graph("vertex a 0")
     verdict = definiteness(g)
@@ -138,6 +149,56 @@ def test_definiteness_matches_minor_oracles():
             assert determinant(g) == 0
         if verdict.is_negative_definite:
             assert determinant(g) > 0
+
+
+def _assert_definiteness_matches_oracles(g: PlumbingGraph) -> None:
+    verdict = definiteness(g)
+    assert verdict.is_negative_definite == oracle_is_negative_definite(g)
+    semidefinite = not verdict.is_negative_definite and oracle_is_negative_semidefinite(g)
+    assert verdict.is_negative_semidefinite == semidefinite
+    if semidefinite:
+        # corank = dimension of the kernel of the form
+        rows = matrix_of(g)
+        assert verdict.corank == len(rows) - _rank(rows)
+
+
+def _rank(rows) -> int:
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_definiteness_pass_matches_minor_oracles_on_census(census6):
+    # census graphs are definite; raising one or two weights makes some of
+    # them semidefinite or indefinite (two raised leaves can both reach 0)
+    rng = random.Random(59)
+    for g in rng.sample(census6, 400):
+        _assert_definiteness_matches_oracles(g)
+        for v in rng.sample(g.vertices, min(len(g), rng.randint(1, 2))):
+            g = with_weight(g, v, g.weight(v) + rng.randint(1, 3))
+        _assert_definiteness_matches_oracles(g)
+
+
+def test_definiteness_pass_matches_minor_oracles_on_slope_graphs(census6):
+    # the decorated sides of cut_and_fill carry one Fraction-weighted vertex
+    rng = random.Random(61)
+    fractional = 0
+    for g in rng.sample([g for g in census6 if len(g) >= 2], 150):
+        cut = cut_and_fill(g, rng.choice(g.edges))
+        for side in (cut.decorated_v, cut.decorated_w):
+            _assert_definiteness_matches_oracles(side)
+            fractional += not side.has_integer_weights()
+    assert fractional >= 150  # 176 of the 300 sides
 
 
 def test_sylvester_random_orderings(census6):

@@ -4,7 +4,7 @@ import pytest
 
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, parse_graph, subgraph, with_weight
-from plumbcalc.lattice import pairing
+from plumbcalc.lattice import canonical_cycle, chi, pairing
 from plumbcalc.laufer import (
     is_bad_set,
     is_rational,
@@ -15,7 +15,7 @@ from plumbcalc.laufer import (
     zmin_multiplicities,
 )
 
-from oracles import oracle_zmin
+from oracles import oracle_zmin, reference_laufer_run
 
 
 # -- z_min ---------------------------------------------------------------
@@ -86,6 +86,39 @@ def test_zmin_matches_bruteforce(census6):
         assert zmin_multiplicities(g) == oracle_zmin(g, box=9)
         checked += 1
     assert checked >= 40
+
+
+def _rng(seed):
+    return None if seed is None else random.Random(seed)
+
+
+def test_run_matches_rescanning_reference(
+    census6, e8, s237, two_star_m2, case2_shallow, case2_deep
+):
+    # the worklist run must take the steps, and the random draws, of a run
+    # that rescans every vertex per step
+    graphs = [*census6, e8, s237, two_star_m2, case2_shallow, case2_deep]
+    for i, g in enumerate(graphs):
+        for seed in (None, i):
+            z_ref, steps_ref, jump_ref = reference_laufer_run(g, _rng(seed))
+            z, seq = z_min(g, _rng(seed))
+            assert z == z_ref and seq.final == z_ref
+            got = [(s.cycle_before, s.vertex, s.pairing_value) for s in seq.steps]
+            assert got == steps_ref
+            verdict = is_rational(g, _rng(seed))
+            jump = verdict.jump
+            assert verdict.z_min == z_ref
+            assert (jump and (jump.step, jump.vertex, jump.value)) == jump_ref
+
+
+def test_integer_chi_matches_canonical_cycle(
+    census6, e8, s237, two_star_m2, case2_shallow, case2_deep
+):
+    rng = random.Random(53)
+    graphs = [*rng.sample(census6, 4000), e8, s237, two_star_m2, case2_shallow, case2_deep]
+    for g in graphs:
+        verdict = is_rational(g)
+        assert verdict.chi_zmin == chi(g, verdict.z_min, canonical_cycle(g))
 
 
 def test_zmin_preconditions():

@@ -23,7 +23,7 @@ from plumbcalc.seifert import (
     star_to_seifert,
 )
 
-from oracles import oracle_pinkham
+from oracles import oracle_pinkham, reference_brieskorn, reference_realizable
 
 
 E8_DATA = SeifertData(-2, ((2, 1), (3, 2), (5, 4)))
@@ -172,6 +172,28 @@ def test_realizable_m2_boundary():
     assert not ok
 
 
+def test_realizable_matches_reference():
+    rng = random.Random(67)
+    hits = 0
+    for _ in range(300):
+        triple = [Fraction(rng.randint(1, q - 1), q) for q in rng.choices(range(2, 40), k=3)]
+        found, wit = realizable(*triple)
+        ref = reference_realizable(*triple)
+        assert found == (ref is not None)
+        assert ref is None or (wit.m, wit.a, wit.assignment) == ref
+        hits += found
+    assert 0 < hits < 300  # 47 triples are realizable
+
+
+def test_realizable_small_z():
+    # m runs up to 3199: the witness needs m = 1501, and with x + y = 1 no
+    # m has room at all
+    z = Fraction(1, 3200)
+    found, wit = realizable(Fraction(1, 2), Fraction(1, 2) - Fraction(1, 3000), z)
+    assert found and (wit.m, wit.a) == (1501, 751)
+    assert realizable(Fraction(1, 2), Fraction(1, 2), z) == (False, None)
+
+
 def test_realizable_domain():
     with pytest.raises(GraphStructureError):
         realizable(Fraction(0), Fraction(1, 2), Fraction(1, 2))
@@ -229,6 +251,23 @@ def test_brieskorn_235_is_e8(e8):
 
 def test_brieskorn_237():
     assert brieskorn_seifert(2, 3, 7) == S237_DATA
+
+
+def test_brieskorn_matches_exhaustive_scan():
+    checked = 0
+    for p in range(2, 12):
+        for q in range(p + 1, 14):
+            for r in range(q + 1, 16):
+                if gcd(p, q) == gcd(q, r) == gcd(p, r) == 1:
+                    ((e0, legs),) = reference_brieskorn(p, q, r)  # unique
+                    assert brieskorn_seifert(p, q, r) == SeifertData(e0, legs)
+                    checked += 1
+    assert checked > 50
+
+
+def test_brieskorn_large_coprime_indices():
+    sd = brieskorn_seifert(149, 151, 157)
+    assert orbifold_euler(sd) == Fraction(-1, 149 * 151 * 157)
 
 
 def test_brieskorn_det_one_random_triples():
