@@ -56,7 +56,6 @@ from .laufer import (
 )
 from .surgery import (
     CertificateNode,
-    ContinuedFraction,
     CutResult,
     attach_string,
     certificate_from_json,
@@ -64,14 +63,15 @@ from .surgery import (
     check_certificate,
     cut_and_fill,
     lo_certificate,
-    negative_cf,
     semidef_decompose,
 )
 from .seifert import (
+    ContinuedFraction,
     SeifertData,
     brieskorn_cover_rational,
     brieskorn_seifert,
     foliation_criterion,
+    negative_cf,
     orbifold_euler,
     pinkham_nonrational,
     realizable,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
 from .lattice import definiteness, determinant
-from .laufer import is_bad_set, is_rational, min_bad
+from .laufer import _verdict, is_bad_set, min_bad
 
 DEFAULT_BAD_SET_CAP = 14
 
@@ -54,6 +54,8 @@ def classify(
     exponential, so above ``bad_set_cap`` vertices the node-set upper
     bound is reported instead (flagged via ``m_is_upper_bound``).
     """
+    if len(g) == 0:
+        raise GraphStructureError("empty graph")
     if not g.is_connected():
         raise GraphStructureError("classification requires a connected graph")
     det = determinant(g)
@@ -61,7 +63,7 @@ def classify(
     nd = verdict_def.is_negative_definite
     rational = l_space = lo = taut = None
     if nd and g.has_integer_weights():
-        verdict = is_rational(g)
+        verdict = _verdict(g)  # the checks of is_rational hold here
         rational = verdict.rational
         l_space = rational
         lo = not rational

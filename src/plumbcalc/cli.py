@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
-from .classify import classify, report_to_json
+from .classify import DEFAULT_BAD_SET_CAP, classify, report_to_json
 from .census import census
 from .errors import InternalCheckError, PlumbingError
-from .graph import PlumbingGraph, parse_graph, serialize_graph
+from .graph import PlumbingGraph, minimize, parse_graph, serialize_graph
 from .lattice import intersection_form
 from .laufer import is_rational, min_bad, z_min
 from .seifert import (
@@ -54,8 +55,6 @@ def _cmd_classify(args) -> int:
     rep = classify(g, with_bad_set=args.with_badset, bad_set_cap=args.badset_cap)
     if args.with_certificate:
         if rep.rational is False:
-            from .graph import minimize
-
             cert = lo_certificate(minimize(g))
             Path(args.with_certificate).write_text(
                 json.dumps(certificate_to_json(cert), indent=2), encoding="utf-8"
@@ -203,8 +202,6 @@ def _cmd_cut(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    from .graph import minimize
-
     g = minimize(_load_graph(args.file))
     cert = lo_certificate(g)
     data = certificate_to_json(cert)
@@ -221,6 +218,8 @@ def _cmd_check_certificate(args) -> int:
         data = json.loads(Path(args.file).read_text(encoding="utf-8"))
     except RecursionError:
         raise PlumbingError("certificate JSON nests too deeply") from None
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
+        raise PlumbingError(f"invalid JSON: {exc}") from None
     cert = certificate_from_json(data)
     res = check_certificate(cert)
     if res.ok:
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--with-badset", action="store_true")
-    p.add_argument("--badset-cap", type=int, default=14)
+    p.add_argument("--badset-cap", type=int, default=DEFAULT_BAD_SET_CAP)
     p.add_argument("--with-certificate", metavar="OUT_JSON")
     p.add_argument("--with-matrix", action="store_true",
                    help="include the intersection form as p/q strings")
@@ -354,12 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_main_parser = cache(build_parser)  # one per process, built on first use
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PlumbingError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (PlumbingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -35,7 +35,7 @@ from .errors import GraphStructureError, ParseError
 VertexId = str
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_WEIGHT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?", re.ASCII)
 
 
 def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
@@ -198,9 +198,10 @@ def parse_graph(text: str) -> PlumbingGraph:
                 raise ParseError(f"invalid vertex id {vid!r}", lineno)
             if vid in weights:
                 raise ParseError(f"duplicate vertex {vid!r}", lineno)
-            if not _WEIGHT_RE.match(wtext):
-                raise ParseError(f"invalid weight {wtext!r}", lineno)
-            weights[vid] = Fraction(wtext)
+            try:
+                weights[vid] = parse_fraction(wtext)
+            except ValueError:
+                raise ParseError(f"invalid weight {wtext!r}", lineno) from None
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise ParseError("expected 'edge <id> <id>'", lineno)
@@ -221,6 +222,14 @@ def parse_graph(text: str) -> PlumbingGraph:
         return PlumbingGraph(weights, edges)
     except GraphStructureError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_fraction(text: str) -> Fraction:
+    """An integer or ``p/q`` in ASCII digits with q > 0, the form that
+    ``str(Fraction)`` writes; anything else raises ``ValueError``."""
+    if not isinstance(text, str) or not _FRACTION_RE.fullmatch(text):
+        raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")
+    return Fraction(text)  # ValueError past the interpreter's digit limit
 
 
 def serialize_graph(g: PlumbingGraph) -> str:

@@ -158,6 +158,11 @@ def is_rational(
     first value >= 2 in the run actually taken.
     """
     _check_laufer_input(g)
+    return _verdict(g, rng)
+
+
+def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityVerdict:
+    """``is_rational`` on a graph known to pass ``_check_laufer_input``."""
     mult, _, jump = _run(g, rng, record=False)
     chi_z = _chi_integral(g, mult)
     if (jump is None) != (chi_z >= 1):

@@ -8,6 +8,10 @@ fraction [b_{i1}, ..., b_{is_i}] = alpha_i/omega_i, with
 e = e0 + sum_i omega_i/alpha_i; e < 0 is equivalent to the star being
 negative definite.
 
+Continued fractions live here only: ``negative_cf`` is the one expansion
+(a leg's terms b_ij negate that of -alpha_i/omega_i) and ``cf_eval`` the
+one evaluation; ``surgery`` expands its slopes with the same functions.
+
 Two numeric criteria are implemented for these spaces:
 
 * Pinkham's rationality test: the graph is NOT rational iff
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from typing import Iterable
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
@@ -69,22 +74,55 @@ class SeifertData:
         return len(self.legs)
 
 
+@dataclass(frozen=True)
+class ContinuedFraction:
+    value: Fraction
+    terms: tuple[int, ...]
+
+
+def cf_eval(terms: Iterable[int]) -> Fraction:
+    """Evaluate [e_1, ..., e_s] = e_1 - 1/(e_2 - ...) exactly."""
+    terms = list(terms)
+    if not terms:
+        raise GraphStructureError("empty continued fraction")
+    val = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        val = t - 1 / val
+    return val
+
+
+def negative_cf(r: Fraction | int) -> ContinuedFraction:
+    """Negative (Hirzebruch-Jung style) continued fraction of ``r < 0``.
+
+    Integers expand to a single term; otherwise take e_1 = floor(r) and
+    recurse on -1/(r - floor(r)), which keeps every later term <= -2.
+    The expansion is re-evaluated exactly before returning.
+    """
+    r = Fraction(r)
+    if r >= 0:
+        raise GraphStructureError(f"slope must be negative, got {r}")
+    terms: list[int] = []
+    x = r
+    while True:
+        f = x.numerator // x.denominator  # floor
+        terms.append(f)
+        frac = x - f
+        if frac == 0:
+            break
+        x = -1 / frac
+    if terms[0] > -1 or any(t > -2 for t in terms[1:]):
+        raise InternalCheckError(f"continued fraction terms out of range: {terms}")
+    if cf_eval(terms) != r:
+        raise InternalCheckError(f"continued fraction of {r} failed round-trip")
+    return ContinuedFraction(r, tuple(terms))
+
+
 def hirzebruch_cf(alpha: int, omega: int) -> tuple[int, ...]:
-    """Positive continued fraction [b_1, ..., b_s] = alpha/omega, b_i >= 2."""
+    """Positive continued fraction [b_1, ..., b_s] = alpha/omega, b_i >= 2:
+    the negated terms of the negative continued fraction of -alpha/omega."""
     if not (0 < omega < alpha) or gcd(alpha, omega) != 1:
         raise GraphStructureError(f"need coprime 0 < omega < alpha, got {alpha}/{omega}")
-    terms: list[int] = []
-    p, q = alpha, omega
-    while q:
-        b = -(-p // q)  # ceil(p/q)
-        terms.append(b)
-        p, q = q, b * q - p
-    value = Fraction(terms[-1])
-    for b in reversed(terms[:-1]):
-        value = b - 1 / value
-    if value != Fraction(alpha, omega) or any(b < 2 for b in terms):
-        raise InternalCheckError(f"continued fraction of {alpha}/{omega} failed")
-    return tuple(terms)
+    return tuple(-t for t in negative_cf(Fraction(-alpha, omega)).terms)
 
 
 def star_to_seifert(g: PlumbingGraph) -> SeifertData:
@@ -119,9 +157,7 @@ def star_to_seifert(g: PlumbingGraph) -> SeifertData:
             if not rest:
                 break
             prev, cur = cur, rest[0]  # legs are simple paths (single node)
-        value = Fraction(bs[-1])
-        for b in reversed(bs[:-1]):
-            value = b - 1 / value
+        value = cf_eval(bs)
         legs.append((value.numerator, value.denominator))
     return SeifertData(int(g.weight(center)), tuple(legs))
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
-from typing import Iterable
 
 from .errors import GraphStructureError, InternalCheckError, PlumbingError
 from .graph import (
@@ -50,59 +49,19 @@ from .graph import (
     is_minimal,
     minimize,
     nodes,
+    parse_fraction,
     parse_graph,
     serialize_graph,
     subgraph,
 )
 from .lattice import definiteness, determinant, is_negative_definite
 from .laufer import is_bad_set, is_rational, stabilize
+from .seifert import ContinuedFraction, cf_eval  # noqa: F401  (re-exported)
+from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
-# Negative continued fractions and strings
+# Strings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    value: Fraction
-    terms: tuple[int, ...]
-
-
-def cf_eval(terms: Iterable[int]) -> Fraction:
-    """Evaluate [e_1, ..., e_s] = e_1 - 1/(e_2 - ...) exactly."""
-    terms = list(terms)
-    if not terms:
-        raise GraphStructureError("empty continued fraction")
-    val = Fraction(terms[-1])
-    for t in reversed(terms[:-1]):
-        val = t - 1 / val
-    return val
-
-
-def negative_cf(r: Fraction | int) -> ContinuedFraction:
-    """Negative (Hirzebruch-Jung style) continued fraction of ``r < 0``.
-
-    Integers expand to a single term; otherwise take e_1 = floor(r) and
-    recurse on -1/(r - floor(r)), which keeps every later term <= -2.
-    The expansion is re-evaluated exactly before returning.
-    """
-    r = Fraction(r)
-    if r >= 0:
-        raise GraphStructureError(f"slope must be negative, got {r}")
-    terms: list[int] = []
-    x = r
-    while True:
-        f = x.numerator // x.denominator  # floor
-        terms.append(f)
-        frac = x - f
-        if frac == 0:
-            break
-        x = -1 / frac
-    if terms[0] > -1 or any(t > -2 for t in terms[1:]):
-        raise InternalCheckError(f"continued fraction terms out of range: {terms}")
-    if cf_eval(terms) != r:
-        raise InternalCheckError(f"continued fraction of {r} failed round-trip")
-    return ContinuedFraction(r, tuple(terms))
 
 
 def attach_string(
@@ -130,22 +89,21 @@ def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
 
 @dataclass(frozen=True)
 class CutResult:
+    """A cut (see ``cut_and_fill``); ``decorated_w`` is built when read."""
+
     side_v: PlumbingGraph
     side_w: PlumbingGraph
     edge: tuple[VertexId, VertexId]
+    det_w: Fraction
+    det_w_minus: Fraction
     r: Fraction
     filled_v: PlumbingGraph
     filled_w: PlumbingGraph
     decorated_v: PlumbingGraph
-    decorated_w: PlumbingGraph
 
-
-def attach_slope_vertex(
-    g: PlumbingGraph, at: VertexId, r: Fraction
-) -> PlumbingGraph:
-    """Attach a single transient vertex decorated by the rational slope
-    ``r`` (the pre-expansion form of ``attach_string``)."""
-    return _attach_chain(g, at, [r])
+    @property
+    def decorated_w(self) -> PlumbingGraph:
+        return _attach_chain(self.side_w, self.edge[1], [self.r])
 
 
 @dataclass(frozen=True)
@@ -155,19 +113,7 @@ class Claim:
     got: object
 
 
-@dataclass(frozen=True)
-class _Cut:
-    side_v: PlumbingGraph
-    side_w: PlumbingGraph
-    det_w: Fraction
-    det_w_minus: Fraction
-    r: Fraction
-    filled_v: PlumbingGraph
-    filled_w: PlumbingGraph
-    decorated_v: PlumbingGraph
-
-
-def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> _Cut:
+def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     """Split ``g`` at the edge (v, w); fill the w-side with the string of
     r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v
     (``decorated_v`` holds 1/r as a single slope vertex instead)."""
@@ -179,14 +125,14 @@ def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> _Cut:
     if det_w <= 0 or det_w_minus <= 0:
         raise InternalCheckError("side determinants must be positive")
     r = -det_w_minus / det_w
-    return _Cut(
-        side_v, side_w, det_w, det_w_minus, r,
+    return CutResult(
+        side_v, side_w, (v, w), det_w, det_w_minus, r,
         attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
-        attach_slope_vertex(side_v, v, 1 / r),
+        _attach_chain(side_v, v, [1 / r]),
     )
 
 
-def _cut_claims(g: PlumbingGraph, cut: _Cut) -> list[Claim]:
+def _cut_claims(g: PlumbingGraph, cut: CutResult) -> list[Claim]:
     """The identities of a cut of a negative definite graph, as listed in
     ``cut_and_fill``."""
     det_g = determinant(g)
@@ -225,16 +171,12 @@ def cut_and_fill(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> CutResult:
     if not is_negative_definite(g):
         raise GraphStructureError("cut_and_fill requires a negative definite graph")
     cut = _cut(g, v, w)
-    decorated_w = attach_slope_vertex(cut.side_w, w, cut.r)
     _check_claims([
         *_cut_claims(g, cut),
-        Claim("decorated_w_det_zero", True, determinant(decorated_w) == 0),
+        Claim("decorated_w_det_zero", True, determinant(cut.decorated_w) == 0),
         Claim("decorated_v_negative_definite", True, is_negative_definite(cut.decorated_v)),
     ])
-    return CutResult(
-        cut.side_v, cut.side_w, (v, w), cut.r, cut.filled_v, cut.filled_w,
-        cut.decorated_v, decorated_w,
-    )
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +261,12 @@ def _check_claims(claims) -> None:
 
 
 def _m_le_1(g: PlumbingGraph) -> bool:
-    """m <= 1: ``g`` is rational or a single vertex is a bad set.
+    """m <= 1: a single vertex is a bad set (every vertex of a rational
+    graph is one, as lowering weights keeps a graph rational).
 
-    ``min_bad`` tries sizes in ascending order from the empty set, so this
-    equals ``min_bad(g)[0] <= 1`` at no more than n ``is_bad_set`` calls.
-    Nodes go first, as they are the likely bad vertices.
+    So this equals ``min_bad(g)[0] <= 1`` at no more than n ``is_bad_set``
+    calls.  Nodes go first, as they are the likely bad vertices.
     """
-    if is_rational(g).rational:
-        return True
     return any(
         is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
     )
@@ -466,8 +406,6 @@ def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
 
 
 def _star_data(g: PlumbingGraph):
-    from .seifert import star_to_seifert
-
     try:
         return star_to_seifert(minimize(g))
     except PlumbingError:
@@ -536,19 +474,7 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
         # a bad forced vertex alone gives m <= 1; _build re-verifies it
         if forced is not None or _holds(base.claims):
             return _build(g, TAG_BASE_M1, base)
-    edge = _select_case1(g, forced)
-    if edge is not None:
-        return _build(g, TAG_CASE1, _case1(g, edge))
-    if forced is not None:
-        raise InternalCheckError("forced blow-up vertex admitted no valid cut")
-    case2 = _case2(g, None)
-    ((blown, _),) = case2.children
-    (u,) = set(blown.vertices) - set(g.vertices)
-    return _build(g, TAG_CASE2, case2, forced_child=u)
-
-
-def _select_case1(g: PlumbingGraph, forced: VertexId | None = None):
-    """Lexicographically least valid cut edge (v, w), see ``_cut_vertex``."""
+    # Case1 at the lexicographically least valid cut edge, see _cut_vertex
     for v in (forced,) if forced is not None else g.vertices:
         found = _cut_vertex(g, v)
         if found is None:
@@ -559,8 +485,13 @@ def _select_case1(g: PlumbingGraph, forced: VertexId | None = None):
                 f"stabilizing {v!r} made the graph rational although m >= 2"
             )
         if targets:
-            return v, targets[0]
-    return None
+            return _build(g, TAG_CASE1, _case1(g, (v, targets[0])))
+    if forced is not None:
+        raise InternalCheckError("forced blow-up vertex admitted no valid cut")
+    case2 = _case2(g, None)
+    ((blown, _),) = case2.children
+    (u,) = set(blown.vertices) - set(g.vertices)
+    return _build(g, TAG_CASE2, case2, forced_child=u)
 
 
 def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
@@ -624,7 +555,8 @@ def _check_node(node: CertificateNode, path: str) -> CheckResult:
     except Exception as exc:
         return _fail(path, f"exception: {exc}")
     for stored, fresh in zip_longest(node.claims, table.claims):
-        if stored != fresh:
+        # the JSON forms tell a bool from a number, == does not (True == 1)
+        if stored != fresh or _claim_to_json(stored) != _claim_to_json(fresh):
             return _fail(path, f"stored claim {stored} != recomputed {fresh}")
     for name in ("edge", "r", "jump", "seifert"):
         stored, fresh = getattr(node, name), getattr(table, name)
@@ -653,9 +585,22 @@ def _value_to_json(v):
     return v if isinstance(v, bool) else str(Fraction(v))
 
 
+def _claim_to_json(c: Claim) -> dict:
+    return {
+        "kind": c.kind,
+        "expected": _value_to_json(c.expected),
+        "got": _value_to_json(c.got),
+    }
+
+
 def _value_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
+    return v if isinstance(v, bool) else parse_fraction(v)
+
+
+def _checked(v, kind: type):
+    """``v`` if its JSON type is ``kind``: true is not an int here."""
+    if type(v) is not kind:
+        raise PlumbingError(f"expected a JSON {kind.__name__}, got {v!r}")
     return v
 
 
@@ -663,14 +608,7 @@ def certificate_to_json(node: CertificateNode) -> dict:
     out: dict = {
         "graph": serialize_graph(node.graph),
         "tag": node.tag,
-        "claims": [
-            {
-                "kind": c.kind,
-                "expected": _value_to_json(c.expected),
-                "got": _value_to_json(c.got),
-            }
-            for c in node.claims
-        ],
+        "claims": [_claim_to_json(c) for c in node.claims],
         "children": [certificate_to_json(c) for c in node.children],
     }
     if node.edge is not None:
@@ -695,36 +633,41 @@ def certificate_to_json(node: CertificateNode) -> dict:
 
 def certificate_from_json(data) -> CertificateNode:
     """Rebuild a certificate from its JSON form.  A missing key or a value
-    of the wrong shape raises ``PlumbingError``."""
+    of the wrong shape raises ``PlumbingError``: numbers must be written as
+    ``certificate_to_json`` writes them, integers as JSON integers and
+    rationals as "p/q" strings."""
     try:
         return _node_from_json(data)
     except PlumbingError:
         raise
     except KeyError as exc:
         raise PlumbingError(f"certificate node lacks the key {exc}") from None
-    except (TypeError, ValueError, AttributeError, ZeroDivisionError, RecursionError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise PlumbingError(f"malformed certificate: {exc}") from None
 
 
 def _node_from_json(data) -> CertificateNode:
-    from .seifert import SeifertData
-
     if not isinstance(data, dict):
         raise PlumbingError("certificate node must be a JSON object")
     jump = None
     if "jump" in data:
         j = data["jump"]
         jump = JumpInfo(
-            Fraction(j["stabilized_weight"]),
-            int(j["step"]),
+            parse_fraction(j["stabilized_weight"]),
+            _checked(j["step"], int),
             j["vertex"],
-            int(j["value"]),
-            tuple(j["component"]),
+            _checked(j["value"], int),
+            tuple(_checked(j["component"], list)),
         )
     seifert = None
     if "seifert" in data:
         s = data["seifert"]
-        seifert = SeifertData(int(s["e0"]), tuple(tuple(x) for x in s["legs"]))
+        seifert = SeifertData(
+            _checked(s["e0"], int),
+            tuple(
+                tuple(_checked(x, int) for x in _checked(leg, list)) for leg in s["legs"]
+            ),
+        )
     return CertificateNode(
         graph=parse_graph(data["graph"]),
         tag=data["tag"],
@@ -737,8 +680,8 @@ def _node_from_json(data) -> CertificateNode:
             for c in data["claims"]
         ),
         children=tuple(_node_from_json(c) for c in data["children"]),
-        edge=tuple(data["edge"]) if "edge" in data else None,
-        r=Fraction(data["r"]) if "r" in data else None,
+        edge=tuple(_checked(data["edge"], list)) if "edge" in data else None,
+        r=parse_fraction(data["r"]) if "r" in data else None,
         jump=jump,
         seifert=seifert,
     )

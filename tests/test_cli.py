@@ -1,10 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumbcalc.cli import main
+from plumbcalc.surgery import certificate_from_json, certificate_to_json, lo_certificate
+
+from conftest import two_star_chain
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,3 +203,127 @@ def test_parse_error_is_input_error(tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertex a -1\nedge a a\n")
     assert main(["classify", str(bad)]) == 1
+
+
+def test_hostile_graph_files_are_input_errors(tmp_path, capsys):
+    files = {
+        "zero-denominator": b"vertex a -1\nvertex b 1/0\n",
+        "arabic-indic-digit": "vertex a \u0663\n".encode(),
+        "not-utf8": b"vertex a -2  # \xff\n",
+        "empty": b"",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    messages = []
+    for path in [*(tmp_path / name for name in files), tmp_path]:  # and a directory
+        assert main(["classify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        messages.append(err)
+    assert messages[0].startswith("error: line 2: invalid weight '1/0'")
+    assert messages[3] == "error: empty graph\n"
+
+
+def _run_check(path: Path, text: str) -> tuple[int, str, str]:
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check-certificate", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_TWO_STAR_CERT = certificate_to_json(lo_certificate(two_star_chain()))
+
+
+def _first_node_with(data: dict, key: str) -> dict:
+    stack = [data]
+    while key not in stack[-1]:
+        node = stack.pop()
+        stack.extend(node["children"])
+    return stack[-1]
+
+
+@pytest.mark.parametrize(
+    "where, literal",
+    [
+        (("jump", "step"), lambda v: f"{v}.5"),
+        (("jump", "value"), lambda v: f"{v}.9"),
+        (("jump", "step"), lambda v: "1e999"),
+        (("jump", "step"), lambda v: "true"),
+        (("jump", "stabilized_weight"), lambda v: v),
+        (("jump", "component"), lambda v: json.dumps(dict.fromkeys(v))),
+        (("edge",), lambda v: json.dumps(dict.fromkeys(v))),
+        (("r",), lambda v: f'" {v} "'),
+        (("seifert", "e0"), lambda v: f"{v}.5"),
+        (("seifert", "legs", 0, 0), lambda v: f"{v}.0"),
+        (("claims", 0, "expected"), lambda v: "1"),  # the "connected" claim
+        (("claims", 1, "got"), lambda v: f'"{v}.0"'),  # the "det" claim
+    ],
+    ids=[
+        "step-float", "value-float", "step-overflow", "step-bool", "weight-int",
+        "component-object", "edge-object", "r-padded", "e0-float", "leg-float",
+        "claim-int", "claim-decimal",
+    ],
+)
+def test_check_certificate_rejects_values_not_as_written(tmp_path, where, literal):
+    # each literal, written from the true value, reads as that value under
+    # int(), Fraction() or tuple(), and so did pass the checker
+    data = json.loads(json.dumps(_TWO_STAR_CERT))
+    target = _first_node_with(data, where[0])
+    for key in where[:-1]:
+        target = target[key]
+    true_value, target[where[-1]] = target[where[-1]], "@@"
+    text = json.dumps(data).replace('"@@"', literal(true_value))
+    code, _, err = _run_check(tmp_path / "cert.json", text)
+    assert code == 1 and err.startswith("error:"), err
+
+
+_CERT_KEYS = st.sampled_from([
+    "graph", "tag", "claims", "children", "edge", "r", "jump", "seifert", "kind",
+    "expected", "got", "stabilized_weight", "step", "vertex", "value", "component",
+    "e0", "legs",
+])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_CERT_KEYS | st.text(max_size=4), inner, max_size=6),
+    max_leaves=16,
+)
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON value."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+_CERT_PATHS = list(_paths(_TWO_STAR_CERT))[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_certificate_fuzz(tmp_path_factory, data):
+    # arbitrary JSON, or the two-star certificate with one value replaced
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    doc = data.draw(_JSON)
+    text = json.dumps(doc)
+    code, out, err = _run_check(path, text)
+    assert code == 1 and (err.startswith("error:") or "INVALID" in out)
+    forged = json.loads(json.dumps(_TWO_STAR_CERT))
+    where = data.draw(st.sampled_from(_CERT_PATHS))
+    target = forged
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = doc
+    code, out, err = _run_check(path, json.dumps(forged))
+    if code == 0:  # the replacement decodes to the same certificate
+        assert certificate_to_json(certificate_from_json(forged)) == _TWO_STAR_CERT
+    else:
+        assert code == 1 and (err.startswith("error:") or "INVALID" in out)

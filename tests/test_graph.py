@@ -70,6 +70,9 @@ def test_parse_fractional_weight():
             "cycle",
         ),
         ("vertex a one", "invalid weight"),
+        ("vertex a 1/0", "invalid weight"),
+        ("vertex a \u0663", "invalid weight"),  # ARABIC-INDIC DIGIT THREE
+        ("vertex a " + "9" * 5000, "invalid weight"),  # past the digit limit
         ("flurb a b", "unknown directive"),
         ("vertex a", "expected"),
         ("vertex a* -1", "invalid vertex id"),
@@ -94,9 +97,29 @@ def test_parse_long_path_and_multi_edge_line():
 
 
 def test_parse_error_reports_line_number():
-    with pytest.raises(ParseError) as err:
-        parse_graph("vertex a -1\nvertex a -1")
-    assert err.value.line == 2
+    for text in ("vertex a -1\nvertex a -1", "vertex a -1\nvertex b 1/0"):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line == 2
+
+
+# "directive id weight" lines, mostly from the file format's own words
+_GRAPH_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["vertex", "edge", "#", ""]) | st.text(max_size=3),
+        st.sampled_from(["a", "b"]) | st.text(max_size=3),
+        st.sampled_from(["a", "-2", "-7/2", "1/0", "+3", "\u0663"]) | st.text(max_size=6),
+    ).map(" ".join)
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _GRAPH_LINES)
+def test_parse_graph_raises_only_parse_error(text):
+    try:
+        parse_graph(text)
+    except ParseError:
+        pass
 
 
 def test_serialize_parse_round_trip(s237):

@@ -23,7 +23,12 @@ from plumbcalc.seifert import (
     star_to_seifert,
 )
 
-from oracles import oracle_pinkham, reference_brieskorn, reference_realizable
+from oracles import (
+    cf_eval_convergents,
+    oracle_pinkham,
+    reference_brieskorn,
+    reference_realizable,
+)
 
 
 E8_DATA = SeifertData(-2, ((2, 1), (3, 2), (5, 4)))
@@ -47,6 +52,19 @@ def test_hirzebruch_cf():
     assert hirzebruch_cf(3, 2) == (2, 2)
     assert hirzebruch_cf(5, 4) == (2, 2, 2, 2)
     assert hirzebruch_cf(7, 2) == (4, 2)
+
+
+def test_hirzebruch_cf_bulk_against_convergents():
+    # every coprime pair with alpha < 200, evaluated by a second route
+    pairs = 0
+    for alpha in range(2, 200):
+        for omega in range(1, alpha):
+            if gcd(alpha, omega) == 1:
+                terms = hirzebruch_cf(alpha, omega)
+                assert min(terms) >= 2
+                assert cf_eval_convergents(terms) == Fraction(alpha, omega)
+                pairs += 1
+    assert pairs == 12151
 
 
 def test_e8_star_to_seifert(e8):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -196,10 +197,9 @@ def test_certificate_case2_deep(case2_deep):
     assert check_certificate(cert).ok
 
 
-def test_certificate_chain_of_six_stars():
-    # six Sigma(2,3,11) stars (centre -1) joined tip to tip through -4
-    # vertices: m grows with the chain, so a bad-set search over subsets
-    # would take minutes here
+def _chain_of_six_stars() -> PlumbingGraph:
+    """Six Sigma(2,3,11) stars (centre -1) joined tip to tip through -4
+    vertices: 29 vertices."""
     ws, edges = {}, []
     for i in range(6):
         star_ws, star_edges = make_star(f"s{i}", -1, [-2, -3, -11])
@@ -208,10 +208,32 @@ def test_certificate_chain_of_six_stars():
         if i:
             ws[f"j{i}"] = -4
             edges += [(f"s{i - 1}l3", f"j{i}"), (f"j{i}", f"s{i}l2")]
-    g = PlumbingGraph(ws, edges)
-    cert = lo_certificate(g)
+    return PlumbingGraph(ws, edges)
+
+
+def test_certificate_chain_of_six_stars():
+    # m grows with the chain, so a bad-set search over subsets would take
+    # minutes here
+    cert = lo_certificate(_chain_of_six_stars())
     assert cert.tag == TAG_CASE1
     assert check_certificate(cert).ok
+
+
+_CERTIFICATE_SHA256 = {
+    "s237": "622667d440ae8cbf7109e055c30126f9ec32ac0f2578267a6532ff5827e0629d",
+    "two_star_m2": "a9eda16070b6715ae8b021f94b1845f1e17e3a5cc7cf51bd123a06583764a158",
+    "case2_shallow": "53ab32668f105a3eb185fbbd267cceb1ccedb4fa046a5fe95640f75ec3608e62",
+    "case2_deep": "d926baeee33f5bd3ba35b2d6d0bf37e0367248bde7ed978dbdc2025d40230872",
+    "six_stars": "977e00920e232f042d52eb48a31f061ecbf21279f4ba19e28fa248a2481146d4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFICATE_SHA256))
+def test_certificate_json_is_byte_identical(request, name):
+    # certificate JSON is part of the contract: these digests pin its bytes
+    g = _chain_of_six_stars() if name == "six_stars" else request.getfixturevalue(name)
+    text = json.dumps(certificate_to_json(lo_certificate(g)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == _CERTIFICATE_SHA256[name]
 
 
 def test_certificate_input_validation(e8, s237):
@@ -287,6 +309,22 @@ def test_checker_rejects_false_claims(two_star_m2):
         assert not res.ok and res.path == "root"
 
 
+def test_checker_tells_bools_from_numbers(two_star_m2):
+    # True == 1 == Fraction(1) in Python: a number stored for a boolean
+    # claim, or a boolean for a numeric one, must still be rejected
+    data = certificate_to_json(lo_certificate(two_star_m2))
+    connected, leaf_det = data["claims"][0], data["children"][0]["claims"][1]
+    assert (connected["kind"], leaf_det["kind"], leaf_det["expected"]) == (
+        "connected", "det", "1"
+    )
+    for claim, value in ((connected, "1"), (leaf_det, True)):
+        original = claim["expected"]
+        claim["expected"] = value
+        assert not check_certificate(certificate_from_json(data)).ok
+        claim["expected"] = original
+    assert check_certificate(certificate_from_json(data)).ok
+
+
 def _walk_json(data):
     yield data
     for child in data["children"]:
@@ -336,19 +374,18 @@ def test_checker_rejects_fields_a_tag_does_not_carry(two_star_m2, case2_shallow,
 
 
 def test_m_le_1_matches_min_bad(census6, two_star_m2, case2_deep):
-    graphs = [g for g in census6 if not is_rational(g).rational]
-    assert len(graphs) == 2221
+    graphs = list(census6)  # 25,288 rational (m = 0) and 2,221 not
     for g in (two_star_m2, case2_deep):
         graphs += [
             n.graph for n in _walk(lo_certificate(g))
             if n.tag in (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
         ]
-    ms = set()
+    ms = {}
     for g in graphs:
         m, _ = min_bad(g)
         assert _m_le_1(g) == (m <= 1), serialize_graph(g)
-        ms.add(m)
-    assert {1, 2} <= ms
+        ms[m] = ms.get(m, 0) + 1
+    assert ms[0] == 25288 and ms[1] and ms[2]
 
 
 # -- semidefinite decomposition ----------------------------------------------
