@@ -21,9 +21,7 @@ from fractions import Fraction
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
 from .lattice import definiteness, determinant
-from .laufer import _verdict, is_bad_set, min_bad
-
-DEFAULT_BAD_SET_CAP = 14
+from .laufer import DEFAULT_BAD_SET_CAP, _verdict, is_bad_set, min_bad
 
 
 @dataclass

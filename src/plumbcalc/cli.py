@@ -283,8 +283,13 @@ def _cmd_brieskorn(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is an input error: exit 1, not 2
+        raise PlumbingError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plumbcalc",
         description="Exact calculus for negative-definite plumbing trees: "
         "rationality, L-space status, orderability, taut foliations.",
@@ -357,8 +362,8 @@ _main_parser = cache(build_parser)  # one per process, built on first use
 
 
 def main(argv=None) -> int:
-    args = _main_parser().parse_args(argv)
     try:
+        args = _main_parser().parse_args(argv)
         return args.func(args)
     except (PlumbingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from .errors import GraphStructureError, ParseError
 
 VertexId = str
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 _FRACTION_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?", re.ASCII)
 
 
@@ -59,7 +59,7 @@ class PlumbingGraph:
     ):
         ws: dict[VertexId, Fraction] = {}
         for v, w in weights.items():
-            if not isinstance(v, str) or not _ID_RE.match(v):
+            if not isinstance(v, str) or not _ID_RE.fullmatch(v):
                 raise GraphStructureError(f"invalid vertex id {v!r}")
             ws[v] = Fraction(w)
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in ws}
@@ -194,7 +194,7 @@ def parse_graph(text: str) -> PlumbingGraph:
             if len(parts) != 3:
                 raise ParseError("expected 'vertex <id> <weight>'", lineno)
             _, vid, wtext = parts
-            if not _ID_RE.match(vid):
+            if not _ID_RE.fullmatch(vid):
                 raise ParseError(f"invalid vertex id {vid!r}", lineno)
             if vid in weights:
                 raise ParseError(f"duplicate vertex {vid!r}", lineno)

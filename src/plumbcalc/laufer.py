@@ -13,10 +13,10 @@ value >= 2 is a "jump").  We cross-check against Artin's criterion
 chi(Z_min) >= 1 on every call; a disagreement is an internal error.
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
-down makes the graph rational.  Operationally "sufficiently far" means:
-decrement until every v in B has multiplicity 1 in the modified Z_min;
-past that point further decrements change neither Z_min nor any pairing
-along the sequence, so the verdict is stable.
+down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
+over the other vertices ends at the least cycle Y with (Y, E_u) <= 0 off
+B, whatever the weights of B; "sufficiently far" is (Y, E_v) <= 0 for every
+v in B, where Z_min = Y and further decrements change no pairing.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .lattice import is_negative_definite
 logger = logging.getLogger(__name__)
 
 _STEP_CAP = 1_000_000
+DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
         )
 
 
-def _run(g: PlumbingGraph, rng: random.Random | None, record: bool):
+def _run(g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=()):
     """The computation sequence from l_0 = sum_v E_v.  ``pos`` holds the
     sorted ranks (positions in ``g.vertices``) of the vertices with positive
     pairing; a step updates only the stepped vertex and its neighbours, and
     ``pos[0]`` or ``rng.choice(pos)`` picks what a full rescan in id order
-    would pick, with the same random draws."""
+    would pick, with the same random draws.  ``frozen`` vertices never step."""
     vs = g.vertices
     rank = {v: i for i, v in enumerate(vs)}
     ws = g.weights()
@@ -92,7 +93,7 @@ def _run(g: PlumbingGraph, rng: random.Random | None, record: bool):
     nbrs = [[rank[n] for n in g.neighbors(v)] for v in vs]
     mult = [1] * len(vs)
     pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
-    pos = [i for i, x in enumerate(pair) if x > 0]
+    pos = [i for i, x in enumerate(pair) if x > 0 and vs[i] not in frozen]
     steps: list[LauferStep] = []
     first_jump: JumpWitness | None = None
     count = 0
@@ -109,7 +110,7 @@ def _run(g: PlumbingGraph, rng: random.Random | None, record: bool):
             del pos[bisect_left(pos, i)]
         for n in nbrs[i]:
             pair[n] += 1
-            if pair[n] == 1:
+            if pair[n] == 1 and vs[n] not in frozen:
                 insort(pos, n)
         count += 1
         if count > _STEP_CAP:
@@ -132,7 +133,7 @@ def z_min(
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
-    """Z_min without step recording (hot path for bad-set stabilization)."""
+    """Z_min without step recording."""
     _check_laufer_input(g)
     mult, _, _ = _run(g, None, record=False)
     return mult
@@ -178,37 +179,31 @@ def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityV
 
 
 def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
-    """Push the decorations of ``bad`` down until each has multiplicity 1
-    in Z_min of the modified graph (the graph written with a down-arrow).
-
-    Decreasing a diagonal entry preserves negative definiteness, and Z_min
-    is monotone under the decrease, so the loop converges; the decrement
-    cap only guards against implementation bugs.
+    """The graph written with a down-arrow: ``bad`` lowered to the largest
+    weights at which each has multiplicity 1 in Z_min, that is
+    e'_v = min(e_v, -sum_{n~v} Y_n) with Y as in the module docstring.
+    Lowering keeps ``g`` negative definite.  For one vertex a loop that
+    decrements until multiplicity 1 stops here (Z_min is monotone in e_v);
+    for a larger B it can lower a vertex further, while another vertex of B
+    still lifts it, but the verdict depends only on Y and is the same.
     """
-    bad = sorted(set(bad))
-    for v in bad:
+    bad = set(bad)
+    for v in sorted(bad):
         if not g.has_vertex(v):
             raise GraphStructureError(f"unknown vertex {v!r}")
+    _check_laufer_input(g)
     if not bad:
         return g
-    max_w = max(abs(int(g.weight(v))) for v in g.vertices)
-    cap = 4 * len(g) * max(1, max_w)
-    spent = 0
-    while True:
-        z = zmin_multiplicities(g)
-        over = [v for v in bad if z[v] > 1]
-        if not over:
-            return g
-        for v in over:
-            g = with_weight(g, v, g.weight(v) - 1)
-            spent += 1
-            if spent > cap:
-                raise InternalCheckError("bad-set stabilization exceeded cap")
+    y, _, _ = _run(g, None, record=False, frozen=bad)
+    ws = g.weights()
+    low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
+    drop = {v: w for v, w in low.items() if w < ws[v]}
+    return PlumbingGraph({**ws, **drop}, g.edges) if drop else g
 
 
 def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
     """True when pushing ``bad`` sufficiently negative makes ``g`` rational."""
-    return is_rational(stabilize(g, bad)).rational
+    return _verdict(stabilize(g, bad)).rational  # stabilize checked g
 
 
 def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
@@ -283,7 +278,7 @@ def monotonicity_report(
     rng = rng or random.Random(0)
     rep = MonotonicityReport()
     base_rational = is_rational(g).rational
-    _, witness = min_bad(g) if len(g) <= 14 else (None, frozenset(nodes(g)))
+    witness = min_bad(g)[1] if len(g) <= DEFAULT_BAD_SET_CAP else frozenset(nodes(g))
     for _ in range(samples):
         sub = _random_connected_subgraph(g, rng)
         rep.subgraph_checks += 1

@@ -55,7 +55,7 @@ from .graph import (
     subgraph,
 )
 from .lattice import definiteness, determinant, is_negative_definite
-from .laufer import is_bad_set, is_rational, stabilize
+from .laufer import _verdict, is_bad_set, is_rational, stabilize
 from .seifert import ContinuedFraction, cf_eval  # noqa: F401  (re-exported)
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
@@ -313,7 +313,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId):
     if sum(1 for c in comps if c & gnodes) < 2:
         return None
     gdown = stabilize(g, [v])
-    j = is_rational(gdown).jump
+    j = _verdict(gdown).jump  # stabilize checked g, and lowering keeps it definite
     if j is None:
         return gdown, None, ()
     comp_of = {u: c for c in comps for u in c}

@@ -17,8 +17,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, gcd
 
-from plumbcalc.graph import PlumbingGraph, canonical_code
+from plumbcalc.errors import GraphStructureError, InternalCheckError
+from plumbcalc.graph import PlumbingGraph, canonical_code, with_weight
 from plumbcalc.lattice import intersection_form
+from plumbcalc.laufer import zmin_multiplicities
 
 
 def matrix_of(g: PlumbingGraph, sign: int = -1) -> list[list[Fraction]]:
@@ -217,6 +219,31 @@ def reference_laufer_run(g: PlumbingGraph, rng=None):
         pair[v] += weights[v]
         for n in g.neighbors(v):
             pair[n] += 1
+
+
+def reference_stabilize(g: PlumbingGraph, bad) -> PlumbingGraph:
+    """Bad-set stabilization by decrement loop: lower every vertex of
+    ``bad`` whose multiplicity in Z_min exceeds 1 by one, rerun Laufer,
+    repeat until all have multiplicity 1."""
+    bad = sorted(set(bad))
+    for v in bad:
+        if not g.has_vertex(v):
+            raise GraphStructureError(f"unknown vertex {v!r}")
+    if not bad:
+        return g
+    max_w = max(abs(int(g.weight(v))) for v in g.vertices)
+    cap = 4 * len(g) * max(1, max_w)
+    spent = 0
+    while True:
+        z = zmin_multiplicities(g)
+        over = [v for v in bad if z[v] > 1]
+        if not over:
+            return g
+        for v in over:
+            g = with_weight(g, v, g.weight(v) - 1)
+            spent += 1
+            if spent > cap:
+                raise InternalCheckError("bad-set stabilization exceeded cap")
 
 
 def reference_realizable(x: Fraction, y: Fraction, z: Fraction):

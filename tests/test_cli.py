@@ -199,6 +199,28 @@ def test_missing_file_is_input_error(capsys):
     assert main(["classify", "/nonexistent/file.graph"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["classify", "--badset-cap", "x", "examples/s237.graph"], "invalid int"),
+        (["classify"], "required: file"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_errors_are_input_errors(argv, fragment, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plumbcalc") and fragment in err
+    assert "Traceback" not in err and "usage:" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--help"])
+    assert info.value.code == 0
+    assert "usage: plumbcalc classify" in capsys.readouterr().out
+
+
 def test_parse_error_is_input_error(tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertex a -1\nedge a a\n")

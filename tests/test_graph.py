@@ -149,6 +149,14 @@ def test_nodes(s237, e8):
     assert nodes(e8) == ("a5",)
 
 
+@pytest.mark.parametrize("vid", ["a\n", "a b", "", "a*", 1])
+def test_constructor_rejects_invalid_ids(vid):
+    # "a\n" passed a $-anchored match, and serialize_graph then wrote a file
+    # that parse_graph rejects
+    with pytest.raises(GraphStructureError, match="invalid vertex id"):
+        PlumbingGraph({vid: -1})
+
+
 def test_disconnected_allowed_in_model():
     g = PlumbingGraph({"a": -1, "b": -2})
     assert not g.is_connected()

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, parse_graph, subgraph, with_weight
 from plumbcalc.lattice import canonical_cycle, chi, pairing
@@ -15,7 +17,7 @@ from plumbcalc.laufer import (
     zmin_multiplicities,
 )
 
-from oracles import oracle_zmin, reference_laufer_run
+from oracles import oracle_zmin, reference_laufer_run, reference_stabilize
 
 
 # -- z_min ---------------------------------------------------------------
@@ -193,6 +195,34 @@ def test_stabilize_stable_under_further_decrease(s237):
     more = with_weight(down, "c", down.weight("c") - 5)
     assert zmin_multiplicities(more) == zmin_multiplicities(down)
     assert is_rational(more).rational == is_rational(down).rational
+
+
+def test_stabilize_one_vertex_matches_decrement_loop(census6):
+    for g in census6:
+        for v in g.vertices:
+            assert stabilize(g, [v]) == reference_stabilize(g, [v]), (g, v)
+
+
+def test_stabilize_pairs_against_decrement_loop():
+    # Every 2-subset of every census-5 graph.  The loop may lower a vertex
+    # further than needed; stabilize gives the largest weights with
+    # multiplicity 1 on B, and the same verdict.
+    sets = higher = 0
+    for g in census_graphs(5, -5):
+        for bad in combinations(g.vertices, 2):
+            down, ref = stabilize(g, bad), reference_stabilize(g, bad)
+            assert is_bad_set(g, bad) == is_rational(ref).rational
+            z = zmin_multiplicities(down)
+            for v in bad:
+                assert z[v] == 1
+                assert down.weight(v) >= ref.weight(v)
+                if down.weight(v) < g.weight(v):
+                    up = with_weight(down, v, down.weight(v) + 1)
+                    assert zmin_multiplicities(up)[v] > 1
+            assert all(down.weight(u) == g.weight(u) for u in g.vertices if u not in bad)
+            sets += 1
+            higher += down != ref
+    assert sets == 32_986 and higher > 0
 
 
 def test_min_bad_examples(e8, s237, two_star_m2):
