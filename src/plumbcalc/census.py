@@ -11,7 +11,8 @@ trees are therefore generated exactly once as
   * an unordered pair of rooted decorated trees of size n/2,
 
 with rooted trees themselves enumerated once per rooted-isomorphism
-class (children kept in sorted canonical order).
+class (children kept in sorted canonical order).  Each vertex count is
+sorted into ``canonical_code`` order from these codes, then built.
 
 Every rooted tree carries exact determinant bookkeeping:
 
@@ -39,13 +40,14 @@ ever materialized.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from .errors import GraphStructureError
 from .classify import ClassificationReport, classify
-from .graph import PlumbingGraph, canonical_code, is_minimal, parse_graph
+from .graph import PlumbingGraph, is_minimal, parse_graph, serialize_graph
 from .lattice import combine
 from .laufer import is_rational
 
@@ -74,17 +76,18 @@ class _RootedTrees:
         self._levels: dict[int, list[_Entry]] = {}
 
     def level(self, size: int) -> list[_Entry]:
-        if size not in self._levels:
-            entries: list[_Entry] = []
-            for children, s, p in self.child_multisets(size - 1, size - 1):
-                codes = tuple(sorted(c[0] for c in children))
-                for w in range(self.wmin, 0):
-                    d = -w * p - s
-                    if d > 0:
-                        entries.append(((w, codes), d, p))
-            entries.sort(key=lambda e: e[0])
-            self._levels[size] = entries
+        if size not in self._levels:  # codes are distinct, so they decide the order
+            self._levels[size] = sorted(self.trees(size - 1, size - 1))
         return self._levels[size]
+
+    def trees(self, total: int, max_part: int) -> Iterator[_Entry]:
+        """Rooted trees on ``total + 1`` vertices whose child subtrees have
+        at most ``max_part`` vertices each."""
+        for children, s, p in self.child_multisets(total, max_part):
+            codes = tuple(sorted(c[0] for c in children))
+            for w in range(self.wmin, 0):
+                if -w * p - s > 0:
+                    yield (w, codes), -w * p - s, p
 
     def child_multisets(
         self, total: int, max_part: int
@@ -93,15 +96,9 @@ class _RootedTrees:
         bounded by ``max_part``; yields (entries, s, p) with
         p = prod D_i and s = sum_i P_i * prod_{j != i} D_j."""
         for part in _partitions(total, max_part):
-            groups: list[tuple[int, int]] = []
-            for sz in part:
-                if groups and groups[-1][0] == sz:
-                    groups[-1] = (sz, groups[-1][1] + 1)
-                else:
-                    groups.append((sz, 1))
             pools = [
                 combinations_with_replacement(self.level(sz), cnt)
-                for sz, cnt in groups
+                for sz, cnt in Counter(part).items()
             ]
             for pick in product(*pools):
                 children = tuple(c for group in pick for c in group)
@@ -111,7 +108,7 @@ class _RootedTrees:
                 yield children, s, prod
 
 
-def _graph_from_codes(*roots: tuple) -> PlumbingGraph:
+def _graph_from_codes(roots: tuple) -> PlumbingGraph:
     """The tree of one rooted code, or of two whose roots are joined by an
     edge; vertices are ``v0, v1, ...`` in depth-first order."""
     weights: dict[str, int] = {}
@@ -142,30 +139,41 @@ def _validate_limits(max_vertices: int, weight_min: int) -> None:
         )
 
 
-def census_graphs(
-    max_vertices: int = 6, weight_min: int = -5
-) -> Iterator[PlumbingGraph]:
-    """All connected negative-definite decorated trees up to isomorphism
-    with at most ``max_vertices`` vertices and weights in [weight_min, -1],
-    in deterministic order (vertex count, then canonical code)."""
+def _tree_code(roots: tuple) -> tuple:
+    """``canonical_code`` of ``_graph_from_codes(roots)``, as a value, read
+    off the roots' codes (int and ``Fraction`` weights compare alike).  A
+    centroid join is its own rooted code; a central edge gives the lesser
+    rooted code at its two ends, each with the other half as one more child."""
+    if len(roots) == 1:
+        return roots
+    (w1, k1), (w2, k2) = c1, c2 = roots
+    return (min((w1, tuple(sorted(k1 + (c2,)))), (w2, tuple(sorted(k2 + (c1,))))),)
+
+
+def _census_roots(max_vertices: int, weight_min: int) -> Iterator[tuple]:
+    """The roots of each census tree, for ``_graph_from_codes``, in census
+    order: vertex count, then ``_tree_code``."""
     _validate_limits(max_vertices, weight_min)
     rooted = _RootedTrees(weight_min)
     for n in range(1, max_vertices + 1):
-        batch: list[PlumbingGraph] = []
-        for children, s, p in rooted.child_multisets(n - 1, (n - 1) // 2):
-            codes = tuple(sorted(c[0] for c in children))
-            for w in range(weight_min, 0):
-                d = -w * p - s
-                if d > 0:
-                    batch.append(_graph_from_codes((w, codes)))
+        batch = [(code,) for code, _, _ in rooted.trees(n - 1, (n - 1) // 2)]
         if n % 2 == 0:
             half_entries = rooted.level(n // 2)
             for i, (c1, d1, p1) in enumerate(half_entries):
                 for c2, d2, p2 in half_entries[i:]:
                     if d1 * d2 - p1 * p2 > 0:
-                        batch.append(_graph_from_codes(c1, c2))
-        batch.sort(key=canonical_code)
-        yield from batch
+                        batch.append((c1, c2))
+        yield from sorted(batch, key=_tree_code)
+
+
+def census_graphs(
+    max_vertices: int = 6, weight_min: int = -5
+) -> Iterator[PlumbingGraph]:
+    """All connected negative-definite decorated trees up to isomorphism
+    with at most ``max_vertices`` vertices and weights in [weight_min, -1],
+    in deterministic order: vertex count, then ``canonical_code``, computed
+    from the enumerator's codes.  Each graph is built once, after the sort."""
+    yield from map(_graph_from_codes, _census_roots(max_vertices, weight_min))
 
 
 @dataclass
@@ -176,11 +184,14 @@ class CensusRecord:
     seconds: float
 
 
-def _record_for_text(text: str) -> CensusRecord:
-    g = parse_graph(text)
+def _record(g: PlumbingGraph) -> CensusRecord:
     t0 = time.perf_counter()
     rep = classify(g)
-    return CensusRecord(text, len(g), rep, time.perf_counter() - t0)
+    return CensusRecord(rep.graph_text, len(g), rep, time.perf_counter() - t0)
+
+
+def _record_for_text(text: str) -> CensusRecord:
+    return _record(parse_graph(text))
 
 
 def census(
@@ -188,19 +199,18 @@ def census(
 ) -> Iterator[CensusRecord]:
     """Classified census stream in deterministic order.
 
-    ``jobs > 1`` classifies in a process pool; the output order is the
+    ``jobs <= 1`` classifies each graph as it is enumerated.  ``jobs > 1``
+    sends the graphs' text to a process pool; the output order is the
     enumeration order regardless of worker scheduling.
     """
-    from .graph import serialize_graph
-
-    texts = (serialize_graph(g) for g in census_graphs(max_vertices, weight_min))
+    graphs = census_graphs(max_vertices, weight_min)
     if jobs <= 1:
-        for text in texts:
-            yield _record_for_text(text)
+        yield from map(_record, graphs)
         return
     import multiprocessing
 
     with multiprocessing.Pool(jobs) as pool:
+        texts = map(serialize_graph, graphs)
         yield from pool.imap(_record_for_text, texts, chunksize=64)
 
 
@@ -223,38 +233,24 @@ def minimal_det_one(
     det-1 graphs plus the rooted-tree pool."""
     _validate_limits(max_vertices, weight_min)
     rooted = _RootedTrees(weight_min)
-    out: list[DetOneRecord] = []
-
-    def consider(g: PlumbingGraph) -> None:
-        if not is_minimal(g):
-            return
-        out.append(DetOneRecord(g, is_rational(g).rational))
-
+    found: list[tuple[int, tuple]] = []  # (vertex count, roots) per det-1 tree
     for n in range(1, max_vertices + 1):
         for children, s, p in rooted.child_multisets(n - 1, (n - 1) // 2):
-            # need -w*p - s = 1 with an admissible integer weight
-            if (1 + s) % p:
-                continue
-            w = -(1 + s) // p
-            if weight_min <= w <= -1:
+            w, r = divmod(-1 - s, p)  # -w*p - s = 1, if w is an integer
+            if not r and weight_min <= w <= -1:
                 codes = tuple(sorted(c[0] for c in children))
-                consider(_graph_from_codes((w, codes)))
+                found.append((n, ((w, codes),)))
         if n % 2 == 0:
             buckets: dict[tuple[int, int], list[tuple]] = {}
             for code, d, p in rooted.level(n // 2):
                 buckets.setdefault((d, p), []).append(code)
             keys = sorted(buckets)
+            # no det-1 pair within a bucket: D^2 - P^2 = 1 needs P = 0, but P >= 1
             for i, (d1, p1) in enumerate(keys):
-                for d2, p2 in keys[i:]:
-                    if d1 * d2 - p1 * p2 != 1:
-                        continue
-                    if (d1, p1) == (d2, p2):
-                        pairs = combinations_with_replacement(
-                            buckets[(d1, p1)], 2
-                        )
-                    else:
+                for d2, p2 in keys[i + 1 :]:
+                    if d1 * d2 - p1 * p2 == 1:
                         pairs = product(buckets[(d1, p1)], buckets[(d2, p2)])
-                    for c1, c2 in pairs:
-                        consider(_graph_from_codes(c1, c2))
-    out.sort(key=lambda rec: (len(rec.graph), canonical_code(rec.graph)))
-    return out
+                        found.extend((n, pair) for pair in pairs)
+    found.sort(key=lambda t: (t[0], _tree_code(t[1])))
+    graphs = (_graph_from_codes(roots) for _, roots in found)
+    return [DetOneRecord(g, is_rational(g).rational) for g in graphs if is_minimal(g)]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
-from .lattice import definiteness, determinant
+from .lattice import _det_definiteness
 from .laufer import DEFAULT_BAD_SET_CAP, _verdict, is_bad_set, min_bad
 
 
@@ -56,8 +56,7 @@ def classify(
         raise GraphStructureError("empty graph")
     if not g.is_connected():
         raise GraphStructureError("classification requires a connected graph")
-    det = determinant(g)
-    verdict_def = definiteness(g)
+    det, verdict_def = _det_definiteness(g)
     nd = verdict_def.is_negative_definite
     rational = l_space = lo = taut = None
     if nd and g.has_integer_weights():

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
 from .graph import PlumbingGraph, VertexId, rooted_preorder
@@ -106,30 +106,35 @@ def combine(s, prod, d, p):
     return s * d + p * prod, prod * d
 
 
-def _tree_pass(g: PlumbingGraph) -> Iterator[tuple[VertexId | None, object]]:
-    """The (D, P) pass: (parent, D_v) per vertex in post order, where D_v is
-    det(-I) of the subtree rooted at v.  Integer graphs stay in ``int``;
-    slope graphs run the same pass over ``Fraction``."""
+def _det_definiteness(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
+    """``determinant`` and ``definiteness`` from the (D, P) pass: D_v, the
+    det(-I) of the subtree rooted at v, per vertex in post order.  Integer
+    graphs stay in ``int``; slope graphs run the same pass over ``Fraction``."""
     integral = g.has_integer_weights()
     acc: dict[VertexId, tuple] = {}
+    det, corank, other = 1, 0, False
     for v, p in _post_order(g):
         w = g.weight(v)
         s, prod = acc.pop(v, (0, 1))
         d = -(w.numerator if integral else w) * prod - s
-        yield p, d
-        if p is not None:
-            ps, pprod = acc.get(p, (0, 1))
-            acc[p] = combine(ps, pprod, d, prod)
+        if p is None:
+            det *= d
+            corank += d == 0
+            other = other or d < 0
+        else:
+            other = other or d <= 0
+            acc[p] = combine(*acc.get(p, (0, 1)), d, prod)
+    if other:
+        return Fraction(det), Definiteness(DefinitenessKind.OTHER)
+    if corank:
+        return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
+    return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
 
 
 def determinant(g: PlumbingGraph) -> Fraction:
     """det(-I), exact: the product of the component roots' D values.  The
     empty graph has determinant 1."""
-    result = 1
-    for p, d in _tree_pass(g):
-        if p is None:
-            result *= d
-    return Fraction(result)
+    return _det_definiteness(g)[0]
 
 
 def definiteness(g: PlumbingGraph) -> Definiteness:
@@ -140,15 +145,7 @@ def definiteness(g: PlumbingGraph) -> Definiteness:
     D > 0 elsewhere: negative semidefinite of corank k.  Any D < 0, or
     D = 0 below a root (a zero pivot that still meets its parent): other.
     """
-    corank = 0
-    for p, d in _tree_pass(g):
-        if d < 0 or (d == 0 and p is not None):
-            return Definiteness(DefinitenessKind.OTHER)
-        if d == 0:
-            corank += 1
-    if corank:
-        return Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
-    return Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
+    return _det_definiteness(g)[1]
 
 
 def is_negative_definite(g: PlumbingGraph) -> bool:

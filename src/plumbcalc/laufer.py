@@ -192,6 +192,11 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
         if not g.has_vertex(v):
             raise GraphStructureError(f"unknown vertex {v!r}")
     _check_laufer_input(g)
+    return _stabilized(g, bad)
+
+
+def _stabilized(g: PlumbingGraph, bad: set[VertexId]) -> PlumbingGraph:
+    """``stabilize`` on a graph known to pass ``_check_laufer_input``."""
     if not bad:
         return g
     y, _, _ = _run(g, None, record=False, frozen=bad)

@@ -55,7 +55,8 @@ from .graph import (
     subgraph,
 )
 from .lattice import definiteness, determinant, is_negative_definite
-from .laufer import _verdict, is_bad_set, is_rational, stabilize
+from .laufer import _check_laufer_input, _stabilized, _verdict
+from .laufer import is_bad_set, is_rational, stabilize
 from .seifert import ContinuedFraction, cf_eval  # noqa: F401  (re-exported)
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
@@ -264,11 +265,13 @@ def _m_le_1(g: PlumbingGraph) -> bool:
     """m <= 1: a single vertex is a bad set (every vertex of a rational
     graph is one, as lowering weights keeps a graph rational).
 
-    So this equals ``min_bad(g)[0] <= 1`` at no more than n ``is_bad_set``
-    calls.  Nodes go first, as they are the likely bad vertices.
+    So this equals ``min_bad(g)[0] <= 1`` at n Laufer runs or fewer, after
+    one input check.  Nodes go first, as they are the likely bad vertices.
     """
+    _check_laufer_input(g)
     return any(
-        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
+        _verdict(_stabilized(g, {v})).rational
+        for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
     )
 
 

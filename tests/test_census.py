@@ -1,10 +1,14 @@
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 
 from plumbcalc.census import (
     CensusRecord,
+    _census_roots,
+    _record_for_text,
+    _tree_code,
     census,
     census_graphs,
     minimal_det_one,
@@ -17,6 +21,7 @@ from plumbcalc.graph import (
     is_isomorphic,
     is_minimal,
     parse_graph,
+    serialize_graph,
 )
 from plumbcalc.lattice import determinant, is_negative_definite
 
@@ -126,6 +131,18 @@ def test_census_deterministic_order():
     assert first == second
 
 
+def test_census_order_is_canonical_code_order(census6):
+    """The enumerator sorts by codes it computes itself; canonical_code of
+    the built graph is the second route to the same key and order."""
+    for graphs, limits in ((census6, (6, -5)), (census_graphs(7, -3), (7, -3))):
+        prev = None
+        for g, roots in zip_longest(graphs, _census_roots(*limits)):
+            code = canonical_code(g)
+            assert _tree_code(roots) == code
+            assert prev is None or prev < (len(g), code)
+            prev = (len(g), code)
+
+
 def test_census_limit_validation():
     with pytest.raises(GraphStructureError):
         list(census_graphs(9, -5))
@@ -143,6 +160,20 @@ def test_census_records_classified():
         if r.report.rational is not None:
             assert r.report.l_space == r.report.rational
         assert r.vertex_count == len(parse_graph(r.graph_text))
+
+
+def test_census_serial_records_match_parse_route():
+    """jobs=1 classifies the enumerated graph in hand; the pool's route
+    serializes it and parses it back.  Both give the same record."""
+    records = list(census(5, -4))
+    texts = [serialize_graph(g) for g in census_graphs(5, -4)]
+    assert len(records) == len(texts)
+    for rec, text in zip(records, texts):
+        old = _record_for_text(text)
+        assert rec.graph_text == old.graph_text == text
+        assert rec.vertex_count == old.vertex_count
+        assert rec.report == old.report
+        assert report_to_json(rec.report) == report_to_json(old.report)
 
 
 def test_census_parallel_matches_serial():
@@ -179,6 +210,8 @@ def test_minimal_det_one_members_are_valid():
         assert is_negative_definite(r.graph)
     codes = [canonical_code(r.graph) for r in recs]
     assert len(codes) == len(set(codes))
+    keys = [(len(r.graph), code) for r, code in zip(recs, codes)]
+    assert keys == sorted(keys)
 
 
 def test_minimal_det_one_finds_s237(s237):
