@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
-from .lattice import _det_definiteness
-from .laufer import DEFAULT_BAD_SET_CAP, _verdict, is_bad_set, min_bad
+from .lattice import definiteness, determinant
+from .laufer import DEFAULT_BAD_SET_CAP, is_bad_set, is_rational, min_bad
 
 
 @dataclass
@@ -56,12 +56,11 @@ def classify(
         raise GraphStructureError("empty graph")
     if not g.is_connected():
         raise GraphStructureError("classification requires a connected graph")
-    det, verdict_def = _det_definiteness(g)
+    det, verdict_def = determinant(g), definiteness(g)
     nd = verdict_def.is_negative_definite
     rational = l_space = lo = taut = None
     if nd and g.has_integer_weights():
-        verdict = _verdict(g)  # the checks of is_rational hold here
-        rational = verdict.rational
+        rational = is_rational(g).rational
         l_space = rational
         lo = not rational
         taut = not rational

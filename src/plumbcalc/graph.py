@@ -4,7 +4,10 @@ A plumbing graph here is a finite forest whose vertices carry an exact
 rational Euler decoration ``e_v``.  Canonical (user-level) graphs are
 connected trees with integer decorations; rational decorations only occur
 in transient surgery intermediates before a slope is expanded into a
-string.  Genus decorations are implicitly zero throughout, so the plumbed
+string.  An integral decoration is stored as an ``int`` and a slope
+decoration as a ``Fraction``; the two compare and hash alike, so equality,
+hashing and the text form do not depend on how a weight was given.  Genus
+decorations are implicitly zero throughout, so the plumbed
 3-manifold is a rational homology sphere whenever the form is negative
 definite.
 
@@ -26,6 +29,7 @@ then edges sorted lexicographically.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -47,21 +51,39 @@ class PlumbingGraph:
 
     ``weights`` maps vertex id to its exact rational decoration; ``edges``
     is any iterable of id pairs.  Construction validates the forest
-    invariants: no self-loops, no multi-edges, no cycles.
+    invariants: no self-loops, no multi-edges, no cycles.  A weight with
+    denominator 1 is stored as an ``int``, any other as a ``Fraction``.
+
+    As the graph never changes, facts computed about it are stored on it
+    on first use: ``_dp`` holds (determinant, definiteness) of the lattice
+    (D, P) pass, ``_rationality`` the verdict of the Laufer run with the
+    least-id tie-break, and ``_comps`` the component vertex sets.
+    Only the ``rng=None`` verdict is stored, because the jump witness of a
+    seeded run depends on the draws of that run's generator.
     """
 
-    __slots__ = ("_weights", "_edges", "_adj", "_vertices", "_hash")
+    __slots__ = (
+        "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
+        "_dp", "_rationality", "_comps",
+    )
 
     def __init__(
         self,
         weights: Mapping[VertexId, Fraction | int | str],
         edges: Iterable[tuple[VertexId, VertexId]] = (),
     ):
-        ws: dict[VertexId, Fraction] = {}
+        ws: dict[VertexId, Fraction | int] = {}
+        integral = True
         for v, w in weights.items():
             if not isinstance(v, str) or not _ID_RE.fullmatch(v):
                 raise GraphStructureError(f"invalid vertex id {v!r}")
-            ws[v] = Fraction(w)
+            if type(w) is not int:
+                w = Fraction(w)
+                if w.denominator == 1:
+                    w = w.numerator
+                else:
+                    integral = False
+            ws[v] = w
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in ws}
         parent = {v: v for v in ws}  # union-find for cycle detection
 
@@ -92,7 +114,9 @@ class PlumbingGraph:
         self._edges = frozenset(eset)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
+        self._integral = integral
         self._hash: int | None = None
+        self._dp = self._rationality = self._comps = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -104,13 +128,13 @@ class PlumbingGraph:
     def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         return tuple(sorted(self._edges))
 
-    def weight(self, v: VertexId) -> Fraction:
+    def weight(self, v: VertexId) -> Fraction | int:
         try:
             return self._weights[v]
         except KeyError:
             raise GraphStructureError(f"unknown vertex {v!r}") from None
 
-    def weights(self) -> dict[VertexId, Fraction]:
+    def weights(self) -> dict[VertexId, Fraction | int]:
         return dict(self._weights)
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
@@ -153,26 +177,13 @@ class PlumbingGraph:
         return len(self.component_vertex_sets()) <= 1
 
     def has_integer_weights(self) -> bool:
-        return all(w.denominator == 1 for w in self._weights.values())
+        return self._integral
 
     def component_vertex_sets(self) -> list[frozenset[VertexId]]:
         """Connected components as vertex sets, sorted by least member."""
-        seen: set[VertexId] = set()
-        comps: list[frozenset[VertexId]] = []
-        for start in self._vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return sorted(comps, key=min)
+        if self._comps is None:
+            self._comps = tuple(_components(self, set(), set()))
+        return list(self._comps)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def with_weight(g: PlumbingGraph, v: VertexId, w: Fraction | int) -> PlumbingGra
     ws = g.weights()
     if v not in ws:
         raise GraphStructureError(f"unknown vertex {v!r}")
-    ws[v] = Fraction(w)
+    ws[v] = w
     return PlumbingGraph(ws, g.edges)
 
 
@@ -285,7 +296,7 @@ def blow_up_edge(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> PlumbingGrap
     ws = g.weights()
     ws[v] -= 1
     ws[w] -= 1
-    ws[u] = Fraction(-1)
+    ws[u] = -1
     edges = [ed for ed in g.edges if ed != _normalize_edge(v, w)]
     edges.extend([(v, u), (u, w)])
     return PlumbingGraph(ws, edges)
@@ -317,19 +328,38 @@ def minimize(g: PlumbingGraph) -> PlumbingGraph:
 
     The last remaining vertex is never deleted, so the single (-1) vertex
     is the canonical representative of S^3 rather than an empty graph.
-    The result is independent of blow-down order (property-tested).
+    The result is independent of blow-down order (property-tested).  Each
+    step blows down the least qualifying id, on a copy of the weights and
+    adjacency, and one graph is built at the end.
     """
     if not g.is_connected():
         raise GraphStructureError("minimize requires a connected graph")
-    while len(g) > 1:
-        cand = next(
-            (v for v in g.vertices if g.weight(v) == -1 and g.degree(v) <= 2),
-            None,
-        )
-        if cand is None:
-            break
-        g = blow_down(g, cand)
-    return g
+    ws = g.weights()
+    adj = {v: set(ns) for v, ns in g._adj.items()}
+
+    def blowable(v: VertexId) -> bool:
+        return ws[v] == -1 and len(adj[v]) <= 2
+
+    cands = [v for v in g.vertices if blowable(v)]  # kept sorted
+    while cands and len(ws) > 1:
+        v = cands.pop(0)
+        if v not in ws or not blowable(v):
+            continue  # stale: weights only rise, so it cannot qualify again
+        nbrs = adj.pop(v)
+        del ws[v]
+        for n in nbrs:
+            ws[n] += 1
+            adj[n].remove(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        for n in nbrs:
+            if blowable(n):
+                insort(cands, n)
+    if len(ws) == len(g):
+        return g
+    return PlumbingGraph(ws, [(a, b) for a in ws for b in adj[a] if a < b])
 
 
 def is_minimal(g: PlumbingGraph) -> bool:
@@ -339,12 +369,12 @@ def is_minimal(g: PlumbingGraph) -> bool:
     return not any(g.weight(v) == -1 and g.degree(v) <= 2 for v in g.vertices)
 
 
-def delete(
+def _deleted(
     g: PlumbingGraph,
-    vertices: Iterable[VertexId] = (),
-    edges: Iterable[tuple[VertexId, VertexId]] = (),
-) -> PlumbingGraph:
-    """Drop the given vertices (with incident edges) and/or edges."""
+    vertices: Iterable[VertexId],
+    edges: Iterable[tuple[VertexId, VertexId]],
+) -> tuple[set[VertexId], set[tuple[VertexId, VertexId]]]:
+    """The vertex and normalized edge sets that ``delete`` drops, checked."""
     vs = set(vertices)
     for v in vs:
         if not g.has_vertex(v):
@@ -354,11 +384,55 @@ def delete(
         if not g.has_edge(a, b):
             raise GraphStructureError(f"edge {a!r}-{b!r} not in graph")
         es.add(_normalize_edge(a, b))
+    return vs, es
+
+
+def delete(
+    g: PlumbingGraph,
+    vertices: Iterable[VertexId] = (),
+    edges: Iterable[tuple[VertexId, VertexId]] = (),
+) -> PlumbingGraph:
+    """Drop the given vertices (with incident edges) and/or edges."""
+    vs, es = _deleted(g, vertices, edges)
     ws = {v: w for v, w in g.weights().items() if v not in vs}
     kept = [
         e for e in g.edges if e not in es and e[0] not in vs and e[1] not in vs
     ]
     return PlumbingGraph(ws, kept)
+
+
+def delete_components(
+    g: PlumbingGraph,
+    vertices: Iterable[VertexId] = (),
+    edges: Iterable[tuple[VertexId, VertexId]] = (),
+) -> list[frozenset[VertexId]]:
+    """``delete(g, vertices, edges).component_vertex_sets()``, found by a
+    search on ``g`` without building the smaller graph."""
+    return _components(g, *_deleted(g, vertices, edges))
+
+
+def _components(
+    g: PlumbingGraph, vs: set[VertexId], es: set[tuple[VertexId, VertexId]]
+) -> list[frozenset[VertexId]]:
+    """Components of ``g`` without the vertices ``vs`` and the normalized
+    edges ``es``.  Each search starts at the least vertex not yet reached,
+    so the components come sorted by least member."""
+    seen = set(vs)
+    comps: list[frozenset[VertexId]] = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], [start]
+        while stack:
+            u = stack.pop()
+            for w in g._adj[u]:
+                if w not in seen and not (es and _normalize_edge(u, w) in es):
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
 
 
 def subgraph(g: PlumbingGraph, vertices: Iterable[VertexId]) -> PlumbingGraph:
@@ -375,14 +449,6 @@ def subgraph(g: PlumbingGraph, vertices: Iterable[VertexId]) -> PlumbingGraph:
 def components(g: PlumbingGraph) -> list[PlumbingGraph]:
     """Connected components, sorted by least vertex id."""
     return [subgraph(g, comp) for comp in g.component_vertex_sets()]
-
-
-def component_of(g: PlumbingGraph, v: VertexId) -> PlumbingGraph:
-    """The connected component containing ``v``."""
-    for comp in g.component_vertex_sets():
-        if v in comp:
-            return subgraph(g, comp)
-    raise GraphStructureError(f"unknown vertex {v!r}")
 
 
 def rooted_preorder(

@@ -107,16 +107,22 @@ def combine(s, prod, d, p):
 
 
 def _det_definiteness(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
-    """``determinant`` and ``definiteness`` from the (D, P) pass: D_v, the
-    det(-I) of the subtree rooted at v, per vertex in post order.  Integer
-    graphs stay in ``int``; slope graphs run the same pass over ``Fraction``."""
-    integral = g.has_integer_weights()
+    """``determinant`` and ``definiteness``, from one ``_dp_pass`` per graph:
+    the result is stored on ``g``."""
+    if g._dp is None:
+        g._dp = _dp_pass(g)
+    return g._dp
+
+
+def _dp_pass(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
+    """The (D, P) pass: D_v, the det(-I) of the subtree rooted at v, per
+    vertex in post order.  Integer graphs stay in ``int``; a slope vertex
+    brings ``Fraction`` into the values above it."""
     acc: dict[VertexId, tuple] = {}
     det, corank, other = 1, 0, False
     for v, p in _post_order(g):
-        w = g.weight(v)
         s, prod = acc.pop(v, (0, 1))
-        d = -(w.numerator if integral else w) * prod - s
+        d = -g.weight(v) * prod - s
         if p is None:
             det *= d
             corank += d == 0
@@ -228,7 +234,7 @@ def intersection_form(
     n = len(vs)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for v in vs:
-        rows[idx[v]][idx[v]] = g.weight(v)
+        rows[idx[v]][idx[v]] = Fraction(g.weight(v))
     for a, b in g.edges:
         rows[idx[a]][idx[b]] = Fraction(1)
         rows[idx[b]][idx[a]] = Fraction(1)

@@ -89,7 +89,7 @@ def _run(g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=()):
     vs = g.vertices
     rank = {v: i for i, v in enumerate(vs)}
     ws = g.weights()
-    weights = [ws[v].numerator for v in vs]
+    weights = [ws[v] for v in vs]
     nbrs = [[rank[n] for n in g.neighbors(v)] for v in vs]
     mult = [1] * len(vs)
     pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
@@ -145,7 +145,7 @@ def _chi_integral(g: PlumbingGraph, z: dict[VertexId, int]) -> Fraction:
     weights = g.weights()
     total = 0  # (K, z) + (z, z); the neighbour sums count each edge twice
     for v, zv in z.items():
-        e = weights[v].numerator
+        e = weights[v]
         total += zv * (-2 - e + e * zv + sum(map(z.__getitem__, g.neighbors(v))))
     return Fraction(-total, 2)
 
@@ -163,14 +163,20 @@ def is_rational(
 
 
 def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityVerdict:
-    """``is_rational`` on a graph known to pass ``_check_laufer_input``."""
-    mult, _, jump = _run(g, rng, record=False)
-    chi_z = _chi_integral(g, mult)
-    if (jump is None) != (chi_z >= 1):
-        raise InternalCheckError(
-            f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
-        )
-    return RationalityVerdict(jump is None, jump, mult, chi_z)
+    """``is_rational`` on a graph known to pass ``_check_laufer_input``.  The
+    ``rng=None`` verdict is stored on ``g``; each call gets its own Z_min."""
+    v = g._rationality if rng is None else None
+    if v is None:
+        mult, _, jump = _run(g, rng, record=False)
+        chi_z = _chi_integral(g, mult)
+        if (jump is None) != (chi_z >= 1):
+            raise InternalCheckError(
+                f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
+            )
+        v = RationalityVerdict(jump is None, jump, mult, chi_z)
+        if rng is None:
+            g._rationality = v
+    return RationalityVerdict(v.rational, v.jump, dict(v.z_min), v.chi_zmin)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +198,6 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
         if not g.has_vertex(v):
             raise GraphStructureError(f"unknown vertex {v!r}")
     _check_laufer_input(g)
-    return _stabilized(g, bad)
-
-
-def _stabilized(g: PlumbingGraph, bad: set[VertexId]) -> PlumbingGraph:
-    """``stabilize`` on a graph known to pass ``_check_laufer_input``."""
     if not bad:
         return g
     y, _, _ = _run(g, None, record=False, frozen=bad)
@@ -208,7 +209,8 @@ def _stabilized(g: PlumbingGraph, bad: set[VertexId]) -> PlumbingGraph:
 
 def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
     """True when pushing ``bad`` sufficiently negative makes ``g`` rational."""
-    return _verdict(stabilize(g, bad)).rational  # stabilize checked g
+    # the lowered graph is new, and lowering keeps the checked g definite
+    return _verdict(stabilize(g, bad)).rational
 
 
 def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:

@@ -43,8 +43,8 @@ from .graph import (
     PlumbingGraph,
     VertexId,
     blow_up_edge,
-    component_of,
     delete,
+    delete_components,
     fresh_ids,
     is_minimal,
     minimize,
@@ -54,9 +54,8 @@ from .graph import (
     serialize_graph,
     subgraph,
 )
-from .lattice import definiteness, determinant, is_negative_definite
-from .laufer import _check_laufer_input, _stabilized, _verdict
-from .laufer import is_bad_set, is_rational, stabilize
+from .lattice import _det_definiteness, definiteness, determinant, is_negative_definite
+from .laufer import _verdict, is_bad_set, is_rational, stabilize
 from .seifert import ContinuedFraction, cf_eval  # noqa: F401  (re-exported)
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
@@ -79,7 +78,7 @@ def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
         raise GraphStructureError(f"unknown vertex {at!r}")
     ids = fresh_ids(g, "q", len(weights))
     ws = g.weights()
-    ws.update(zip(ids, map(Fraction, weights)))
+    ws.update(zip(ids, weights))
     return PlumbingGraph(ws, list(g.edges) + list(zip([at, *ids], ids)))
 
 
@@ -118,9 +117,8 @@ def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     """Split ``g`` at the edge (v, w); fill the w-side with the string of
     r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v
     (``decorated_v`` holds 1/r as a single slope vertex instead)."""
-    split = delete(g, edges=[(v, w)])
-    side_v = component_of(split, v)
-    side_w = component_of(split, w)
+    comps = delete_components(g, edges=[(v, w)])
+    side_v, side_w = (subgraph(g, next(c for c in comps if u in c)) for u in (v, w))
     det_w = determinant(side_w)
     det_w_minus = determinant(delete(side_w, vertices=[w]))
     if det_w <= 0 or det_w_minus <= 0:
@@ -265,35 +263,33 @@ def _m_le_1(g: PlumbingGraph) -> bool:
     """m <= 1: a single vertex is a bad set (every vertex of a rational
     graph is one, as lowering weights keeps a graph rational).
 
-    So this equals ``min_bad(g)[0] <= 1`` at n Laufer runs or fewer, after
-    one input check.  Nodes go first, as they are the likely bad vertices.
+    So this equals ``min_bad(g)[0] <= 1`` at n Laufer runs or fewer.  Nodes
+    go first, as they are the likely bad vertices.
     """
-    _check_laufer_input(g)
     return any(
-        _verdict(_stabilized(g, {v})).rational
-        for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
+        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
     )
 
 
 def _definite_claims(g: PlumbingGraph) -> list[Claim]:
     """The claims opening every node over a negative definite graph."""
-    det = determinant(g)
+    det, defn = _det_definiteness(g)
     return [
         Claim("connected", True, g.is_connected()),
         Claim("det", det, det),
-        Claim("negative_definite", True, is_negative_definite(g)),
+        Claim("negative_definite", True, defn.is_negative_definite),
         Claim("not_rational", True, not is_rational(g).rational),
     ]
 
 
 def _semidefinite_claims(g: PlumbingGraph) -> list[Claim]:
     """The claims opening every node over a det-0 semidefinite graph."""
-    det = determinant(g)
+    det, defn = _det_definiteness(g)
     return [
         Claim("connected", True, g.is_connected()),
         Claim("det", det, det),
         Claim("det_zero", True, det == 0),
-        Claim("negative_semidefinite", True, definiteness(g).is_negative_semidefinite),
+        Claim("negative_semidefinite", True, defn.is_negative_semidefinite),
     ]
 
 
@@ -312,11 +308,12 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId):
     is None, with no targets, when the stabilized graph is rational.
     """
     gnodes = set(nodes(g))
-    comps = delete(g, vertices=[v]).component_vertex_sets()
+    comps = delete_components(g, vertices=[v])
     if sum(1 for c in comps if c & gnodes) < 2:
         return None
     gdown = stabilize(g, [v])
-    j = _verdict(gdown).jump  # stabilize checked g, and lowering keeps it definite
+    # gdown is new, and lowering keeps the checked g definite
+    j = _verdict(gdown).jump
     if j is None:
         return gdown, None, ()
     comp_of = {u: c for c in comps for u in c}
@@ -325,7 +322,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId):
         w for w in g.neighbors(v) if comp_of[w] != jumped and comp_of[w] & gnodes
     )
     info = JumpInfo(
-        gdown.weight(v), j.step, j.vertex, j.value, tuple(sorted(jumped))
+        Fraction(gdown.weight(v)), j.step, j.vertex, j.value, tuple(sorted(jumped))
     )
     return gdown, info, targets
 
@@ -379,7 +376,7 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 
 def _separates_nodes(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> bool:
     gnodes = set(nodes(g))
-    return all(c & gnodes for c in delete(g, edges=[e]).component_vertex_sets())
+    return all(c & gnodes for c in delete_components(g, edges=[e]))
 
 
 def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
@@ -546,12 +543,16 @@ def _fail(path: str, reason: str) -> CheckResult:
     return CheckResult(False, path, reason)
 
 
-def _check_node(node: CertificateNode, path: str) -> CheckResult:
+def _check_node(
+    node: CertificateNode, path: str, graph: PlumbingGraph | None = None
+) -> CheckResult:
+    """Check ``node``; ``graph`` is the parent's recomputed child graph, equal
+    to ``node.graph``, whose facts the parent's table has computed already."""
     table_of = _TABLES.get(node.tag) if isinstance(node.tag, str) else None
     if table_of is None:
         return _fail(path, f"unknown tag {node.tag!r}")
     try:
-        table = table_of(node.graph, node.edge)
+        table = table_of(node.graph if graph is None else graph, node.edge)
         _check_claims(table.claims)
     except InternalCheckError as exc:
         return _fail(path, str(exc))
@@ -567,13 +568,13 @@ def _check_node(node: CertificateNode, path: str) -> CheckResult:
             return _fail(path, f"stored {name} {stored} != recomputed {fresh}")
     if len(node.children) != len(table.children):
         return _fail(path, f"{node.tag} node needs {len(table.children)} children")
-    for i, (child, (graph, tags)) in enumerate(zip(node.children, table.children)):
-        if child.graph != graph:
+    for i, (child, (want, tags)) in enumerate(zip(node.children, table.children)):
+        if child.graph != want:
             return _fail(path, f"children[{i}] graph differs from the recomputed one")
         if child.tag not in tags:
             return _fail(path, f"children[{i}] of a {node.tag} node has tag {child.tag!r}")
-    for i, child in enumerate(node.children):
-        res = _check_node(child, f"{path}.children[{i}]")
+    for i, (child, (want, _)) in enumerate(zip(node.children, table.children)):
+        res = _check_node(child, f"{path}.children[{i}]", want)
         if not res:
             return res
     return CheckResult(True)

@@ -7,7 +7,8 @@ from Sylvester minor signs and the all-principal-minors PSD test,
 Z_min from brute-force search over an integer box, tree enumeration from
 Pruefer sequences, and continued fractions from the convergent
 recurrence.  The Laufer run, the realizability search and the Brieskorn
-Seifert data also have plain reference versions that rescan everything.
+Seifert data also have plain reference versions that rescan everything,
+and ``minimize`` has its blow-down loop that builds a graph per step.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations, permutations, product
 from math import ceil, gcd
 
 from plumbcalc.errors import GraphStructureError, InternalCheckError
-from plumbcalc.graph import PlumbingGraph, canonical_code, with_weight
+from plumbcalc.graph import PlumbingGraph, blow_down, canonical_code, with_weight
 from plumbcalc.lattice import intersection_form
 from plumbcalc.laufer import zmin_multiplicities
 
@@ -219,6 +220,22 @@ def reference_laufer_run(g: PlumbingGraph, rng=None):
         pair[v] += weights[v]
         for n in g.neighbors(v):
             pair[n] += 1
+
+
+def reference_minimize(g: PlumbingGraph) -> PlumbingGraph:
+    """``minimize`` by ``blow_down``, one graph per step, rescanning for
+    the least id of weight -1 and valency <= 2 before each step."""
+    if not g.is_connected():
+        raise GraphStructureError("minimize requires a connected graph")
+    while len(g) > 1:
+        cand = next(
+            (v for v in g.vertices if g.weight(v) == -1 and g.degree(v) <= 2),
+            None,
+        )
+        if cand is None:
+            break
+        g = blow_down(g, cand)
+    return g
 
 
 def reference_stabilize(g: PlumbingGraph, bad) -> PlumbingGraph:

@@ -13,6 +13,7 @@ from plumbcalc.graph import (
     canonical_code,
     components,
     delete,
+    delete_components,
     fresh_ids,
     is_isomorphic,
     is_minimal,
@@ -22,10 +23,12 @@ from plumbcalc.graph import (
     serialize_graph,
     subgraph,
     valency,
+    with_weight,
 )
+from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
-from oracles import pruefer_trees
+from oracles import pruefer_trees, reference_minimize
 
 
 def random_tree(rng: random.Random, n: int, wmin: int = -5) -> PlumbingGraph:
@@ -133,6 +136,29 @@ def test_serialize_is_canonical():
 
 
 # -- basic structure --------------------------------------------------------
+
+
+def test_integral_weights_are_int():
+    a, b = PlumbingGraph({"a": -2}), PlumbingGraph({"a": Fraction(-2)})
+    assert a == b and hash(a) == hash(b)
+    assert serialize_graph(a) == serialize_graph(b) == "vertex a -2\n"
+    assert type(a.weight("a")) is int and type(b.weight("a")) is int
+    assert type(parse_graph("vertex a -2").weight("a")) is int
+    given = PlumbingGraph({"a": "-3", "b": True}).weights()
+    assert given == {"a": -3, "b": 1} and all(type(w) is int for w in given.values())
+
+
+def test_slope_weights_stay_fraction():
+    g = parse_graph("vertex a -7/2\nvertex b -2\nedge a b")
+    assert g.weight("a") == Fraction(-7, 2) and type(g.weight("a")) is Fraction
+    assert not g.has_integer_weights()
+    assert type(with_weight(g, "a", Fraction(-6, 2)).weight("a")) is int
+    assert type(with_weight(g, "b", Fraction(-5, 3)).weight("b")) is Fraction
+    up = blow_up_edge(g, ("a", "b"))
+    assert type(up.weight("a")) is Fraction and up.weight("a") == Fraction(-9, 2)
+    assert [type(up.weight(v)) for v in ("b", "b1")] == [int, int]
+    assert up.has_integer_weights() is False
+    assert with_weight(g, "a", -4).has_integer_weights()
 
 
 def test_valency(s237):
@@ -272,6 +298,21 @@ def test_minimize_confluence_random_orders():
         assert is_isomorphic(h, target)[0]
 
 
+def test_minimize_matches_blow_down_loop(census6):
+    # census-6 graphs with 1-3 blow-ups at random edges, then indefinite
+    # trees, whose adjacent (-1)-vertices make the result depend on the
+    # pick order; the ids of the surviving vertices must agree too
+    rng = random.Random(11)
+    trees = [random_tree(rng, rng.randint(2, 9), wmin=-2) for _ in range(3000)]
+    for g in [*census6, *trees]:
+        assert minimize(g) == reference_minimize(g)
+        if not g.edges:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            g = blow_up_edge(g, rng.choice(g.edges))
+        assert minimize(g) == reference_minimize(g)
+
+
 # -- delete / components / subgraph ----------------------------------------
 
 
@@ -309,6 +350,29 @@ def test_edge_deletion_gives_two_components_random_trees():
         g = random_tree(rng, rng.randint(2, 9))
         for e in g.edges:
             assert len(components(delete(g, edges=[e]))) == 2
+
+
+def test_delete_components_matches_built_graph():
+    for g in census_graphs(5, -5):
+        for v in g.vertices:
+            assert delete_components(g, [v]) == delete(g, [v]).component_vertex_sets()
+        for e in g.edges:
+            assert (
+                delete_components(g, edges=[e])
+                == delete(g, edges=[e]).component_vertex_sets()
+            )
+    path = parse_graph("vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c")
+    assert delete_components(path, ["b"], [("a", "b")]) == [{"a"}, {"c"}]
+    assert delete_components(path) == path.component_vertex_sets()
+
+
+def test_delete_components_errors_match_delete(s237):
+    for kwargs in ({"vertices": ["zz"]}, {"edges": [("p2", "p3")]}):
+        with pytest.raises(GraphStructureError) as built:
+            delete(s237, **kwargs)
+        with pytest.raises(GraphStructureError) as searched:
+            delete_components(s237, **kwargs)
+        assert str(searched.value) == str(built.value)
 
 
 def test_subgraph_induced(s237):

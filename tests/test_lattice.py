@@ -303,3 +303,5 @@ def test_intersection_form_export(s237):
     assert rows[idx["c"]][idx["c"]] == -1
     assert rows[idx["c"]][idx["p7"]] == 1
     assert rows[idx["p2"]][idx["p3"]] == 0
+    # the matrix is Fraction throughout, though graphs store int weights
+    assert all(type(x) is Fraction for row in rows for x in row)

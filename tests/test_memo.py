@@ -1,0 +1,158 @@
+"""Facts stored on the immutable graph: each equals the fact computed from
+scratch on an equal graph built apart, and no caller can change it.
+
+The stored facts are the (determinant, definiteness) of the (D, P) pass,
+the least-id Laufer verdict and the component vertex sets (see
+``PlumbingGraph``).  The second route is ``parse_graph(serialize_graph(g))``,
+a fresh graph with nothing stored.
+"""
+
+import importlib.util
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from plumbcalc import lattice, laufer
+from plumbcalc.census import census_graphs
+from plumbcalc.errors import GraphStructureError
+from plumbcalc.graph import PlumbingGraph, parse_graph, serialize_graph
+from plumbcalc.lattice import definiteness, determinant
+from plumbcalc.laufer import is_rational
+from plumbcalc.surgery import (
+    certificate_from_json,
+    certificate_to_json,
+    check_certificate,
+    lo_certificate,
+)
+
+from conftest import two_star_chain
+
+
+def _facts(g: PlumbingGraph) -> list:
+    out = [determinant(g), definiteness(g), g.component_vertex_sets()]
+    try:
+        v = is_rational(g)
+    except GraphStructureError as exc:
+        out.append(str(exc))
+    else:
+        out.append((v.rational, v.jump, v.z_min, v.chi_zmin))
+    return out
+
+
+def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
+    first = _facts(g)
+    assert _facts(g) == first
+    assert _facts(parse_graph(serialize_graph(g))) == first
+
+
+def _certify_inputs(seed: int) -> list[PlumbingGraph]:
+    """The certify workload's input trees, from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [
+        PlumbingGraph(t.weight_map(), t.edge_names()) for t in inputs.certify_inputs(seed)
+    ]
+
+
+def _node_graphs(node):
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n.graph
+        stack.extend(n.children)
+
+
+def test_stored_facts_match_fresh_copy_on_census5():
+    for g in census_graphs(5, -5):
+        _assert_facts_match_fresh_copy(g)
+
+
+def test_stored_facts_match_fresh_copy_on_certify_inputs():
+    # the inputs, then every graph of their certificates: derived graphs,
+    # det-0 sides and minimized children, each reached after the builder
+    # has stored its facts
+    for g in _certify_inputs(0):
+        _assert_facts_match_fresh_copy(g)
+        for h in _node_graphs(lo_certificate(g)):
+            _assert_facts_match_fresh_copy(h)
+
+
+def test_returned_values_do_not_alias_the_store(s237):
+    g = parse_graph(serialize_graph(s237))
+    zmin = is_rational(g).z_min
+    zmin["c"] += 5
+    zmin.clear()
+    comps = g.component_vertex_sets()
+    comps.append(frozenset({"x"}))
+    zmin = {"c": 6, "p2": 3, "p3": 2, "p7": 1}
+    assert is_rational(g).z_min == is_rational(s237).z_min == zmin
+    assert g.component_vertex_sets() == [frozenset(g.vertices)]
+
+
+def test_seeded_runs_neither_read_nor_write_the_stored_verdict():
+    graphs = [g for g in census_graphs(5, -5) if not is_rational(g).rational]
+    assert graphs
+    for k, g in enumerate(graphs):
+        fresh = parse_graph(serialize_graph(g))
+        # stored first (census graph), never stored (fresh copy)
+        assert is_rational(g, random.Random(k)) == is_rational(fresh, random.Random(k))
+        # a seeded run first must not leave its witness for the unseeded one
+        assert is_rational(fresh).jump == is_rational(g).jump
+
+
+def _count_dp_passes(monkeypatch) -> dict:
+    count = {"passes": 0}
+    walk = lattice._dp_pass
+
+    def counted(g):
+        count["passes"] += 1
+        return walk(g)
+
+    monkeypatch.setattr(lattice, "_dp_pass", counted)
+    return count
+
+
+def test_certificate_pass_counts(monkeypatch):
+    # the builder used to run 29 (D, P) passes on this graph, the checker 20
+    count = _count_dp_passes(monkeypatch)
+    cert = lo_certificate(two_star_chain())
+    assert count["passes"] <= 7
+    count["passes"] = 0
+    assert check_certificate(cert).ok
+    assert count["passes"] <= 6
+    parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    count["passes"] = 0
+    assert check_certificate(parsed).ok
+    assert count["passes"] <= 7
+
+
+def test_one_pass_and_one_run_per_graph(monkeypatch, s237):
+    count = _count_dp_passes(monkeypatch)
+    runs = {"runs": 0}
+    run = laufer._run
+
+    def counted(*args, **kwargs):
+        runs["runs"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(laufer, "_run", counted)
+    g = parse_graph(serialize_graph(s237))
+    for _ in range(3):
+        determinant(g), definiteness(g), is_rational(g)
+    assert count["passes"] == 1 and runs["runs"] == 1
+    is_rational(g, random.Random(0))
+    assert runs["runs"] == 2
+
+
+@pytest.mark.parametrize("text", ["vertex a 1", "vertex a -2\nvertex b -2"])
+def test_failed_checks_store_no_verdict(text):
+    g = parse_graph(text)
+    for _ in range(2):
+        with pytest.raises(GraphStructureError):
+            is_rational(g)
+    assert g._rationality is None

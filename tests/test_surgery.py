@@ -179,6 +179,9 @@ def test_certificate_two_star(two_star_m2):
     assert determinant(det0.graph) == 0
     assert len(nodes(recursing.graph)) < len(nodes(two_star_m2))
     assert check_certificate(cert).ok
+    # a Fraction as the JSON parser gives it back, so that the checker's
+    # report of a jump mismatch prints both sides alike
+    assert type(cert.jump.stabilized_weight) is Fraction
 
 
 def test_certificate_case2_shallow(case2_shallow):
