@@ -38,7 +38,6 @@ from .lattice import (
     canonical_cycle,
     chi,
     definiteness,
-    det_edge_identity_check,
     determinant,
     intersection_form,
     is_negative_definite,
@@ -50,7 +49,6 @@ from .laufer import (
     is_bad_set,
     is_rational,
     min_bad,
-    monotonicity_report,
     stabilize,
     z_min,
 )

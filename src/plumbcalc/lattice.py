@@ -210,21 +210,6 @@ def chi(
     return -(pairing(g, k, cyc) + pairing(g, cyc, cyc)) / 2
 
 
-def det_edge_identity_check(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> bool:
-    """Exact check of det(G) = det(G - e) - det(G - [v,w]) for an edge.
-
-    Always true; exposed as a self-test hook for the elimination code.
-    """
-    from .graph import delete
-
-    v, w = e
-    if not g.has_edge(v, w):
-        raise GraphStructureError(f"edge {v!r}-{w!r} not in graph")
-    lhs = determinant(g)
-    rhs = determinant(delete(g, edges=[e])) - determinant(delete(g, vertices=[v, w]))
-    return lhs == rhs
-
-
 def intersection_form(
     g: PlumbingGraph,
 ) -> tuple[tuple[VertexId, ...], list[list[Fraction]]]:

@@ -11,12 +11,26 @@ The end cycle is Z_min regardless of the choices of v(i), and the graph
 is Artin-rational iff every step has pairing value exactly 1 (a step with
 value >= 2 is a "jump").  We cross-check against Artin's criterion
 chi(Z_min) >= 1 on every call; a disagreement is an internal error.
+Every l_i stays <= Z_min, so a run takes sum_v Z_min_v - n steps, each
+O(deg log n) with the worklist of ``_run``; no step count is capped.
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
 down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
-over the other vertices ends at the least cycle Y with (Y, E_u) <= 0 off
-B, whatever the weights of B; "sufficiently far" is (Y, E_v) <= 0 for every
-v in B, where Z_min = Y and further decrements change no pairing.
+over the other vertices (the frozen run) ends at the least cycle Y with
+(Y, E_u) <= 0 off B, whatever the weights of B; "sufficiently far" is
+(Y, E_v) <= 0 for every v in B, reached first at the stabilized weights
+e'_v = min(e_v, -sum_{n~v} Y_n).
+
+Lemma: the canonical run on g' (g with the weights e') is the frozen run
+on g, step for step.  Proof: Y is >= 1 with (Y, E_u) <= 0 on g' for every
+u, so Z_min(g') <= Y, and every cycle l of the run on g' has l <= Z_min(g')
+<= Y.  While v in B has not stepped, (l, E_v) = e'_v + sum_{n~v} l_n <=
+e'_v + sum_{n~v} Y_n <= 0, so v never turns positive and never steps.  The
+pairing of a vertex off B does not involve the weights of B.  So both runs
+see the same positive vertices off B and none on B, pick the same vertex
+at every step, and end together, at Z_min(g') = Y with the same first
+jump.  Hence one frozen run gives the least-id verdict of g': ``stabilize``
+and ``is_bad_set`` run Laufer once per (graph, bad set) and store the result.
 """
 
 from __future__ import annotations
@@ -24,18 +38,17 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
 from .errors import GraphStructureError, InternalCheckError
-from .graph import PlumbingGraph, VertexId, nodes, subgraph, with_weight
+from .graph import PlumbingGraph, VertexId, nodes
 from .lattice import is_negative_definite
 
 logger = logging.getLogger(__name__)
 
-_STEP_CAP = 1_000_000
 DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
 
 
@@ -113,8 +126,6 @@ def _run(g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=()):
             if pair[n] == 1 and vs[n] not in frozen:
                 insort(pos, n)
         count += 1
-        if count > _STEP_CAP:
-            raise InternalCheckError("computation sequence exceeded step cap")
     return dict(zip(vs, mult)), steps, first_jump
 
 
@@ -141,7 +152,9 @@ def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
 
 def _chi_integral(g: PlumbingGraph, z: dict[VertexId, int]) -> Fraction:
     """chi(z) = -((K, z) + (z, z)) / 2 in integers: by adjunction
-    (K, z) = sum_v z_v (-2 - e_v), so the canonical cycle is not needed."""
+    (K, z) = sum_v z_v (-2 - e_v), so the canonical cycle is not needed.
+    A vertex with z_v = 1 adds z_v (-2 - e_v) + e_v z_v^2 = -2 whatever
+    e_v is, so lowering the weights of such vertices leaves chi(z) alone."""
     weights = g.weights()
     total = 0  # (K, z) + (z, z); the neighbour sums count each edge twice
     for v, zv in z.items():
@@ -168,15 +181,26 @@ def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityV
     v = g._rationality if rng is None else None
     if v is None:
         mult, _, jump = _run(g, rng, record=False)
-        chi_z = _chi_integral(g, mult)
-        if (jump is None) != (chi_z >= 1):
-            raise InternalCheckError(
-                f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
-            )
-        v = RationalityVerdict(jump is None, jump, mult, chi_z)
+        v = _cross_checked(g, mult, jump)
         if rng is None:
             g._rationality = v
+    return _fresh(v)
+
+
+def _fresh(v: RationalityVerdict) -> RationalityVerdict:
+    """A stored verdict with a Z_min of its own, for a caller to keep."""
     return RationalityVerdict(v.rational, v.jump, dict(v.z_min), v.chi_zmin)
+
+
+def _cross_checked(g, mult, jump) -> RationalityVerdict:
+    """The verdict of a run on ``g`` ending at ``mult``, with Laufer checked
+    against Artin."""
+    chi_z = _chi_integral(g, mult)
+    if (jump is None) != (chi_z >= 1):
+        raise InternalCheckError(
+            f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
+        )
+    return RationalityVerdict(jump is None, jump, mult, chi_z)
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +208,69 @@ def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityV
 # ---------------------------------------------------------------------------
 
 
-def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
-    """The graph written with a down-arrow: ``bad`` lowered to the largest
-    weights at which each has multiplicity 1 in Z_min, that is
-    e'_v = min(e_v, -sum_{n~v} Y_n) with Y as in the module docstring.
-    Lowering keeps ``g`` negative definite.  For one vertex a loop that
-    decrements until multiplicity 1 stops here (Z_min is monotone in e_v);
-    for a larger B it can lower a vertex further, while another vertex of B
-    still lifts it, but the verdict depends only on Y and is the same.
-    """
-    bad = set(bad)
+def _checked_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> frozenset:
+    bad = frozenset(bad)
     for v in sorted(bad):
         if not g.has_vertex(v):
             raise GraphStructureError(f"unknown vertex {v!r}")
     _check_laufer_input(g)
+    return bad
+
+
+def _stabilized(
+    g: PlumbingGraph, bad: frozenset
+) -> tuple[dict[VertexId, int], RationalityVerdict]:
+    """The weights of ``bad`` that stabilizing lowers, and the least-id
+    verdict of the stabilized graph, on a graph known to pass
+    ``_check_laufer_input``.  One frozen run gives both (the lemma of the
+    module docstring); they are stored on ``g`` by ``bad`` and each call
+    gets its own copies."""
     if not bad:
-        return g
-    y, _, _ = _run(g, None, record=False, frozen=bad)
-    ws = g.weights()
-    low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
-    drop = {v: w for v, w in low.items() if w < ws[v]}
-    return PlumbingGraph({**ws, **drop}, g.edges) if drop else g
+        return {}, _verdict(g)
+    if g._stabilized is None:
+        g._stabilized = {}
+    hit = g._stabilized.get(bad)
+    if hit is None:
+        y, _, jump = _run(g, None, record=False, frozen=bad)
+        low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
+        drop = {v: w for v, w in low.items() if w < g.weight(v)}
+        # chi(Y) on g is chi(Y) on the lowered graph: Y is 1 on bad
+        hit = g._stabilized[bad] = (drop, _cross_checked(g, y, jump))
+    drop, v = hit
+    return dict(drop), _fresh(v)
+
+
+def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
+    """The graph written with a down-arrow: ``bad`` lowered to the largest
+    weights at which each has multiplicity 1 in Z_min, that is
+    e'_v = min(e_v, -sum_{n~v} Y_n) with Y the end of the frozen run (see
+    the module docstring).  Lowering keeps ``g`` negative definite.  For one
+    vertex a loop that decrements until multiplicity 1 stops here (Z_min is
+    monotone in e_v); for a larger B it can lower a vertex further, while
+    another vertex of B still lifts it, but the verdict depends only on Y
+    and is the same.
+
+    By the lemma of the module docstring the frozen run is the stabilized
+    graph's least-id run, so its verdict is stored on the graph returned:
+    ``is_rational`` on it runs no Laufer sequence again.  The graph is
+    built only when a weight drops; otherwise ``g`` itself is returned.
+    """
+    bad = _checked_bad_set(g, bad)
+    drop, verdict = _stabilized(g, bad)
+    down = PlumbingGraph({**g.weights(), **drop}, g.edges) if drop else g
+    if down._rationality is None:
+        down._rationality = verdict
+    return down
 
 
 def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
-    """True when pushing ``bad`` sufficiently negative makes ``g`` rational."""
-    # the lowered graph is new, and lowering keeps the checked g definite
-    return _verdict(stabilize(g, bad)).rational
+    """True when pushing ``bad`` sufficiently negative makes ``g`` rational.
+
+    That is the verdict of ``stabilize(g, bad)``, which by the lemma of the
+    module docstring is the verdict of the frozen run on ``g``: read from
+    that one run, stored on ``g``, with no graph built.
+    """
+    return _stabilized(g, _checked_bad_set(g, bad))[1].rational
 
 
 def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
@@ -236,71 +296,3 @@ def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
                 logger.info("minimal bad set %s contains a non-node", cand)
                 return k, frozenset(cand)
     raise InternalCheckError("no bad set found; the full vertex set must be bad")
-
-
-# ---------------------------------------------------------------------------
-# Monotonicity spot checks (facts used by the induction)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MonotonicityReport:
-    subgraph_checks: int = 0
-    decrease_checks: int = 0
-    induced_badset_checks: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _random_connected_subgraph(
-    g: PlumbingGraph, rng: random.Random
-) -> PlumbingGraph:
-    target = rng.randint(1, len(g))
-    start = rng.choice(g.vertices)
-    chosen = {start}
-    frontier = [n for n in g.neighbors(start)]
-    while frontier and len(chosen) < target:
-        v = rng.choice(frontier)
-        frontier.remove(v)
-        if v in chosen:
-            continue
-        chosen.add(v)
-        frontier.extend(n for n in g.neighbors(v) if n not in chosen)
-    return subgraph(g, chosen)
-
-
-def monotonicity_report(
-    g: PlumbingGraph, rng: random.Random | None = None, samples: int = 20
-) -> MonotonicityReport:
-    """Spot-check rationality monotonicity on ``g``:
-
-    - connected subgraphs of a rational graph stay rational;
-    - decreasing decorations of a rational graph stays rational;
-    - the restriction of a bad set to a subgraph is a bad set there
-      (hence m is monotone under subgraphs).
-    """
-    rng = rng or random.Random(0)
-    rep = MonotonicityReport()
-    base_rational = is_rational(g).rational
-    witness = min_bad(g)[1] if len(g) <= DEFAULT_BAD_SET_CAP else frozenset(nodes(g))
-    for _ in range(samples):
-        sub = _random_connected_subgraph(g, rng)
-        rep.subgraph_checks += 1
-        if base_rational and not is_rational(sub).rational:
-            rep.failures.append(f"subgraph {sub.vertices} broke rationality")
-        rep.induced_badset_checks += 1
-        induced = frozenset(witness) & set(sub.vertices)
-        if not is_bad_set(sub, induced):
-            rep.failures.append(
-                f"induced bad set {sorted(induced)} failed on {sub.vertices}"
-            )
-        if base_rational:
-            v = rng.choice(g.vertices)
-            lowered = with_weight(g, v, g.weight(v) - rng.randint(1, 3))
-            rep.decrease_checks += 1
-            if not is_rational(lowered).rational:
-                rep.failures.append(f"decreasing {v} broke rationality")
-    return rep

@@ -51,6 +51,7 @@ from .graph import (
     nodes,
     parse_fraction,
     parse_graph,
+    rooted_preorder,
     serialize_graph,
     subgraph,
 )
@@ -312,7 +313,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId):
     if sum(1 for c in comps if c & gnodes) < 2:
         return None
     gdown = stabilize(g, [v])
-    # gdown is new, and lowering keeps the checked g definite
+    # stabilize checked g and stored gdown's verdict
     j = _verdict(gdown).jump
     if j is None:
         return gdown, None, ()
@@ -374,9 +375,28 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
     return _Table(tuple(claims), ((blown, (TAG_BASE_M1, TAG_CASE1)),), edge=ns)
 
 
-def _separates_nodes(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> bool:
+def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
+    """The edges e, as in ``g.edges``, with a node in every component of
+    g - e, from one rooted pass per component: an edge to a child
+    separates nodes when 0 < nodes below the child < nodes of the
+    component, and no edge does when some component holds no node."""
     gnodes = set(nodes(g))
-    return all(c & gnodes for c in delete_components(g, edges=[e]))
+    out = set()
+    for comp in g.component_vertex_sets():
+        order = rooted_preorder(g, min(comp))
+        below = dict.fromkeys(comp, 0)
+        for v, p in reversed(order):
+            below[v] += v in gnodes
+            if p is not None:
+                below[p] += below[v]
+        total = below[order[0][0]]
+        if not total:
+            return set()
+        out.update(
+            (min(v, p), max(v, p))
+            for v, p in order[1:] if 0 < below[v] < total
+        )
+    return out
 
 
 def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
@@ -384,7 +404,9 @@ def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
     stay det-0 and semidefinite with fewer nodes."""
     claims = _semidefinite_claims(g)
     v, w = edge
-    if not _separates_nodes(g, (v, w)):
+    if not g.has_edge(v, w):
+        raise GraphStructureError(f"edge {v!r}-{w!r} not in graph")
+    if (min(v, w), max(v, w)) not in _node_separating_edges(g):
         raise InternalCheckError("cut edge does not separate two nodes")
     cut = _cut(g, v, w)
     count = len(nodes(g))
@@ -510,7 +532,7 @@ def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
     leaf = _semidef_leaf(g0, None)
     if _holds(leaf.claims):
         return _build(g0, TAG_SEMIDEF_LEAF, leaf)
-    edge = next((e for e in g0.edges if _separates_nodes(g0, e)), None)
+    edge = min(_node_separating_edges(g0), default=None)
     if edge is None:
         raise InternalCheckError("no edge separates two nodes of a 2-node tree")
     return _build(g0, TAG_SEMIDEF_CUT, _semidef_cut(g0, edge))

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from plumbcalc.graph import PlumbingGraph
@@ -79,3 +83,14 @@ def census6() -> list[PlumbingGraph]:
     """The full default census: connected negative-definite decorated trees
     up to isomorphism, <= 6 vertices, weights in [-5, -1]."""
     return list(census_graphs(6, -5))
+
+
+def certify_inputs(seed: int) -> list[PlumbingGraph]:
+    """The certify workload's input trees, from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [
+        PlumbingGraph(t.weight_map(), t.edge_names()) for t in inputs.certify_inputs(seed)
+    ]

@@ -8,20 +8,41 @@ Z_min from brute-force search over an integer box, tree enumeration from
 Pruefer sequences, and continued fractions from the convergent
 recurrence.  The Laufer run, the realizability search and the Brieskorn
 Seifert data also have plain reference versions that rescan everything,
-and ``minimize`` has its blow-down loop that builds a graph per step.
+the Laufer run a second one with a last-in-first-out worklist, and
+``minimize`` has its blow-down loop that builds a graph per step.  The
+bad-set verdict has the two-run route: lower the weights, build the graph
+afresh and run Laufer on it.  The monotonicity spot checks of the
+induction live here too, as no verdict needs them.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, gcd
 
 from plumbcalc.errors import GraphStructureError, InternalCheckError
-from plumbcalc.graph import PlumbingGraph, blow_down, canonical_code, with_weight
-from plumbcalc.lattice import intersection_form
-from plumbcalc.laufer import zmin_multiplicities
+from plumbcalc.graph import (
+    PlumbingGraph,
+    blow_down,
+    canonical_code,
+    delete,
+    nodes,
+    subgraph,
+    with_weight,
+)
+from plumbcalc.lattice import determinant, intersection_form
+from plumbcalc.laufer import (
+    DEFAULT_BAD_SET_CAP,
+    _verdict,
+    is_bad_set,
+    is_rational,
+    min_bad,
+    zmin_multiplicities,
+)
 
 
 def matrix_of(g: PlumbingGraph, sign: int = -1) -> list[list[Fraction]]:
@@ -70,6 +91,17 @@ def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
 def oracle_det(g: PlumbingGraph) -> Fraction:
     """det(-I) via generic elimination."""
     return det_gauss(matrix_of(g))
+
+
+def det_edge_identity_check(g: PlumbingGraph, e) -> bool:
+    """Exact check of det(G) = det(G - e) - det(G - [v,w]) for an edge,
+    a self-test of the determinant pass."""
+    v, w = e
+    if not g.has_edge(v, w):
+        raise GraphStructureError(f"edge {v!r}-{w!r} not in graph")
+    lhs = determinant(g)
+    rhs = determinant(delete(g, edges=[e])) - determinant(delete(g, vertices=[v, w]))
+    return lhs == rhs
 
 
 def leading_minors(rows: list[list[Fraction]], order: list[int]) -> list[Fraction]:
@@ -199,17 +231,17 @@ def oracle_pinkham(sd, l_max: int):
     return witnesses
 
 
-def reference_laufer_run(g: PlumbingGraph, rng=None):
+def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=()):
     """Laufer's computation sequence, rescanning every vertex in id order
-    for the positive pairings before each step.  Returns (Z_min, steps as
-    (cycle before, vertex, pairing value), first jump as (step, vertex,
-    value) or None)."""
+    for the positive pairings before each step; ``frozen`` vertices never
+    step.  Returns (Z_min, steps as (cycle before, vertex, pairing value),
+    first jump as (step, vertex, value) or None)."""
     weights = {v: int(g.weight(v)) for v in g.vertices}
     mult = {v: 1 for v in g.vertices}
     pair = {v: weights[v] + g.degree(v) for v in g.vertices}
     steps, jump = [], None
     while True:
-        pos = [v for v in g.vertices if pair[v] > 0]
+        pos = [v for v in g.vertices if pair[v] > 0 and v not in frozen]
         if not pos:
             return mult, steps, jump
         v = pos[0] if rng is None else rng.choice(pos)
@@ -220,6 +252,29 @@ def reference_laufer_run(g: PlumbingGraph, rng=None):
         pair[v] += weights[v]
         for n in g.neighbors(v):
             pair[n] += 1
+
+
+def reference_zmin_lifo(g: PlumbingGraph) -> dict[str, int]:
+    """Z_min by a Laufer run that steps the vertex last turned positive: a
+    stack of vertices, each pushed when its pairing reaches 1.  Another
+    pick order than the library's least id, so another route to the end
+    cycle, which does not depend on the order."""
+    weights = {v: int(g.weight(v)) for v in g.vertices}
+    mult = dict.fromkeys(g.vertices, 1)
+    pair = {v: weights[v] + g.degree(v) for v in g.vertices}
+    stack = [v for v in g.vertices if pair[v] > 0]
+    while stack:
+        v = stack[-1]
+        if pair[v] <= 0:
+            stack.pop()
+            continue
+        mult[v] += 1
+        pair[v] += weights[v]
+        for n in g.neighbors(v):
+            pair[n] += 1
+            if pair[n] == 1:
+                stack.append(n)
+    return mult
 
 
 def reference_minimize(g: PlumbingGraph) -> PlumbingGraph:
@@ -263,6 +318,19 @@ def reference_stabilize(g: PlumbingGraph, bad) -> PlumbingGraph:
                 raise InternalCheckError("bad-set stabilization exceeded cap")
 
 
+def reference_bad_verdict(g: PlumbingGraph, bad):
+    """The verdict of ``stabilize(g, bad)`` by two runs: a rescanning run
+    with ``bad`` frozen at multiplicity 1 gives the lowered weights
+    e'_v = min(e_v, -sum_{n~v} Y_n), the lowered graph is built afresh from
+    plain weights and edges, so nothing is stored on it, and Laufer runs on
+    it again."""
+    y, _, _ = reference_laufer_run(g, frozen=set(bad))
+    ws = g.weights()
+    for v in bad:
+        ws[v] = min(ws[v], -sum(y[n] for n in g.neighbors(v)))
+    return _verdict(PlumbingGraph(ws, g.edges))
+
+
 def reference_realizable(x: Fraction, y: Fraction, z: Fraction):
     """Every coprime m > a > 0 in Fraction arithmetic, permutations in
     itertools order, then m and a ascending: (m, a, permutation) of the
@@ -288,3 +356,71 @@ def reference_brieskorn(p: int, q: int, r: int):
             if (-1 - s) % big == 0:
                 found.append(((-1 - s) // big, ((p, o1), (q, o2), (r, o3))))
     return found
+
+
+# ---------------------------------------------------------------------------
+# Monotonicity spot checks (facts used by the induction)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MonotonicityReport:
+    subgraph_checks: int = 0
+    decrease_checks: int = 0
+    induced_badset_checks: int = 0
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _random_connected_subgraph(
+    g: PlumbingGraph, rng: random.Random
+) -> PlumbingGraph:
+    target = rng.randint(1, len(g))
+    start = rng.choice(g.vertices)
+    chosen = {start}
+    frontier = [n for n in g.neighbors(start)]
+    while frontier and len(chosen) < target:
+        v = rng.choice(frontier)
+        frontier.remove(v)
+        if v in chosen:
+            continue
+        chosen.add(v)
+        frontier.extend(n for n in g.neighbors(v) if n not in chosen)
+    return subgraph(g, chosen)
+
+
+def monotonicity_report(
+    g: PlumbingGraph, rng: random.Random | None = None, samples: int = 20
+) -> MonotonicityReport:
+    """Spot-check rationality monotonicity on ``g``:
+
+    - connected subgraphs of a rational graph stay rational;
+    - decreasing decorations of a rational graph stays rational;
+    - the restriction of a bad set to a subgraph is a bad set there
+      (hence m is monotone under subgraphs).
+    """
+    rng = rng or random.Random(0)
+    rep = MonotonicityReport()
+    base_rational = is_rational(g).rational
+    witness = min_bad(g)[1] if len(g) <= DEFAULT_BAD_SET_CAP else frozenset(nodes(g))
+    for _ in range(samples):
+        sub = _random_connected_subgraph(g, rng)
+        rep.subgraph_checks += 1
+        if base_rational and not is_rational(sub).rational:
+            rep.failures.append(f"subgraph {sub.vertices} broke rationality")
+        rep.induced_badset_checks += 1
+        induced = frozenset(witness) & set(sub.vertices)
+        if not is_bad_set(sub, induced):
+            rep.failures.append(
+                f"induced bad set {sorted(induced)} failed on {sub.vertices}"
+            )
+        if base_rational:
+            v = rng.choice(g.vertices)
+            lowered = with_weight(g, v, g.weight(v) - rng.randint(1, 3))
+            rep.decrease_checks += 1
+            if not is_rational(lowered).rational:
+                rep.failures.append(f"decreasing {v} broke rationality")
+    return rep

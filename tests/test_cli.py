@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.cli import main
+from plumbcalc.graph import parse_graph
+from plumbcalc.laufer import zmin_multiplicities
 from plumbcalc.surgery import certificate_from_json, certificate_to_json, lo_certificate
 
 from conftest import two_star_chain
+from oracles import reference_zmin_lifo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +49,17 @@ def test_classify_text(e8_file, capsys):
     out = capsys.readouterr().out
     assert "rational:           yes" in out
     assert "L-space:            yes" in out
+
+
+def test_classify_run_past_a_million_steps(capsys):
+    # no step cap: a valid tree whose run is long still classifies
+    path = Path(__file__).with_name("long_run.graph")
+    assert main(["classify", str(path)]) == 0
+    assert "rational:           no" in capsys.readouterr().out
+    g = parse_graph(path.read_text())
+    z = zmin_multiplicities(g)
+    assert sum(z.values()) - len(g) == 1_181_702
+    assert z == reference_zmin_lifo(g)
 
 
 def test_classify_json(s237_file, capsys):

@@ -12,7 +12,6 @@ from plumbcalc.lattice import (
     canonical_cycle,
     chi,
     definiteness,
-    det_edge_identity_check,
     determinant,
     intersection_form,
     pairing,
@@ -21,6 +20,7 @@ from plumbcalc.lattice import (
 
 from oracles import (
     det_cofactor,
+    det_edge_identity_check,
     matrix_of,
     oracle_det,
     oracle_is_negative_definite,

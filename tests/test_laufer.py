@@ -5,19 +5,24 @@ import pytest
 
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import PlumbingGraph, parse_graph, subgraph, with_weight
+from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph, with_weight
 from plumbcalc.lattice import canonical_cycle, chi, pairing
 from plumbcalc.laufer import (
     is_bad_set,
     is_rational,
     min_bad,
-    monotonicity_report,
     stabilize,
     z_min,
     zmin_multiplicities,
 )
 
-from oracles import oracle_zmin, reference_laufer_run, reference_stabilize
+from oracles import (
+    monotonicity_report,
+    oracle_zmin,
+    reference_bad_verdict,
+    reference_laufer_run,
+    reference_stabilize,
+)
 
 
 # -- z_min ---------------------------------------------------------------
@@ -223,6 +228,30 @@ def test_stabilize_pairs_against_decrement_loop():
             sets += 1
             higher += down != ref
     assert sets == 32_986 and higher > 0
+
+
+def _assert_bad_verdict_is_the_two_run_verdict(g, bad, seed):
+    # the verdict stored by stabilize, read by is_bad_set, equals the old
+    # route's: build the lowered graph afresh and run Laufer on it again
+    ref = reference_bad_verdict(g, bad)
+    down = stabilize(g, bad)
+    assert is_rational(down) == ref, (g, bad)
+    assert is_bad_set(g, bad) == ref.rational
+    assert is_rational(down, random.Random(seed)).rational == ref.rational
+
+
+def test_bad_verdict_matches_two_run_route_on_single_vertices(census6):
+    for i, g in enumerate(census6):
+        for v in g.vertices:
+            _assert_bad_verdict_is_the_two_run_verdict(g, [v], i)
+
+
+def test_bad_verdict_matches_two_run_route_on_pairs_and_node_sets(census6):
+    for i, g in enumerate(census_graphs(5, -5)):
+        for bad in combinations(g.vertices, 2):
+            _assert_bad_verdict_is_the_two_run_verdict(g, bad, i)
+    for i, g in enumerate(census6):
+        _assert_bad_verdict_is_the_two_run_verdict(g, nodes(g), i)
 
 
 def test_min_bad_examples(e8, s237, two_star_m2):

@@ -2,25 +2,22 @@
 scratch on an equal graph built apart, and no caller can change it.
 
 The stored facts are the (determinant, definiteness) of the (D, P) pass,
-the least-id Laufer verdict and the component vertex sets (see
-``PlumbingGraph``).  The second route is ``parse_graph(serialize_graph(g))``,
-a fresh graph with nothing stored.
+the least-id Laufer verdict, the component vertex sets and the result of
+each bad-set query (see ``PlumbingGraph``).  The second route is
+``parse_graph(serialize_graph(g))``, a fresh graph with nothing stored.
 """
 
-import importlib.util
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 from plumbcalc import lattice, laufer
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import PlumbingGraph, parse_graph, serialize_graph
+from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, serialize_graph
 from plumbcalc.lattice import definiteness, determinant
-from plumbcalc.laufer import is_rational
+from plumbcalc.laufer import is_bad_set, is_rational, stabilize
 from plumbcalc.surgery import (
     certificate_from_json,
     certificate_to_json,
@@ -28,7 +25,8 @@ from plumbcalc.surgery import (
     lo_certificate,
 )
 
-from conftest import two_star_chain
+from conftest import certify_inputs, two_star_chain
+from oracles import reference_bad_verdict
 
 
 def _facts(g: PlumbingGraph) -> list:
@@ -48,17 +46,6 @@ def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
     assert _facts(parse_graph(serialize_graph(g))) == first
 
 
-def _certify_inputs(seed: int) -> list[PlumbingGraph]:
-    """The certify workload's input trees, from the benchmark's generator."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return [
-        PlumbingGraph(t.weight_map(), t.edge_names()) for t in inputs.certify_inputs(seed)
-    ]
-
-
 def _node_graphs(node):
     stack = [node]
     while stack:
@@ -76,7 +63,7 @@ def test_stored_facts_match_fresh_copy_on_certify_inputs():
     # the inputs, then every graph of their certificates: derived graphs,
     # det-0 sides and minimized children, each reached after the builder
     # has stored its facts
-    for g in _certify_inputs(0):
+    for g in certify_inputs(0):
         _assert_facts_match_fresh_copy(g)
         for h in _node_graphs(lo_certificate(g)):
             _assert_facts_match_fresh_copy(h)
@@ -131,22 +118,79 @@ def test_certificate_pass_counts(monkeypatch):
     assert count["passes"] <= 7
 
 
-def test_one_pass_and_one_run_per_graph(monkeypatch, s237):
-    count = _count_dp_passes(monkeypatch)
-    runs = {"runs": 0}
+def _count_runs(monkeypatch) -> list:
+    """(vertex count, frozen set) of every Laufer run."""
+    runs = []
     run = laufer._run
 
-    def counted(*args, **kwargs):
-        runs["runs"] += 1
-        return run(*args, **kwargs)
+    def counted(g, rng, record, frozen=()):
+        runs.append((len(g), frozenset(frozen)))
+        return run(g, rng, record, frozen)
 
     monkeypatch.setattr(laufer, "_run", counted)
+    return runs
+
+
+def test_one_pass_and_one_run_per_graph(monkeypatch, s237):
+    count = _count_dp_passes(monkeypatch)
+    runs = _count_runs(monkeypatch)
     g = parse_graph(serialize_graph(s237))
     for _ in range(3):
         determinant(g), definiteness(g), is_rational(g)
-    assert count["passes"] == 1 and runs["runs"] == 1
+    assert count["passes"] == 1 and len(runs) == 1
     is_rational(g, random.Random(0))
-    assert runs["runs"] == 2
+    assert len(runs) == 2
+
+
+def test_certificate_run_counts(monkeypatch):
+    # the builder used to run 23 Laufer sequences on this graph, 3 of them
+    # the same run frozen at m1 on the 10-vertex root: for m <= 1, for the
+    # Case1 selection and for the Case1 table
+    runs = _count_runs(monkeypatch)
+    lo_certificate(two_star_chain())
+    assert len(runs) <= 14
+    assert runs.count((10, frozenset({"m1"}))) == 1
+
+
+def test_is_bad_set_builds_no_graph(monkeypatch):
+    g = two_star_chain()
+    built = []
+    init = PlumbingGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
+    assert not any(is_bad_set(g, {v}) for v in g.vertices)
+    assert is_bad_set(g, nodes(g))
+    assert not built
+
+
+def test_stabilized_graph_carries_its_verdict(monkeypatch, s237):
+    g = parse_graph(serialize_graph(s237))
+    ref = reference_bad_verdict(g, {"c"})
+    runs = _count_runs(monkeypatch)
+    down = stabilize(g, {"c"})
+    assert down.weight("c") == -3 and is_rational(down) == ref
+    assert is_bad_set(g, {"c"}) and runs == [(4, frozenset({"c"}))]
+
+
+def test_bad_set_results_do_not_alias_the_store(s237):
+    g = parse_graph(serialize_graph(s237))
+    bad = frozenset({"c"})
+    ref = reference_bad_verdict(g, bad)
+    drop, verdict = laufer._stabilized(g, bad)
+    assert drop == {"c": -3} and verdict == ref
+    drop["c"] = 0
+    drop["p2"] = -9
+    verdict.z_min["c"] += 5
+    verdict.z_min.clear()
+    down = stabilize(g, bad)
+    is_rational(down).z_min["p2"] = 7
+    assert laufer._stabilized(g, bad) == ({"c": -3}, ref)
+    assert stabilize(g, bad) == down and down.weights() == {**g.weights(), "c": -3}
+    assert is_rational(stabilize(g, bad)) == is_rational(down) == ref
 
 
 @pytest.mark.parametrize("text", ["vertex a 1", "vertex a -2\nvertex b -2"])

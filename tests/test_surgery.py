@@ -12,6 +12,7 @@ from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import (
     PlumbingGraph,
     delete,
+    delete_components,
     minimize,
     nodes,
     parse_graph,
@@ -26,6 +27,7 @@ from plumbcalc.surgery import (
     TAG_SEMIDEF_CUT,
     TAG_SEMIDEF_LEAF,
     _m_le_1,
+    _node_separating_edges,
     attach_string,
     certificate_from_json,
     certificate_to_json,
@@ -37,7 +39,7 @@ from plumbcalc.surgery import (
     semidef_decompose,
 )
 
-from conftest import make_star
+from conftest import certify_inputs, make_star
 from oracles import cf_eval_convergents
 
 
@@ -422,6 +424,33 @@ def test_semidef_decompose_errors(s237):
         semidef_decompose(s237)  # det 1
     with pytest.raises(GraphStructureError):
         semidef_decompose(PlumbingGraph({"a": -2, "b": -2}))  # disconnected
+
+
+def test_node_separating_edges_match_deletion(census6, two_star_m2):
+    # one rooted pass against the definition: every component of g - e
+    # holds a node.  Census graphs, the det-0 graphs of the seed-0
+    # certificates, and forests the checker may be handed.
+    det0 = [
+        n.graph for g in certify_inputs(0) for n in _walk(lo_certificate(g))
+        if n.tag in (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF)
+    ]
+    star = make_star("z", -2, [-2, -2, -2])
+    forests = [
+        PlumbingGraph({**two_star_m2.weights(), "u": -2}, two_star_m2.edges),
+        PlumbingGraph({**two_star_m2.weights(), **star[0]}, [*two_star_m2.edges, *star[1]]),
+    ]
+    cut_edges = 0
+    for g in [*census6, *det0, *forests]:
+        gnodes = set(nodes(g))
+        by_deletion = {
+            e for e in g.edges
+            if all(c & gnodes for c in delete_components(g, edges=[e]))
+        }
+        assert _node_separating_edges(g) == by_deletion, g
+        cut_edges += len(by_deletion)
+    assert len(det0) == 189 and cut_edges > 1000
+    assert _node_separating_edges(forests[0]) == set()
+    assert _node_separating_edges(forests[1])
 
 
 def test_semidef_leaf_star_has_seifert_data(two_star_m2):
