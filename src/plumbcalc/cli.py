@@ -119,7 +119,7 @@ def _sequence_rows(g: PlumbingGraph):
                 "step": i,
                 "vertex": step.vertex,
                 "pairing": step.pairing_value,
-                "cycle": {v: step.cycle_before[v] for v in g.vertices},
+                "cycle": step.cycle_before,  # keyed in g.vertices order
             }
         )
     return cycle, rows

@@ -56,17 +56,17 @@ class PlumbingGraph:
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
-    (D, P) pass, ``_rationality`` the verdict of the Laufer run with the
-    least-id tie-break, ``_comps`` the component vertex sets, and
-    ``_stabilized`` the lowered weights and verdict of ``laufer.stabilize``
-    for each bad set asked.  Only ``rng=None`` verdicts are stored, because
-    the jump witness of a seeded run depends on the draws of that run's
-    generator.
+    (D, P) pass, ``_comps`` the component vertex sets, and ``_stabilized``
+    the Laufer runs with the least-id tie-break, keyed by the frozen set of
+    each run: the weights ``laufer.stabilize`` lowers and the verdict, the
+    empty set holding the graph's own verdict.  Only ``rng=None`` verdicts
+    are stored, because the jump witness of a seeded run depends on the
+    draws of that run's generator.
     """
 
     __slots__ = (
         "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_rationality", "_comps", "_stabilized",
+        "_dp", "_comps", "_stabilized",
     )
 
     def __init__(
@@ -118,7 +118,7 @@ class PlumbingGraph:
         self._vertices = tuple(sorted(ws))
         self._integral = integral
         self._hash: int | None = None
-        self._dp = self._rationality = self._comps = self._stabilized = None
+        self._dp = self._comps = self._stabilized = None
 
     # -- basic accessors ---------------------------------------------------
 

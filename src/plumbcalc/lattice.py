@@ -201,13 +201,17 @@ def canonical_cycle(g: PlumbingGraph) -> dict[VertexId, Fraction]:
     return k
 
 
-def chi(
-    g: PlumbingGraph, cyc: Mapping, k: Mapping[VertexId, Fraction] | None = None
-) -> Fraction:
-    """Riemann-Roch expression chi(l) = -((K + l), l) / 2."""
-    if k is None:
-        k = canonical_cycle(g)
-    return -(pairing(g, k, cyc) + pairing(g, cyc, cyc)) / 2
+def chi(g: PlumbingGraph, cyc: Mapping) -> Fraction:
+    """Riemann-Roch expression chi(l) = -((K + l), l) / 2.  By adjunction
+    (K, l) = sum_v l_v (-2 - e_v), so the canonical cycle is not needed."""
+    _check_support(g, cyc)
+    total = 0  # (K, l) + (l, l); the neighbour terms count each edge twice
+    for v, lv in cyc.items():
+        e = g.weight(v)
+        total += lv * (-2 - e + e * lv)
+        for n in g.neighbors(v):
+            total += lv * cyc.get(n, 0)
+    return Fraction(-total, 2)
 
 
 def intersection_form(

@@ -29,13 +29,14 @@ e'_v + sum_{n~v} Y_n <= 0, so v never turns positive and never steps.  The
 pairing of a vertex off B does not involve the weights of B.  So both runs
 see the same positive vertices off B and none on B, pick the same vertex
 at every step, and end together, at Z_min(g') = Y with the same first
-jump.  Hence one frozen run gives the least-id verdict of g': ``stabilize``
-and ``is_bad_set`` run Laufer once per (graph, bad set) and store the result.
+jump.  Hence one frozen run gives the least-id verdict of g', and with
+B empty the frozen run is the plain run: ``_stabilized`` runs, cross-checks
+and stores every least-id run, once per (graph, frozen set), and the
+empty set holds the graph's own verdict.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -45,11 +46,10 @@ from typing import Iterable
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
-from .lattice import is_negative_definite
-
-logger = logging.getLogger(__name__)
+from .lattice import chi, is_negative_definite
 
 DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
+_PLAIN = frozenset()  # no vertex frozen: the key of the graph's own run
 
 
 @dataclass(frozen=True)
@@ -136,31 +136,19 @@ def z_min(
 
     ``rng`` randomizes the tie-break among positive-pairing vertices (used
     by the choice-independence property tests); the default picks the
-    smallest vertex id, which makes golden tests deterministic.
+    smallest vertex id, which makes golden tests deterministic, and its
+    run's verdict is cross-checked and stored on ``g`` like ``is_rational``'s.
     """
     _check_laufer_input(g)
-    mult, steps, _ = _run(g, rng, record=True)
+    mult, steps, jump = _run(g, rng, record=True)
+    if rng is None:
+        _stabilized(g, _PLAIN, (dict(mult), jump))
     return mult, ComputationSequence(tuple(steps), dict(mult))
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
-    """Z_min without step recording."""
-    _check_laufer_input(g)
-    mult, _, _ = _run(g, None, record=False)
-    return mult
-
-
-def _chi_integral(g: PlumbingGraph, z: dict[VertexId, int]) -> Fraction:
-    """chi(z) = -((K, z) + (z, z)) / 2 in integers: by adjunction
-    (K, z) = sum_v z_v (-2 - e_v), so the canonical cycle is not needed.
-    A vertex with z_v = 1 adds z_v (-2 - e_v) + e_v z_v^2 = -2 whatever
-    e_v is, so lowering the weights of such vertices leaves chi(z) alone."""
-    weights = g.weights()
-    total = 0  # (K, z) + (z, z); the neighbour sums count each edge twice
-    for v, zv in z.items():
-        e = weights[v]
-        total += zv * (-2 - e + e * zv + sum(map(z.__getitem__, g.neighbors(v))))
-    return Fraction(-total, 2)
+    """Z_min without step recording: the stored least-id verdict's."""
+    return is_rational(g).z_min
 
 
 def is_rational(
@@ -169,22 +157,14 @@ def is_rational(
     """Rationality via Laufer jumps, cross-checked against chi(Z_min) >= 1.
 
     The boolean is tie-break independent; the jump witness reports the
-    first value >= 2 in the run actually taken.
+    first value >= 2 in the run actually taken.  The ``rng=None`` verdict
+    is the one stored on ``g``; a seeded run neither reads nor writes it.
     """
     _check_laufer_input(g)
-    return _verdict(g, rng)
-
-
-def _verdict(g: PlumbingGraph, rng: random.Random | None = None) -> RationalityVerdict:
-    """``is_rational`` on a graph known to pass ``_check_laufer_input``.  The
-    ``rng=None`` verdict is stored on ``g``; each call gets its own Z_min."""
-    v = g._rationality if rng is None else None
-    if v is None:
-        mult, _, jump = _run(g, rng, record=False)
-        v = _cross_checked(g, mult, jump)
-        if rng is None:
-            g._rationality = v
-    return _fresh(v)
+    if rng is None:
+        return _stabilized(g, _PLAIN)[1]
+    mult, _, jump = _run(g, rng, record=False)
+    return _cross_checked(g, mult, jump)
 
 
 def _fresh(v: RationalityVerdict) -> RationalityVerdict:
@@ -195,7 +175,7 @@ def _fresh(v: RationalityVerdict) -> RationalityVerdict:
 def _cross_checked(g, mult, jump) -> RationalityVerdict:
     """The verdict of a run on ``g`` ending at ``mult``, with Laufer checked
     against Artin."""
-    chi_z = _chi_integral(g, mult)
+    chi_z = chi(g, mult)
     if (jump is None) != (chi_z >= 1):
         raise InternalCheckError(
             f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
@@ -218,23 +198,28 @@ def _checked_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> frozenset:
 
 
 def _stabilized(
-    g: PlumbingGraph, bad: frozenset
+    g: PlumbingGraph, bad: frozenset, run=None
 ) -> tuple[dict[VertexId, int], RationalityVerdict]:
     """The weights of ``bad`` that stabilizing lowers, and the least-id
     verdict of the stabilized graph, on a graph known to pass
     ``_check_laufer_input``.  One frozen run gives both (the lemma of the
-    module docstring); they are stored on ``g`` by ``bad`` and each call
-    gets its own copies."""
-    if not bad:
-        return {}, _verdict(g)
+    module docstring); with ``bad`` empty nothing is lowered and the verdict
+    is the graph's own.  They are stored on ``g`` by ``bad``, and each call
+    gets its own copies.  ``run``, the (end cycle, first jump) of a least-id
+    run the caller has already made, is stored in place of a new run."""
     if g._stabilized is None:
         g._stabilized = {}
     hit = g._stabilized.get(bad)
     if hit is None:
-        y, _, jump = _run(g, None, record=False, frozen=bad)
+        if run is None:
+            y, _, jump = _run(g, None, record=False, frozen=bad)
+        else:
+            y, jump = run
         low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
         drop = {v: w for v, w in low.items() if w < g.weight(v)}
-        # chi(Y) on g is chi(Y) on the lowered graph: Y is 1 on bad
+        # chi(Y) on g is chi(Y) on the lowered graph: Y is 1 on bad, and a
+        # vertex at multiplicity 1 adds -2 to (K, Y) + (Y, Y) whatever its
+        # weight
         hit = g._stabilized[bad] = (drop, _cross_checked(g, y, jump))
     drop, v = hit
     return dict(drop), _fresh(v)
@@ -251,15 +236,15 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     and is the same.
 
     By the lemma of the module docstring the frozen run is the stabilized
-    graph's least-id run, so its verdict is stored on the graph returned:
-    ``is_rational`` on it runs no Laufer sequence again.  The graph is
-    built only when a weight drops; otherwise ``g`` itself is returned.
+    graph's least-id run, so its verdict is stored on the graph returned,
+    under the empty set: ``is_rational`` on it runs no Laufer sequence
+    again.  The graph is built only when a weight drops; otherwise ``g``
+    itself is returned.
     """
     bad = _checked_bad_set(g, bad)
     drop, verdict = _stabilized(g, bad)
     down = PlumbingGraph({**g.weights(), **drop}, g.edges) if drop else g
-    if down._rationality is None:
-        down._rationality = verdict
+    _stabilized(down, _PLAIN, (verdict.z_min, verdict.jump))
     return down
 
 
@@ -279,8 +264,7 @@ def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
     Subsets of nodes are tried before other subsets of the same size (the
     node set is always bad, so this usually wins quickly), but the search
     covers all vertex subsets because bad sets are not restricted to
-    nodes.  The first hit at the smallest size is returned; when it
-    contains a non-node we log that as a diagnostic.
+    nodes.  The first hit at the smallest size is returned.
     """
     verts = list(g.vertices)
     node_set = set(nodes(g))
@@ -293,6 +277,5 @@ def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
             if set(cand) <= node_set:
                 continue  # already tried above
             if is_bad_set(g, cand):
-                logger.info("minimal bad set %s contains a non-node", cand)
                 return k, frozenset(cand)
     raise InternalCheckError("no bad set found; the full vertex set must be bad")

@@ -56,8 +56,7 @@ from .graph import (
     subgraph,
 )
 from .lattice import _det_definiteness, definiteness, determinant, is_negative_definite
-from .laufer import _verdict, is_bad_set, is_rational, stabilize
-from .seifert import ContinuedFraction, cf_eval  # noqa: F401  (re-exported)
+from .laufer import _checked_bad_set, _stabilized, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
@@ -300,32 +299,33 @@ def _base_m1(g: PlumbingGraph, edge) -> _Table:
 
 
 def _cut_vertex(g: PlumbingGraph, v: VertexId):
-    """(stabilized graph, jump witness, valid targets w) for cutting at v,
-    or None when fewer than two components of g - v hold a node.
+    """(jump witness, valid targets w) for cutting at v, or None when fewer
+    than two components of g - v hold a node.
 
     When m >= 2 the stabilized graph stays non-rational and its canonical
     Laufer run jumps inside one component of g - v; a valid target is a
     neighbour of v in another component that holds a node.  The witness
-    is None, with no targets, when the stabilized graph is rational.
+    is None, with no targets, when the stabilized graph is rational.  The
+    witness is read from the frozen run on g, so no graph is built.
     """
     gnodes = set(nodes(g))
     comps = delete_components(g, vertices=[v])
     if sum(1 for c in comps if c & gnodes) < 2:
         return None
-    gdown = stabilize(g, [v])
-    # stabilize checked g and stored gdown's verdict
-    j = _verdict(gdown).jump
+    drop, verdict = _stabilized(g, _checked_bad_set(g, [v]))
+    j = verdict.jump
     if j is None:
-        return gdown, None, ()
+        return None, ()
     comp_of = {u: c for c in comps for u in c}
     jumped = comp_of[j.vertex]
     targets = tuple(
         w for w in g.neighbors(v) if comp_of[w] != jumped and comp_of[w] & gnodes
     )
     info = JumpInfo(
-        Fraction(gdown.weight(v)), j.step, j.vertex, j.value, tuple(sorted(jumped))
+        Fraction(drop.get(v, g.weight(v))), j.step, j.vertex, j.value,
+        tuple(sorted(jumped)),
     )
-    return gdown, info, targets
+    return info, targets
 
 
 def _case1(g: PlumbingGraph, edge) -> _Table:
@@ -336,12 +336,12 @@ def _case1(g: PlumbingGraph, edge) -> _Table:
     found = _cut_vertex(g, v)
     if found is None:
         raise InternalCheckError("cut vertex does not separate two node components")
-    gdown, jump, targets = found
+    jump, targets = found
     claims.append(Claim("stabilized_not_rational", True, jump is not None))
     _check_claims(claims)
     if w not in targets:
         raise InternalCheckError("cut edge leads to the jump side or to no node")
-    jumped = subgraph(gdown, set(jump.component) | {v})
+    jumped = subgraph(stabilize(g, [v]), set(jump.component) | {v})
     cut = _cut(g, v, w)
     claims += [
         Claim("jump_component_not_rational", True, not is_rational(jumped).rational),
@@ -501,7 +501,7 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
         found = _cut_vertex(g, v)
         if found is None:
             continue
-        _, jump, targets = found
+        jump, targets = found
         if jump is None:
             raise InternalCheckError(
                 f"stabilizing {v!r} made the graph rational although m >= 2"

@@ -85,12 +85,18 @@ def census6() -> list[PlumbingGraph]:
     return list(census_graphs(6, -5))
 
 
+def perfbench_module(name: str):
+    """A module of the benchmark, loaded from ``perfbench/<name>.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def certify_inputs(seed: int) -> list[PlumbingGraph]:
     """The certify workload's input trees, from the benchmark's generator."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_module("inputs")
     return [
         PlumbingGraph(t.weight_map(), t.edge_names()) for t in inputs.certify_inputs(seed)
     ]

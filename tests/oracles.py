@@ -11,8 +11,10 @@ Seifert data also have plain reference versions that rescan everything,
 the Laufer run a second one with a last-in-first-out worklist, and
 ``minimize`` has its blow-down loop that builds a graph per step.  The
 bad-set verdict has the two-run route: lower the weights, build the graph
-afresh and run Laufer on it.  The monotonicity spot checks of the
-induction live here too, as no verdict needs them.
+afresh and run Laufer on it.  chi comes from the canonical cycle, solved
+from the adjunction relations, in place of the adjunction sum.  The
+monotonicity spot checks of the induction live here too, as no verdict
+needs them.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from plumbcalc.graph import (
     subgraph,
     with_weight,
 )
-from plumbcalc.lattice import determinant, intersection_form
+from plumbcalc.lattice import canonical_cycle, determinant, intersection_form, pairing
 from plumbcalc.laufer import (
     DEFAULT_BAD_SET_CAP,
-    _verdict,
     is_bad_set,
     is_rational,
     min_bad,
@@ -328,7 +329,14 @@ def reference_bad_verdict(g: PlumbingGraph, bad):
     ws = g.weights()
     for v in bad:
         ws[v] = min(ws[v], -sum(y[n] for n in g.neighbors(v)))
-    return _verdict(PlumbingGraph(ws, g.edges))
+    return is_rational(PlumbingGraph(ws, g.edges))
+
+
+def reference_chi(g: PlumbingGraph, cyc) -> Fraction:
+    """chi(l) = -((K + l), l) / 2 with K the canonical cycle, the rational
+    solution of (K + E_v, E_v) = -2, so only invertible forms qualify."""
+    k = canonical_cycle(g)
+    return -(pairing(g, k, cyc) + pairing(g, cyc, cyc)) / 2
 
 
 def reference_realizable(x: Fraction, y: Fraction, z: Fraction):

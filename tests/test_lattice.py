@@ -25,7 +25,10 @@ from oracles import (
     oracle_det,
     oracle_is_negative_definite,
     oracle_is_negative_semidefinite,
+    reference_chi,
 )
+from plumbcalc.census import census_graphs
+from plumbcalc.laufer import is_rational
 from plumbcalc.surgery import cut_and_fill
 
 from test_graph import random_tree
@@ -252,12 +255,15 @@ def test_solve_against_oracle():
             assert got == rhs[v]
 
 
+CHI_ROUTES = (chi, reference_chi)  # adjunction sum, canonical cycle
+
+
 def test_chi_zero_and_basis(s237, e8):
-    for g in (s237, e8):
-        assert chi(g, {}) == 0
-        k = canonical_cycle(g)
-        for v in g.vertices:
-            assert chi(g, {v: 1}, k) == 1
+    for route in CHI_ROUTES:
+        for g in (s237, e8):
+            assert route(g, {}) == 0
+            for v in g.vertices:
+                assert route(g, {v: 1}) == 1
 
 
 def test_chi_zmin_s237(s237):
@@ -271,11 +277,49 @@ def test_chi_bilinearity(n, rng):
     g = random_tree(rng, n, wmin=-4)
     if not definiteness(g).is_negative_definite:
         return
-    k = canonical_cycle(g)
     l1 = {v: rng.randint(-2, 4) for v in g.vertices}
     l2 = {v: rng.randint(-2, 4) for v in g.vertices}
     both = {v: l1[v] + l2[v] for v in g.vertices}
-    assert chi(g, both, k) == chi(g, l1, k) + chi(g, l2, k) - pairing(g, l1, l2)
+    for route in CHI_ROUTES:
+        assert route(g, both) == route(g, l1) + route(g, l2) - pairing(g, l1, l2)
+
+
+def _sparse_cycle(g, rng, values) -> dict:
+    """A cycle on a random subset of the vertices; the others are 0."""
+    support = rng.sample(g.vertices, rng.randint(0, len(g)))
+    return {v: rng.choice(values) for v in support}
+
+
+def test_chi_matches_canonical_cycle_route_on_census5():
+    rng = random.Random(67)
+    ints = range(-3, 6)
+    fracs = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 7)]
+    for g in census_graphs(5, -5):
+        z = is_rational(g).z_min
+        assert chi(g, z) == reference_chi(g, z)
+        for values in (ints, fracs):
+            cyc = _sparse_cycle(g, rng, values)
+            assert chi(g, cyc) == reference_chi(g, cyc), (g, cyc)
+
+
+def test_chi_matches_canonical_cycle_route_on_slope_graphs(census6):
+    rng = random.Random(71)
+    checked = 0
+    for g in rng.sample([g for g in census6 if len(g) >= 2], 400):
+        cut = cut_and_fill(g, rng.choice(g.edges))
+        for side in (cut.decorated_v, cut.decorated_w):
+            if not definiteness(side).is_negative_definite:
+                continue  # no canonical cycle on a singular form
+            for values in (range(-3, 6), [Fraction(1, 2), Fraction(-5, 3), 2]):
+                cyc = _sparse_cycle(side, rng, values)
+                assert chi(side, cyc) == reference_chi(side, cyc), (side, cyc)
+            checked += not side.has_integer_weights()
+    assert checked >= 100  # 120 Fraction-weighted definite sides
+
+
+def test_chi_rejects_foreign_vertex(s237):
+    with pytest.raises(GraphStructureError):
+        chi(s237, {"c": 1, "zz": 1})
 
 
 # -- edge-deletion identity ----------------------------------------------

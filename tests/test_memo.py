@@ -2,17 +2,19 @@
 scratch on an equal graph built apart, and no caller can change it.
 
 The stored facts are the (determinant, definiteness) of the (D, P) pass,
-the least-id Laufer verdict, the component vertex sets and the result of
-each bad-set query (see ``PlumbingGraph``).  The second route is
-``parse_graph(serialize_graph(g))``, a fresh graph with nothing stored.
+the component vertex sets and the least-id Laufer runs, one per frozen set,
+the empty set holding the graph's own verdict (see ``PlumbingGraph``).  The
+second route is ``parse_graph(serialize_graph(g))``, a fresh graph with
+nothing stored.
 """
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from plumbcalc import lattice, laufer
+from plumbcalc import cli, lattice, laufer
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, serialize_graph
@@ -142,6 +144,29 @@ def test_one_pass_and_one_run_per_graph(monkeypatch, s237):
     assert len(runs) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_zmin_command_runs_laufer_once(monkeypatch, capsys, flags):
+    # the recording run files its verdict, which the rationality line reads
+    runs = _count_runs(monkeypatch)
+    path = Path(__file__).resolve().parent.parent / "examples" / "s237.graph"
+    assert cli.main(["zmin", str(path), *flags]) == 0
+    assert "rational" in capsys.readouterr().out
+    assert runs == [(4, frozenset())]
+
+
+def test_recording_run_stores_the_verdict(monkeypatch, s237):
+    g = parse_graph(serialize_graph(s237))
+    ref = is_rational(s237)
+    runs = _count_runs(monkeypatch)
+    z, seq = laufer.z_min(g)
+    assert z == seq.final == ref.z_min and len(runs) == 1
+    z["c"] = 0
+    seq.final.clear()
+    assert is_rational(g) == ref and len(runs) == 1
+    laufer.z_min(g, random.Random(0))
+    assert is_rational(g) == ref and len(runs) == 2
+
+
 def test_certificate_run_counts(monkeypatch):
     # the builder used to run 23 Laufer sequences on this graph, 3 of them
     # the same run frozen at m1 on the 10-vertex root: for m <= 1, for the
@@ -199,4 +224,8 @@ def test_failed_checks_store_no_verdict(text):
     for _ in range(2):
         with pytest.raises(GraphStructureError):
             is_rational(g)
-    assert g._rationality is None
+    assert g._stabilized is None
+    for query in (laufer.z_min, laufer.zmin_multiplicities, lambda g: is_bad_set(g, [])):
+        with pytest.raises(GraphStructureError):
+            query(g)
+    assert g._stabilized is None

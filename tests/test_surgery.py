@@ -31,13 +31,12 @@ from plumbcalc.surgery import (
     attach_string,
     certificate_from_json,
     certificate_to_json,
-    cf_eval,
     check_certificate,
     cut_and_fill,
     lo_certificate,
-    negative_cf,
     semidef_decompose,
 )
+from plumbcalc.seifert import cf_eval, negative_cf
 
 from conftest import certify_inputs, make_star
 from oracles import cf_eval_convergents
