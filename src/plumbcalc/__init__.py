@@ -41,7 +41,6 @@ from .lattice import (
     determinant,
     intersection_form,
     is_negative_definite,
-    pairing,
 )
 from .laufer import (
     ComputationSequence,

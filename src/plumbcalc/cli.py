@@ -41,7 +41,9 @@ def _load_graph(path: str) -> PlumbingGraph:
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2))
+    # written as it is encoded: a long step table is never held as one text
+    json.dump(data, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _bool_str(value) -> str:

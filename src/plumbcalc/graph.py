@@ -51,17 +51,20 @@ class PlumbingGraph:
 
     ``weights`` maps vertex id to its exact rational decoration; ``edges``
     is any iterable of id pairs.  Construction validates the forest
-    invariants: no self-loops, no multi-edges, no cycles.  A weight with
+    invariants (no self-loops, no multi-edges, no cycles) in one pass: the
+    component search fills ``_comps``, and a graph is a forest iff it has
+    |V| - #components distinct edges.  Only a faulty edge list is checked
+    again, edge by edge, to report its first fault.  A weight with
     denominator 1 is stored as an ``int``, any other as a ``Fraction``.
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
-    (D, P) pass, ``_comps`` the component vertex sets, and ``_stabilized``
-    the Laufer runs with the least-id tie-break, keyed by the frozen set of
-    each run: the weights ``laufer.stabilize`` lowers and the verdict, the
-    empty set holding the graph's own verdict.  Only ``rng=None`` verdicts
-    are stored, because the jump witness of a seeded run depends on the
-    draws of that run's generator.
+    (D, P) pass, and ``_stabilized`` the Laufer runs with the least-id
+    tie-break, keyed by the frozen set of each run: the weights
+    ``laufer.stabilize`` lowers and the verdict, the empty set holding the
+    graph's own verdict.  Only ``rng=None`` verdicts are stored, because
+    the jump witness of a seeded run depends on the draws of that run's
+    generator.
     """
 
     __slots__ = (
@@ -80,45 +83,32 @@ class PlumbingGraph:
             if not isinstance(v, str) or not _ID_RE.fullmatch(v):
                 raise GraphStructureError(f"invalid vertex id {v!r}")
             if type(w) is not int:
-                w = Fraction(w)
+                if type(w) is not Fraction:
+                    w = Fraction(w)
                 if w.denominator == 1:
                     w = w.numerator
                 else:
                     integral = False
             ws[v] = w
+        edges = tuple(edges)
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in ws}
-        parent = {v: v for v in ws}  # union-find for cycle detection
-
-        def find(x: VertexId) -> VertexId:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        eset: set[tuple[VertexId, VertexId]] = set()
-        for a, b in edges:
-            if a == b:
-                raise GraphStructureError(f"loop at vertex {a!r}")
-            if a not in ws or b not in ws:
-                missing = a if a not in ws else b
-                raise GraphStructureError(f"edge to undeclared vertex {missing!r}")
-            e = _normalize_edge(a, b)
-            if e in eset:
-                raise GraphStructureError(f"multi-edge between {a!r} and {b!r}")
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise GraphStructureError(f"cycle detected through edge {a!r}-{b!r}")
-            parent[ra] = rb
-            eset.add(e)
-            adj[a].append(b)
-            adj[b].append(a)
+        try:
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+        except (KeyError, TypeError, ValueError):  # an undeclared or malformed end
+            _raise_edge_fault(ws, edges)
+            raise
         self._weights = ws
-        self._edges = frozenset(eset)
+        self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
+        self._comps = tuple(_components(self, set(), set()))
+        if not len(self._edges) == len(edges) == len(ws) - len(self._comps):
+            _raise_edge_fault(ws, edges)
         self._integral = integral
         self._hash: int | None = None
-        self._dp = self._comps = self._stabilized = None
+        self._dp = self._stabilized = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,9 +173,35 @@ class PlumbingGraph:
 
     def component_vertex_sets(self) -> list[frozenset[VertexId]]:
         """Connected components as vertex sets, sorted by least member."""
-        if self._comps is None:
-            self._comps = tuple(_components(self, set(), set()))
         return list(self._comps)
+
+
+def _raise_edge_fault(ws: Mapping, edges: Sequence) -> None:
+    """Raise the error of the first faulty edge, checking each edge in turn
+    for a loop, an undeclared end, a repeat and a cycle (by union-find)."""
+    parent = {v: v for v in ws}
+
+    def find(x: VertexId) -> VertexId:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    eset: set[tuple[VertexId, VertexId]] = set()
+    for a, b in edges:
+        if a == b:
+            raise GraphStructureError(f"loop at vertex {a!r}")
+        if a not in ws or b not in ws:
+            missing = a if a not in ws else b
+            raise GraphStructureError(f"edge to undeclared vertex {missing!r}")
+        e = _normalize_edge(a, b)
+        if e in eset:
+            raise GraphStructureError(f"multi-edge between {a!r} and {b!r}")
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise GraphStructureError(f"cycle detected through edge {a!r}-{b!r}")
+        parent[ra] = rb
+        eset.add(e)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +211,13 @@ class PlumbingGraph:
 
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format; all errors carry line numbers."""
-    weights: dict[VertexId, Fraction] = {}
+    weights: dict[VertexId, Fraction | int] = {}
     edges: list[tuple[VertexId, VertexId]] = []
     seen: set[tuple[VertexId, VertexId]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 3:
                 raise ParseError("expected 'vertex <id> <weight>'", lineno)
@@ -212,7 +227,7 @@ def parse_graph(text: str) -> PlumbingGraph:
             if vid in weights:
                 raise ParseError(f"duplicate vertex {vid!r}", lineno)
             try:
-                weights[vid] = parse_fraction(wtext)
+                weights[vid] = _parse_weight(wtext)
             except ValueError:
                 raise ParseError(f"invalid weight {wtext!r}", lineno) from None
         elif parts[0] == "edge":
@@ -221,10 +236,10 @@ def parse_graph(text: str) -> PlumbingGraph:
             _, a, b = parts
             if a == b:
                 raise ParseError(f"loop at vertex {a!r}", lineno)
-            for vid in (a, b):
-                if vid not in weights:
-                    raise ParseError(f"edge to undeclared vertex {vid!r}", lineno)
-            e = _normalize_edge(a, b)
+            if a not in weights or b not in weights:
+                missing = a if a not in weights else b
+                raise ParseError(f"edge to undeclared vertex {missing!r}", lineno)
+            e = (a, b) if a < b else (b, a)
             if e in seen:
                 raise ParseError(f"multi-edge between {a!r} and {b!r}", lineno)
             seen.add(e)
@@ -240,9 +255,14 @@ def parse_graph(text: str) -> PlumbingGraph:
 def parse_fraction(text: str) -> Fraction:
     """An integer or ``p/q`` in ASCII digits with q > 0, the form that
     ``str(Fraction)`` writes; anything else raises ``ValueError``."""
+    return Fraction(_parse_weight(text))
+
+
+def _parse_weight(text: str) -> Fraction | int:
+    """``parse_fraction``, but an integer string gives an ``int``."""
     if not isinstance(text, str) or not _FRACTION_RE.fullmatch(text):
         raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")
-    return Fraction(text)  # ValueError past the interpreter's digit limit
+    return Fraction(text) if "/" in text else int(text)  # raises past the digit limit
 
 
 def serialize_graph(g: PlumbingGraph) -> str:

@@ -68,33 +68,12 @@ def _check_support(g: PlumbingGraph, cyc: Mapping) -> None:
             raise GraphStructureError(f"cycle supported on foreign vertex {v!r}")
 
 
-def pairing(g: PlumbingGraph, a: Mapping, b: Mapping) -> Fraction:
-    """Exact value of a^T I b."""
-    _check_support(g, a)
-    _check_support(g, b)
-    total = Fraction(0)
-    for v, av in a.items():
-        if av:
-            bv = b.get(v, 0)
-            if bv:
-                total += g.weight(v) * av * bv
-    for u, w in g.edges:
-        au, aw = a.get(u, 0), a.get(w, 0)
-        bu, bw = b.get(u, 0), b.get(w, 0)
-        total += au * bw + aw * bu
-    return Fraction(total)
-
-
 def _post_order(g: PlumbingGraph) -> list[tuple[VertexId, VertexId | None]]:
     """(vertex, parent) pairs, children before parents, per component; each
     component is rooted at its least vertex."""
-    seen: set[VertexId] = set()
     order: list[tuple[VertexId, VertexId | None]] = []
-    for start in g.vertices:
-        if start not in seen:
-            pre = rooted_preorder(g, start)
-            seen.update(v for v, _ in pre)
-            order.extend(reversed(pre))
+    for comp in g.component_vertex_sets():
+        order.extend(reversed(rooted_preorder(g, min(comp))))
     return order
 
 

@@ -14,7 +14,9 @@ bad-set verdict has the two-run route: lower the weights, build the graph
 afresh and run Laufer on it.  chi comes from the canonical cycle, solved
 from the adjunction relations, in place of the adjunction sum.  The
 monotonicity spot checks of the induction live here too, as no verdict
-needs them.
+needs them, and so does the pairing a^T I b, which only the tests use.
+The constructor's forest checks have their route of one loop over the
+edges with a union-find, where the constructor counts components.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import ceil, gcd
 
 from plumbcalc.errors import GraphStructureError, InternalCheckError
 from plumbcalc.graph import (
+    _ID_RE,
     PlumbingGraph,
     blow_down,
     canonical_code,
@@ -36,7 +39,7 @@ from plumbcalc.graph import (
     subgraph,
     with_weight,
 )
-from plumbcalc.lattice import canonical_cycle, determinant, intersection_form, pairing
+from plumbcalc.lattice import _check_support, canonical_cycle, determinant, intersection_form
 from plumbcalc.laufer import (
     DEFAULT_BAD_SET_CAP,
     is_bad_set,
@@ -44,6 +47,62 @@ from plumbcalc.laufer import (
     min_bad,
     zmin_multiplicities,
 )
+
+
+def reference_build(weights, edges):
+    """The forest checks of the constructor as one loop over the edges,
+    with a union-find for cycles: the (normalized weights, edge set, sorted
+    adjacency) of the graph, or the first fault's ``GraphStructureError``."""
+    ws = {}
+    for v, w in weights.items():
+        if not isinstance(v, str) or not _ID_RE.fullmatch(v):
+            raise GraphStructureError(f"invalid vertex id {v!r}")
+        w = Fraction(w)
+        ws[v] = w.numerator if w.denominator == 1 else w
+    adj = {v: [] for v in ws}
+    parent = {v: v for v in ws}  # union-find for cycle detection
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    eset = set()
+    for a, b in edges:
+        if a == b:
+            raise GraphStructureError(f"loop at vertex {a!r}")
+        if a not in ws or b not in ws:
+            missing = a if a not in ws else b
+            raise GraphStructureError(f"edge to undeclared vertex {missing!r}")
+        e = (a, b) if a < b else (b, a)
+        if e in eset:
+            raise GraphStructureError(f"multi-edge between {a!r} and {b!r}")
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise GraphStructureError(f"cycle detected through edge {a!r}-{b!r}")
+        parent[ra] = rb
+        eset.add(e)
+        adj[a].append(b)
+        adj[b].append(a)
+    return ws, frozenset(eset), {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+def pairing(g: PlumbingGraph, a, b) -> Fraction:
+    """Exact value of a^T I b."""
+    _check_support(g, a)
+    _check_support(g, b)
+    total = Fraction(0)
+    for v, av in a.items():
+        if av:
+            bv = b.get(v, 0)
+            if bv:
+                total += g.weight(v) * av * bv
+    for u, w in g.edges:
+        au, aw = a.get(u, 0), a.get(w, 0)
+        bu, bw = b.get(u, 0), b.get(w, 0)
+        total += au * bw + aw * bu
+    return Fraction(total)
 
 
 def matrix_of(g: PlumbingGraph, sign: int = -1) -> list[list[Fraction]]:

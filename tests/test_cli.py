@@ -120,6 +120,28 @@ def test_zmin_and_sequence(s237_file, capsys):
     assert "rational: no" in out
 
 
+class _Writes(io.StringIO):
+    """A stdout that keeps the length of its longest single write."""
+
+    longest = 0
+
+    def write(self, s):
+        self.longest = max(self.longest, len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("command", ["zmin", "sequence"])
+def test_json_is_written_as_it_is_encoded(s237_file, command):
+    # a long run's step table is never held as one text: each write is a
+    # short piece, and together they are the indented dump
+    out = _Writes()
+    with redirect_stdout(out):
+        assert main([command, s237_file, "--json"]) == 0
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert out.longest < 40 and len(text) > 1000
+
+
 def test_bad(s237_file, capsys):
     assert main(["bad", s237_file, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

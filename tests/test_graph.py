@@ -19,6 +19,7 @@ from plumbcalc.graph import (
     is_minimal,
     minimize,
     nodes,
+    parse_fraction,
     parse_graph,
     serialize_graph,
     subgraph,
@@ -28,7 +29,7 @@ from plumbcalc.graph import (
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
-from oracles import pruefer_trees, reference_minimize
+from oracles import pruefer_trees, reference_build, reference_minimize
 
 
 def random_tree(rng: random.Random, n: int, wmin: int = -5) -> PlumbingGraph:
@@ -56,8 +57,11 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_parse_fractional_weight():
-    g = parse_graph("vertex a -7/2")
-    assert g.weight("a") == Fraction(-7, 2)
+    g = parse_graph("vertex a -7/2\nvertex b -4/2\nvertex c +3")
+    assert g.weight("a") == Fraction(-7, 2) and type(g.weight("a")) is Fraction
+    assert g.weight("b") == -2 and type(g.weight("b")) is int
+    assert g.weight("c") == 3 and type(g.weight("c")) is int
+    assert type(parse_fraction("-3")) is Fraction and parse_fraction("-3") == -3
 
 
 @pytest.mark.parametrize(
@@ -159,6 +163,56 @@ def test_slope_weights_stay_fraction():
     assert [type(up.weight(v)) for v in ("b", "b1")] == [int, int]
     assert up.has_integer_weights() is False
     assert with_weight(g, "a", -4).has_integer_weights()
+    slope = Fraction(-5, 3)
+    assert PlumbingGraph({"a": slope}).weight("a") is slope
+
+
+_IDS = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def _weights_and_edges(draw):
+    """Weights on some of a few ids and an edge list: a random forest on
+    them with loops, repeated or reversed edges, edges to undeclared ids
+    and cycles put in at random places."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, unique=True))
+    forms = st.sampled_from([-2, Fraction(-4, 2), Fraction(-7, 2), "-3", "5/3", True])
+    weights = {v: draw(forms) for v in ids}
+    parent = {v: draw(st.sampled_from(ids[:i])) for i, v in enumerate(ids) if i}
+    parent = {v: p for v, p in parent.items() if draw(st.booleans())}
+    edges = list(parent.items())
+    anywhere = st.sampled_from([*_IDS, "x"])
+    faults = draw(st.lists(st.tuples(anywhere, anywhere), max_size=1))
+    chords = []  # from each vertex to its ancestors two or more edges up
+    for v, p in parent.items():
+        while p in parent:
+            p = parent[p]
+            chords.append((v, p))
+    for kind, most in ((edges, 1), (chords, 2)):
+        if kind:  # repeats, then chords that close a cycle, either way round
+            picked = draw(st.lists(st.sampled_from(kind), max_size=most))
+            faults += [e if draw(st.booleans()) else e[::-1] for e in picked]
+    for e in faults:
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    return weights, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(_weights_and_edges(), st.booleans())
+def test_constructor_matches_reference_build(case, one_shot):
+    weights, edges = case
+    passed = iter(edges) if one_shot else edges
+    try:
+        ws, es, adj = reference_build(weights, edges)
+    except GraphStructureError as exc:
+        with pytest.raises(GraphStructureError) as err:
+            PlumbingGraph(weights, passed)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    g = PlumbingGraph(weights, passed)
+    assert g.weights() == ws and set(g.edges) == es
+    assert [type(w) for w in g.weights().values()] == [type(w) for w in ws.values()]
+    assert {v: g.neighbors(v) for v in g.vertices} == adj
 
 
 def test_valency(s237):

@@ -14,7 +14,6 @@ from plumbcalc.lattice import (
     definiteness,
     determinant,
     intersection_form,
-    pairing,
     solve_intersection_form,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     oracle_det,
     oracle_is_negative_definite,
     oracle_is_negative_semidefinite,
+    pairing,
     reference_chi,
 )
 from plumbcalc.census import census_graphs

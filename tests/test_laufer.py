@@ -6,7 +6,6 @@ import pytest
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph, with_weight
-from plumbcalc.lattice import pairing
 from plumbcalc.laufer import (
     is_bad_set,
     is_rational,
@@ -19,6 +18,7 @@ from plumbcalc.laufer import (
 from oracles import (
     monotonicity_report,
     oracle_zmin,
+    pairing,
     reference_bad_verdict,
     reference_chi,
     reference_laufer_run,

@@ -17,7 +17,7 @@ import pytest
 from plumbcalc import cli, lattice, laufer
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, serialize_graph
+from plumbcalc.graph import PlumbingGraph, _components, nodes, parse_graph, serialize_graph
 from plumbcalc.lattice import definiteness, determinant
 from plumbcalc.laufer import is_bad_set, is_rational, stabilize
 from plumbcalc.surgery import (
@@ -43,6 +43,8 @@ def _facts(g: PlumbingGraph) -> list:
 
 
 def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
+    # the components are stored at construction: the search run afresh
+    assert list(g._comps) == _components(g, set(), set())
     first = _facts(g)
     assert _facts(g) == first
     assert _facts(parse_graph(serialize_graph(g))) == first
