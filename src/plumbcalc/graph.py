@@ -53,23 +53,27 @@ class PlumbingGraph:
     is any iterable of id pairs.  Construction validates the forest
     invariants (no self-loops, no multi-edges, no cycles) in one pass: the
     component search fills ``_comps``, and a graph is a forest iff it has
-    |V| - #components distinct edges.  Only a faulty edge list is checked
-    again, edge by edge, to report its first fault.  A weight with
-    denominator 1 is stored as an ``int``, any other as a ``Fraction``.
+    |V| - #components distinct edges.  The same search leaves ``_order``,
+    the (vertex, parent) pairs of each component rooted at its least
+    vertex, parents first: the one rooted order that the tree passes read.
+    Only a faulty edge list is checked again, edge by edge, to report its
+    first fault.  A weight with denominator 1 is stored as an ``int``, any
+    other as a ``Fraction``.
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
     (D, P) pass, and ``_stabilized`` the Laufer runs with the least-id
-    tie-break, keyed by the frozen set of each run: the weights
-    ``laufer.stabilize`` lowers and the verdict, the empty set holding the
-    graph's own verdict.  Only ``rng=None`` verdicts are stored, because
-    the jump witness of a seeded run depends on the draws of that run's
+    tie-break, keyed by the frozen set of each run: the first jump of a run
+    that stopped there, or the weights ``laufer.stabilize`` lowers, the end
+    cycle, the first jump and chi of the end cycle, the empty set holding
+    the graph's own run.  Only ``rng=None`` runs are stored, because the
+    jump witness of a seeded run depends on the draws of that run's
     generator.
     """
 
     __slots__ = (
         "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_comps", "_stabilized",
+        "_dp", "_comps", "_order", "_stabilized",
     )
 
     def __init__(
@@ -103,7 +107,8 @@ class PlumbingGraph:
         self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
-        self._comps = tuple(_components(self, set(), set()))
+        self._order: list[tuple[VertexId, VertexId | None]] = []
+        self._comps = tuple(_components(self, set(), set(), self._order))
         if not len(self._edges) == len(edges) == len(ws) - len(self._comps):
             _raise_edge_fault(ws, edges)
         self._integral = integral
@@ -299,15 +304,6 @@ def nodes(g: PlumbingGraph) -> tuple[VertexId, ...]:
     return tuple(v for v in g.vertices if g.degree(v) >= 3)
 
 
-def with_weight(g: PlumbingGraph, v: VertexId, w: Fraction | int) -> PlumbingGraph:
-    """Copy of ``g`` with the decoration of ``v`` replaced."""
-    ws = g.weights()
-    if v not in ws:
-        raise GraphStructureError(f"unknown vertex {v!r}")
-    ws[v] = w
-    return PlumbingGraph(ws, g.edges)
-
-
 def blow_up_edge(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> PlumbingGraph:
     """Subdivide edge ``e`` by a fresh (-1)-vertex, dropping both endpoint
     weights by 1.  Preserves det and the definiteness verdict."""
@@ -434,11 +430,16 @@ def delete_components(
 
 
 def _components(
-    g: PlumbingGraph, vs: set[VertexId], es: set[tuple[VertexId, VertexId]]
+    g: PlumbingGraph,
+    vs: set[VertexId],
+    es: set[tuple[VertexId, VertexId]],
+    order: list | None = None,
 ) -> list[frozenset[VertexId]]:
     """Components of ``g`` without the vertices ``vs`` and the normalized
     edges ``es``.  Each search starts at the least vertex not yet reached,
-    so the components come sorted by least member."""
+    so the components come sorted by least member.  ``order``, if given,
+    gets the (vertex, parent) pair of each vertex as it is reached, so
+    parents come first and each component's pairs are contiguous."""
     seen = set(vs)
     comps: list[frozenset[VertexId]] = []
     for start in g.vertices:
@@ -446,6 +447,8 @@ def _components(
             continue
         seen.add(start)
         stack, comp = [start], [start]
+        if order is not None:
+            order.append((start, None))
         while stack:
             u = stack.pop()
             for w in g._adj[u]:
@@ -453,6 +456,8 @@ def _components(
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
+                    if order is not None:
+                        order.append((w, u))
         comps.append(frozenset(comp))
     return comps
 
@@ -539,8 +544,8 @@ def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
     if len(g) == 0:
         raise GraphStructureError("empty graph has no centroid")
     n = len(g)
-    # subtree sizes via one rooted pass, then max-component sizes
-    order = rooted_preorder(g, g.vertices[0])
+    # subtree sizes via the rooted order, then max-component sizes
+    order = g._order
     size = {v: 1 for v in g.vertices}
     for v, p in reversed(order):
         if p is not None:

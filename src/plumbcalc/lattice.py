@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
-from .graph import PlumbingGraph, VertexId, rooted_preorder
+from .graph import PlumbingGraph, VertexId
 
 Cycle = Mapping[VertexId, int]
 QCycle = Mapping[VertexId, Fraction]
@@ -69,12 +69,9 @@ def _check_support(g: PlumbingGraph, cyc: Mapping) -> None:
 
 
 def _post_order(g: PlumbingGraph) -> list[tuple[VertexId, VertexId | None]]:
-    """(vertex, parent) pairs, children before parents, per component; each
-    component is rooted at its least vertex."""
-    order: list[tuple[VertexId, VertexId | None]] = []
-    for comp in g.component_vertex_sets():
-        order.extend(reversed(rooted_preorder(g, min(comp))))
-    return order
+    """(vertex, parent) pairs, children before parents; each component is
+    rooted at its least vertex: the graph's rooted order, reversed."""
+    return g._order[::-1]
 
 
 def combine(s, prod, d, p):

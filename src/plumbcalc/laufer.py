@@ -9,10 +9,17 @@ basis vector with positive pairing:
 
 The end cycle is Z_min regardless of the choices of v(i), and the graph
 is Artin-rational iff every step has pairing value exactly 1 (a step with
-value >= 2 is a "jump").  We cross-check against Artin's criterion
-chi(Z_min) >= 1 on every call; a disagreement is an internal error.
-Every l_i stays <= Z_min, so a run takes sum_v Z_min_v - n steps, each
-O(deg log n) with the worklist of ``_run``; no step count is capped.
+value >= 2 is a "jump").  Every l_i stays <= Z_min, so a full run takes
+sum_v Z_min_v - n steps, each O(deg log n) with the worklist of ``_run``;
+no step count is capped.  A verdict needs no more than the first jump: on
+a tree chi(l_0) = 1 and chi(l + E_v) = chi(l) + 1 - (l, E_v), so the cycle
+just after a first jump of value k has chi = 2 - k <= 0, and by Artin's
+criterion (rational iff chi(l) >= 1 for every l > 0) the graph is not
+rational.  So a run for a verdict stops there, and costs O(n) plus the
+steps up to its first jump; a rational graph's run still goes on to Z_min.
+Every verdict is cross-checked against Artin: chi, computed from scratch,
+is <= 0 on the cycle after the jump, or >= 1 on Z_min when no step jumps;
+a disagreement is an internal error.
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
 down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
@@ -30,9 +37,12 @@ pairing of a vertex off B does not involve the weights of B.  So both runs
 see the same positive vertices off B and none on B, pick the same vertex
 at every step, and end together, at Z_min(g') = Y with the same first
 jump.  Hence one frozen run gives the least-id verdict of g', and with
-B empty the frozen run is the plain run: ``_stabilized`` runs, cross-checks
+B empty the frozen run is the plain run: ``_stored`` runs, cross-checks
 and stores every least-id run, once per (graph, frozen set), and the
-empty set holds the graph's own verdict.
+empty set holds the graph's own verdict.  A run made for the verdict
+alone stops at its first jump and is stored as that jump; a caller that
+needs the end cycle Y (``stabilize``, Z_min, the lowered weights) runs
+it once more to the end and stores it in its place.
 """
 
 from __future__ import annotations
@@ -72,12 +82,49 @@ class JumpWitness:
     value: int
 
 
-@dataclass(frozen=True)
 class RationalityVerdict:
-    rational: bool
-    jump: JumpWitness | None
-    z_min: dict[VertexId, int]
-    chi_zmin: Fraction
+    """Laufer's verdict: ``rational``, and ``jump``, the first step of value
+    >= 2 in the run taken (None when the graph is rational).
+
+    ``z_min``, the end cycle of the run, and ``chi_zmin``, chi of it, are
+    computed on first read when the verdict comes from the store of least-id
+    runs, which keeps only the jump of a run that stopped there: one full,
+    cross-checked run, stored on the graph.  For the verdict of a frozen
+    set B (the stabilized graph's, see the module docstring) they are Y and
+    chi(Y).  Equality compares all four fields.
+    """
+
+    __slots__ = ("rational", "jump", "_end", "_source")
+
+    def __init__(self, rational, jump, z_min=None, chi_zmin=None, source=None):
+        self.rational = rational
+        self.jump = jump
+        self._end = None if source else (z_min, chi_zmin)
+        self._source = source  # (graph, frozen set) of a stored run
+
+    def _read_end(self) -> tuple[dict[VertexId, int], Fraction]:
+        if self._end is None:
+            _, y, _, chi_y = _stored(*self._source, full=True)
+            self._end, self._source = (dict(y), chi_y), None
+        return self._end
+
+    @property
+    def z_min(self) -> dict[VertexId, int]:
+        return self._read_end()[0]
+
+    @property
+    def chi_zmin(self) -> Fraction:
+        return self._read_end()[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalityVerdict):
+            return NotImplemented
+        return (self.rational, self.jump, self.z_min, self.chi_zmin) == (
+            other.rational, other.jump, other.z_min, other.chi_zmin
+        )
+
+    def __repr__(self) -> str:
+        return f"RationalityVerdict(rational={self.rational}, jump={self.jump})"
 
 
 def _check_laufer_input(g: PlumbingGraph) -> None:
@@ -93,12 +140,18 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
         )
 
 
-def _run(g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=()):
-    """The computation sequence from l_0 = sum_v E_v.  ``pos`` holds the
-    sorted ranks (positions in ``g.vertices``) of the vertices with positive
-    pairing; a step updates only the stepped vertex and its neighbours, and
-    ``pos[0]`` or ``rng.choice(pos)`` picks what a full rescan in id order
-    would pick, with the same random draws.  ``frozen`` vertices never step."""
+def _run(
+    g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=(),
+    stop: bool = False,
+):
+    """The computation sequence from l_0 = sum_v E_v: (end cycle, recorded
+    steps, first jump).  ``pos`` holds the sorted ranks (positions in
+    ``g.vertices``) of the vertices with positive pairing; a step updates
+    only the stepped vertex and its neighbours, and ``pos[0]`` or
+    ``rng.choice(pos)`` picks what a full rescan in id order would pick,
+    with the same random draws.  ``frozen`` vertices never step.  With
+    ``stop`` the run ends just after its first jump, and the cycle returned
+    is the one that step reached."""
     vs = g.vertices
     rank = {v: i for i, v in enumerate(vs)}
     ws = g.weights()
@@ -115,9 +168,11 @@ def _run(g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=()):
         val = pair[i]
         if record:
             steps.append(LauferStep(dict(zip(vs, mult)), vs[i], val))
+        mult[i] += 1
         if first_jump is None and val >= 2:
             first_jump = JumpWitness(count, vs[i], val)
-        mult[i] += 1
+            if stop:
+                break
         pair[i] += weights[i]
         if pair[i] <= 0:
             del pos[bisect_left(pos, i)]
@@ -137,50 +192,49 @@ def z_min(
     ``rng`` randomizes the tie-break among positive-pairing vertices (used
     by the choice-independence property tests); the default picks the
     smallest vertex id, which makes golden tests deterministic, and its
-    run's verdict is cross-checked and stored on ``g`` like ``is_rational``'s.
+    run is cross-checked and stored on ``g`` like ``is_rational``'s.
     """
     _check_laufer_input(g)
     mult, steps, jump = _run(g, rng, record=True)
     if rng is None:
-        _stabilized(g, _PLAIN, (dict(mult), jump))
+        _stored(g, _PLAIN, run=(dict(mult), jump))
     return mult, ComputationSequence(tuple(steps), dict(mult))
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
-    """Z_min without step recording: the stored least-id verdict's."""
-    return is_rational(g).z_min
+    """Z_min without step recording: the stored least-id run's."""
+    _check_laufer_input(g)
+    return dict(_stored(g, _PLAIN, full=True)[1])
 
 
 def is_rational(
     g: PlumbingGraph, rng: random.Random | None = None
 ) -> RationalityVerdict:
-    """Rationality via Laufer jumps, cross-checked against chi(Z_min) >= 1.
+    """Rationality via Laufer jumps, cross-checked against Artin.
 
     The boolean is tie-break independent; the jump witness reports the
     first value >= 2 in the run actually taken.  The ``rng=None`` verdict
-    is the one stored on ``g``; a seeded run neither reads nor writes it.
+    comes from the store on ``g``, and its run stops at the first jump (see
+    ``RationalityVerdict`` for Z_min); a seeded run neither reads nor
+    writes the store, and runs to Z_min.
     """
     _check_laufer_input(g)
     if rng is None:
-        return _stabilized(g, _PLAIN)[1]
+        return _verdict(g, _PLAIN)
     mult, _, jump = _run(g, rng, record=False)
-    return _cross_checked(g, mult, jump)
+    return RationalityVerdict(jump is None, jump, mult, _artin(g, mult, jump, False))
 
 
-def _fresh(v: RationalityVerdict) -> RationalityVerdict:
-    """A stored verdict with a Z_min of its own, for a caller to keep."""
-    return RationalityVerdict(v.rational, v.jump, dict(v.z_min), v.chi_zmin)
-
-
-def _cross_checked(g, mult, jump) -> RationalityVerdict:
-    """The verdict of a run on ``g`` ending at ``mult``, with Laufer checked
-    against Artin."""
-    chi_z = chi(g, mult)
-    if (jump is None) != (chi_z >= 1):
+def _artin(g, cyc, jump, stopped: bool) -> Fraction:
+    """chi(cyc) on ``g``, checked against the Laufer verdict of a run that
+    reached ``cyc``: <= 0 just after the first jump of a stopped run, and
+    >= 1 iff no step jumped at the end of a full run."""
+    chi_l = chi(g, cyc)
+    if not (chi_l <= 0 if stopped else (jump is None) == (chi_l >= 1)):
         raise InternalCheckError(
-            f"Laufer ({jump}) and Artin (chi={chi_z}) criteria disagree"
+            f"Laufer ({jump}) and Artin (chi={chi_l}) criteria disagree"
         )
-    return RationalityVerdict(jump is None, jump, mult, chi_z)
+    return chi_l
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +251,51 @@ def _checked_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> frozenset:
     return bad
 
 
-def _stabilized(
-    g: PlumbingGraph, bad: frozenset, run=None
-) -> tuple[dict[VertexId, int], RationalityVerdict]:
-    """The weights of ``bad`` that stabilizing lowers, and the least-id
-    verdict of the stabilized graph, on a graph known to pass
-    ``_check_laufer_input``.  One frozen run gives both (the lemma of the
-    module docstring); with ``bad`` empty nothing is lowered and the verdict
-    is the graph's own.  They are stored on ``g`` by ``bad``, and each call
-    gets its own copies.  ``run``, the (end cycle, first jump) of a least-id
-    run the caller has already made, is stored in place of a new run."""
+def _stored(g: PlumbingGraph, bad: frozenset, full: bool = False, run=None):
+    """The least-id run of ``g`` with ``bad`` frozen, on a graph known to
+    pass ``_check_laufer_input``: its first jump when the run stopped there,
+    else (weights of ``bad`` that stabilizing lowers, end cycle Y, first
+    jump, chi(Y)).  One frozen run gives both the lowered weights and the
+    stabilized graph's verdict (the lemma of the module docstring); with
+    ``bad`` empty nothing is lowered and the verdict is the graph's own.
+
+    Runs are stored on ``g`` by ``bad`` and cross-checked against Artin when
+    made.  A run stops at its first jump unless ``full`` asks for Y, which
+    runs a stopped entry again to the end.  ``run``, the (Y, first jump) of
+    a full least-id run the caller has already made, is stored in place of
+    a new run.  Callers must not change what is returned."""
     if g._stabilized is None:
         g._stabilized = {}
     hit = g._stabilized.get(bad)
-    if hit is None:
+    full = full or run is not None
+    if hit is None or full and type(hit) is JumpWitness:
         if run is None:
-            y, _, jump = _run(g, None, record=False, frozen=bad)
+            y, _, jump = _run(g, None, record=False, frozen=bad, stop=not full)
         else:
             y, jump = run
-        low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
-        drop = {v: w for v, w in low.items() if w < g.weight(v)}
-        # chi(Y) on g is chi(Y) on the lowered graph: Y is 1 on bad, and a
-        # vertex at multiplicity 1 adds -2 to (K, Y) + (Y, Y) whatever its
+        if hit is not None and hit != jump:
+            raise InternalCheckError(f"full run jumps at {jump}, stopped run at {hit}")
+        # chi(l) on g is chi(l) on the lowered graph: l is 1 on bad, and a
+        # vertex at multiplicity 1 adds -2 to (K, l) + (l, l) whatever its
         # weight
-        hit = g._stabilized[bad] = (drop, _cross_checked(g, y, jump))
-    drop, v = hit
-    return dict(drop), _fresh(v)
+        stopped = not full and jump is not None
+        chi_y = _artin(g, y, jump, stopped)
+        if stopped:
+            hit = jump
+        else:
+            low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
+            drop = {v: w for v, w in low.items() if w < g.weight(v)}
+            hit = (drop, y, jump, chi_y)
+        g._stabilized[bad] = hit
+    return hit
+
+
+def _verdict(g: PlumbingGraph, bad: frozenset) -> RationalityVerdict:
+    """The stored verdict of the run frozen at ``bad``, wrapped with ``g``
+    for a caller to keep: the store never holds the graph itself."""
+    hit = _stored(g, bad)
+    jump = hit if type(hit) is JumpWitness else hit[2]
+    return RationalityVerdict(jump is None, jump, source=(g, bad))
 
 
 def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
@@ -236,15 +309,15 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     and is the same.
 
     By the lemma of the module docstring the frozen run is the stabilized
-    graph's least-id run, so its verdict is stored on the graph returned,
-    under the empty set: ``is_rational`` on it runs no Laufer sequence
-    again.  The graph is built only when a weight drops; otherwise ``g``
-    itself is returned.
+    graph's least-id run, so it is stored on the graph returned, under the
+    empty set: ``is_rational`` on it runs no Laufer sequence again.  The
+    graph is built only when a weight drops; otherwise ``g`` itself is
+    returned.
     """
     bad = _checked_bad_set(g, bad)
-    drop, verdict = _stabilized(g, bad)
+    drop, y, jump, _ = _stored(g, bad, full=True)
     down = PlumbingGraph({**g.weights(), **drop}, g.edges) if drop else g
-    _stabilized(down, _PLAIN, (verdict.z_min, verdict.jump))
+    _stored(down, _PLAIN, run=(y, jump))
     return down
 
 
@@ -253,9 +326,10 @@ def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
 
     That is the verdict of ``stabilize(g, bad)``, which by the lemma of the
     module docstring is the verdict of the frozen run on ``g``: read from
-    that one run, stored on ``g``, with no graph built.
+    that one run, stopped at its first jump and stored on ``g``, with no
+    graph built.
     """
-    return _stabilized(g, _checked_bad_set(g, bad))[1].rational
+    return _verdict(g, _checked_bad_set(g, bad)).rational
 
 
 def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:

@@ -51,12 +51,11 @@ from .graph import (
     nodes,
     parse_fraction,
     parse_graph,
-    rooted_preorder,
     serialize_graph,
     subgraph,
 )
 from .lattice import _det_definiteness, definiteness, determinant, is_negative_definite
-from .laufer import _checked_bad_set, _stabilized, is_bad_set, is_rational, stabilize
+from .laufer import _checked_bad_set, _stored, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId):
     comps = delete_components(g, vertices=[v])
     if sum(1 for c in comps if c & gnodes) < 2:
         return None
-    drop, verdict = _stabilized(g, _checked_bad_set(g, [v]))
-    j = verdict.jump
+    drop, _, j, _ = _stored(g, _checked_bad_set(g, [v]), full=True)
     if j is None:
         return None, ()
     comp_of = {u: c for c in comps for u in c}
@@ -377,25 +375,23 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
-    g - e, from one rooted pass per component: an edge to a child
-    separates nodes when 0 < nodes below the child < nodes of the
-    component, and no edge does when some component holds no node."""
+    g - e, from the graph's rooted order: an edge to a child separates
+    nodes when 0 < nodes below the child < nodes of the component, and no
+    edge does when some component holds no node."""
     gnodes = set(nodes(g))
+    below = dict.fromkeys(g.vertices, 0)
+    for v, p in reversed(g._order):
+        below[v] += v in gnodes
+        if p is not None:
+            below[p] += below[v]
     out = set()
-    for comp in g.component_vertex_sets():
-        order = rooted_preorder(g, min(comp))
-        below = dict.fromkeys(comp, 0)
-        for v, p in reversed(order):
-            below[v] += v in gnodes
-            if p is not None:
-                below[p] += below[v]
-        total = below[order[0][0]]
-        if not total:
-            return set()
-        out.update(
-            (min(v, p), max(v, p))
-            for v, p in order[1:] if 0 < below[v] < total
-        )
+    for v, p in g._order:  # a component's pairs follow its root's
+        if p is None:
+            total = below[v]
+            if not total:
+                return set()
+        elif 0 < below[v] < total:
+            out.add((min(v, p), max(v, p)))
     return out
 
 

@@ -9,12 +9,15 @@ Pruefer sequences, and continued fractions from the convergent
 recurrence.  The Laufer run, the realizability search and the Brieskorn
 Seifert data also have plain reference versions that rescan everything,
 the Laufer run a second one with a last-in-first-out worklist, and
-``minimize`` has its blow-down loop that builds a graph per step.  The
+``minimize`` has its blow-down loop that builds a graph per step.  A
+verdict, which the library reads off a run stopped at its first jump, has
+the full-run route of a least-id run carried on to Z_min on a heap.  The
 bad-set verdict has the two-run route: lower the weights, build the graph
 afresh and run Laufer on it.  chi comes from the canonical cycle, solved
 from the adjunction relations, in place of the adjunction sum.  The
 monotonicity spot checks of the induction live here too, as no verdict
-needs them, and so does the pairing a^T I b, which only the tests use.
+needs them, and so do the pairing a^T I b and ``with_weight``, which only
+the tests use.
 The constructor's forest checks have their route of one loop over the
 edges with a union-find, where the constructor counts components.
 """
@@ -37,16 +40,32 @@ from plumbcalc.graph import (
     delete,
     nodes,
     subgraph,
-    with_weight,
 )
-from plumbcalc.lattice import _check_support, canonical_cycle, determinant, intersection_form
+from plumbcalc.lattice import (
+    _check_support,
+    canonical_cycle,
+    chi,
+    determinant,
+    intersection_form,
+)
 from plumbcalc.laufer import (
     DEFAULT_BAD_SET_CAP,
+    JumpWitness,
+    RationalityVerdict,
     is_bad_set,
     is_rational,
     min_bad,
     zmin_multiplicities,
 )
+
+
+def with_weight(g: PlumbingGraph, v, w) -> PlumbingGraph:
+    """Copy of ``g`` with the decoration of ``v`` replaced."""
+    ws = g.weights()
+    if v not in ws:
+        raise GraphStructureError(f"unknown vertex {v!r}")
+    ws[v] = w
+    return PlumbingGraph(ws, g.edges)
 
 
 def reference_build(weights, edges):
@@ -314,6 +333,36 @@ def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=()):
             pair[n] += 1
 
 
+def reference_verdict(g: PlumbingGraph, frozen=()) -> RationalityVerdict:
+    """The verdict of the least-id Laufer run carried on to its end, with
+    ``frozen`` vertices never stepping: the first jump, the end cycle and
+    chi of it.  The run keeps a heap of the vertices with positive pairing,
+    a stale entry dropped when it reaches the top, where the library keeps
+    a sorted list and stops at the first jump; unlike
+    ``reference_laufer_run`` it records no steps, so it serves runs of
+    millions of steps."""
+    weights = {v: int(g.weight(v)) for v in g.vertices}
+    mult = dict.fromkeys(g.vertices, 1)
+    pair = {v: weights[v] + g.degree(v) for v in g.vertices}
+    heap = [v for v in g.vertices if pair[v] > 0 and v not in frozen]  # sorted: a heap
+    jump, step = None, 0
+    while heap:
+        v = heap[0]
+        if pair[v] <= 0:
+            heapq.heappop(heap)
+            continue
+        if jump is None and pair[v] >= 2:
+            jump = JumpWitness(step, v, pair[v])
+        mult[v] += 1
+        pair[v] += weights[v]
+        for n in g.neighbors(v):
+            pair[n] += 1
+            if pair[n] == 1 and n not in frozen:
+                heapq.heappush(heap, n)
+        step += 1
+    return RationalityVerdict(jump is None, jump, mult, chi(g, mult))
+
+
 def reference_zmin_lifo(g: PlumbingGraph) -> dict[str, int]:
     """Z_min by a Laufer run that steps the vertex last turned positive: a
     stack of vertices, each pushed when its pairing reaches 1.  Another
@@ -378,17 +427,17 @@ def reference_stabilize(g: PlumbingGraph, bad) -> PlumbingGraph:
                 raise InternalCheckError("bad-set stabilization exceeded cap")
 
 
-def reference_bad_verdict(g: PlumbingGraph, bad):
+def reference_bad_verdict(g: PlumbingGraph, bad) -> RationalityVerdict:
     """The verdict of ``stabilize(g, bad)`` by two runs: a rescanning run
     with ``bad`` frozen at multiplicity 1 gives the lowered weights
     e'_v = min(e_v, -sum_{n~v} Y_n), the lowered graph is built afresh from
-    plain weights and edges, so nothing is stored on it, and Laufer runs on
-    it again."""
+    plain weights and edges, so nothing is stored on it, and
+    ``reference_verdict`` runs Laufer on it again, to its end."""
     y, _, _ = reference_laufer_run(g, frozen=set(bad))
     ws = g.weights()
     for v in bad:
         ws[v] = min(ws[v], -sum(y[n] for n in g.neighbors(v)))
-    return is_rational(PlumbingGraph(ws, g.edges))
+    return reference_verdict(PlumbingGraph(ws, g.edges))
 
 
 def reference_chi(g: PlumbingGraph, cyc) -> Fraction:

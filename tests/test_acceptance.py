@@ -23,7 +23,6 @@ from plumbcalc.graph import (
     is_minimal,
     nodes,
     subgraph,
-    with_weight,
 )
 from plumbcalc.lattice import chi, determinant, is_negative_definite
 from plumbcalc.laufer import is_rational, z_min, zmin_multiplicities
@@ -46,7 +45,7 @@ from plumbcalc.surgery import (
     lo_certificate,
 )
 
-from oracles import reference_chi
+from oracles import reference_chi, with_weight
 from test_surgery import _mutate, _walk
 
 

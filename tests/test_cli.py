@@ -62,6 +62,13 @@ def test_classify_run_past_a_million_steps(capsys):
     assert z == reference_zmin_lifo(g)
 
 
+def test_brieskorn_verdict_stops_at_the_first_jump(capsys):
+    # sum Z_min is 34,169,951 on this 110-vertex graph; the verdict needs
+    # the first jump only
+    assert main(["brieskorn", "1009", "1013", "1019"]) == 0
+    assert "rational=no" in capsys.readouterr().out
+
+
 def test_classify_json(s237_file, capsys):
     assert main(["classify", s237_file, "--json", "--with-badset"]) == 0
     data = json.loads(capsys.readouterr().out)

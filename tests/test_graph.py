@@ -24,12 +24,11 @@ from plumbcalc.graph import (
     serialize_graph,
     subgraph,
     valency,
-    with_weight,
 )
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
-from oracles import pruefer_trees, reference_build, reference_minimize
+from oracles import pruefer_trees, reference_build, reference_minimize, with_weight
 
 
 def random_tree(rng: random.Random, n: int, wmin: int = -5) -> PlumbingGraph:

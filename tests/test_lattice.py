@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.errors import GraphStructureError, SingularFormError
-from plumbcalc.graph import PlumbingGraph, parse_graph, with_weight
+from plumbcalc.graph import PlumbingGraph, parse_graph
 from plumbcalc.lattice import (
     DefinitenessKind,
     canonical_cycle,
@@ -26,6 +26,7 @@ from oracles import (
     oracle_is_negative_semidefinite,
     pairing,
     reference_chi,
+    with_weight,
 )
 from plumbcalc.census import census_graphs
 from plumbcalc.laufer import is_rational

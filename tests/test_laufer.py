@@ -1,12 +1,15 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from plumbcalc import laufer
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph, with_weight
+from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph
 from plumbcalc.laufer import (
+    JumpWitness,
     is_bad_set,
     is_rational,
     min_bad,
@@ -14,6 +17,7 @@ from plumbcalc.laufer import (
     z_min,
     zmin_multiplicities,
 )
+from plumbcalc.seifert import brieskorn_seifert, seifert_to_graph
 
 from oracles import (
     monotonicity_report,
@@ -23,6 +27,8 @@ from oracles import (
     reference_chi,
     reference_laufer_run,
     reference_stabilize,
+    reference_verdict,
+    with_weight,
 )
 
 
@@ -173,6 +179,41 @@ def test_rational_iff_chi_at_least_one(census6):
         verdict = is_rational(g)
         assert verdict.rational == (verdict.chi_zmin >= 1)
         assert verdict.rational == (verdict.jump is None)
+
+
+# -- verdicts stopped at the first jump ------------------------------------
+
+
+def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
+    # on a copy with nothing stored, each verdict comes from a run stopped at
+    # its first jump and stored as that jump alone; reading Z_min and chi
+    # runs it once more, to its end
+    h = PlumbingGraph(g.weights(), g.edges)
+    for bad in frozen_sets:
+        ref = reference_verdict(g, bad)
+        rational = is_bad_set(h, bad) if bad else is_rational(h).rational
+        verdict = laufer._verdict(h, bad)
+        assert rational == verdict.rational == ref.rational, (g, bad)
+        assert verdict.jump == ref.jump, (g, bad)
+        assert ref.rational or type(h._stabilized[bad]) is JumpWitness
+        assert verdict == ref, (g, bad)
+
+
+def test_stopped_verdicts_match_full_runs_on_census6(census6):
+    for g in census6:
+        sets = [frozenset()] + [frozenset({v}) for v in g.vertices]
+        _assert_stopped_verdicts_are_the_full_runs(g, sets)
+
+
+def _long_runs():
+    yield parse_graph(Path(__file__).with_name("long_run.graph").read_text())
+    for pqr in ((2, 3, 7), (97, 101, 103), (199, 201, 203)):
+        yield seifert_to_graph(brieskorn_seifert(*pqr))
+
+
+@pytest.mark.parametrize("g", _long_runs(), ids=["long_run", "237", "97_101_103", "199_201_203"])
+def test_stopped_verdicts_match_full_runs_on_long_runs(g):
+    _assert_stopped_verdicts_are_the_full_runs(g, [frozenset()])
 
 
 # -- bad vertices -----------------------------------------------------------

@@ -16,10 +16,12 @@ import pytest
 
 from plumbcalc import cli, lattice, laufer
 from plumbcalc.census import census_graphs
+from plumbcalc.classify import classify
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, _components, nodes, parse_graph, serialize_graph
 from plumbcalc.lattice import definiteness, determinant
 from plumbcalc.laufer import is_bad_set, is_rational, stabilize
+from plumbcalc.seifert import brieskorn_seifert, seifert_to_graph
 from plumbcalc.surgery import (
     certificate_from_json,
     certificate_to_json,
@@ -28,7 +30,7 @@ from plumbcalc.surgery import (
 )
 
 from conftest import certify_inputs, two_star_chain
-from oracles import reference_bad_verdict
+from oracles import reference_bad_verdict, reference_verdict
 
 
 def _facts(g: PlumbingGraph) -> list:
@@ -45,6 +47,18 @@ def _facts(g: PlumbingGraph) -> list:
 def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
     # the components are stored at construction: the search run afresh
     assert list(g._comps) == _components(g, set(), set())
+    # and so is the rooted order: every component in one run from its least
+    # vertex, each other vertex after its parent, along an edge
+    comps, seen = iter(g._comps), set()
+    for v, p in g._order:
+        if p is None:
+            comp = next(comps)
+            assert v == min(comp)
+        else:
+            assert p in seen and g.has_edge(v, p)
+        assert v in comp and v not in seen
+        seen.add(v)
+    assert len(seen) == len(g) and next(comps, None) is None
     first = _facts(g)
     assert _facts(g) == first
     assert _facts(parse_graph(serialize_graph(g))) == first
@@ -123,13 +137,15 @@ def test_certificate_pass_counts(monkeypatch):
 
 
 def _count_runs(monkeypatch) -> list:
-    """(vertex count, frozen set) of every Laufer run."""
+    """(vertex count, frozen set, asked to stop at the first jump, steps
+    taken) of every Laufer run."""
     runs = []
     run = laufer._run
 
-    def counted(g, rng, record, frozen=()):
-        runs.append((len(g), frozenset(frozen)))
-        return run(g, rng, record, frozen)
+    def counted(g, rng, record, frozen=(), stop=False):
+        out = run(g, rng, record, frozen, stop)
+        runs.append((len(g), frozenset(frozen), stop, sum(out[0].values()) - len(g)))
+        return out
 
     monkeypatch.setattr(laufer, "_run", counted)
     return runs
@@ -146,19 +162,40 @@ def test_one_pass_and_one_run_per_graph(monkeypatch, s237):
     assert len(runs) == 2
 
 
+def test_verdict_stops_at_the_first_jump(monkeypatch):
+    # the run of 374,228 steps jumps at its 20th step
+    g = seifert_to_graph(brieskorn_seifert(199, 201, 203))
+    runs = _count_runs(monkeypatch)
+    assert not is_rational(g).rational and is_rational(g).jump.step == 19
+    assert runs == [(61, frozenset(), True, 20)]
+
+
+def test_classify_runs_to_the_first_jump_only(monkeypatch, s237):
+    # tests/long_run.graph: 2 of its 1,181,702 steps
+    path = Path(__file__).with_name("long_run.graph")
+    g = parse_graph(path.read_text())
+    runs = _count_runs(monkeypatch)
+    assert classify(g).rational is False
+    assert runs == [(76, frozenset(), True, 2)]
+    runs.clear()
+    assert classify(parse_graph(serialize_graph(s237))).rational is False
+    assert runs == [(4, frozenset(), True, 1)]
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_zmin_command_runs_laufer_once(monkeypatch, capsys, flags):
-    # the recording run files its verdict, which the rationality line reads
+    # the recording run files its verdict, which the rationality line reads:
+    # one full run, and no run stopped at the first jump
     runs = _count_runs(monkeypatch)
     path = Path(__file__).resolve().parent.parent / "examples" / "s237.graph"
     assert cli.main(["zmin", str(path), *flags]) == 0
     assert "rational" in capsys.readouterr().out
-    assert runs == [(4, frozenset())]
+    assert runs == [(4, frozenset(), False, 8)]
 
 
 def test_recording_run_stores_the_verdict(monkeypatch, s237):
     g = parse_graph(serialize_graph(s237))
-    ref = is_rational(s237)
+    ref = reference_verdict(s237)
     runs = _count_runs(monkeypatch)
     z, seq = laufer.z_min(g)
     assert z == seq.final == ref.z_min and len(runs) == 1
@@ -172,11 +209,14 @@ def test_recording_run_stores_the_verdict(monkeypatch, s237):
 def test_certificate_run_counts(monkeypatch):
     # the builder used to run 23 Laufer sequences on this graph, 3 of them
     # the same run frozen at m1 on the 10-vertex root: for m <= 1, for the
-    # Case1 selection and for the Case1 table
+    # Case1 selection and for the Case1 table.  Then 14 full runs; now the
+    # runs stop at their first jump, and only m1, whose lowered weight the
+    # Case1 node records, runs once more to its end.
     runs = _count_runs(monkeypatch)
     lo_certificate(two_star_chain())
-    assert len(runs) <= 14
-    assert runs.count((10, frozenset({"m1"}))) == 1
+    assert len(runs) <= 15 and sum(r[3] for r in runs) == 29
+    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [True, False]
+    assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
 
 
 def test_is_bad_set_builds_no_graph(monkeypatch):
@@ -200,22 +240,21 @@ def test_stabilized_graph_carries_its_verdict(monkeypatch, s237):
     runs = _count_runs(monkeypatch)
     down = stabilize(g, {"c"})
     assert down.weight("c") == -3 and is_rational(down) == ref
-    assert is_bad_set(g, {"c"}) and runs == [(4, frozenset({"c"}))]
+    assert is_bad_set(g, {"c"}) and runs == [(4, frozenset({"c"}), False, 0)]
 
 
 def test_bad_set_results_do_not_alias_the_store(s237):
     g = parse_graph(serialize_graph(s237))
     bad = frozenset({"c"})
     ref = reference_bad_verdict(g, bad)
-    drop, verdict = laufer._stabilized(g, bad)
-    assert drop == {"c": -3} and verdict == ref
-    drop["c"] = 0
-    drop["p2"] = -9
+    verdict = laufer._verdict(g, bad)
+    assert verdict == ref and laufer._stored(g, bad)[0] == {"c": -3}
     verdict.z_min["c"] += 5
     verdict.z_min.clear()
     down = stabilize(g, bad)
     is_rational(down).z_min["p2"] = 7
-    assert laufer._stabilized(g, bad) == ({"c": -3}, ref)
+    laufer.zmin_multiplicities(down)["c"] = 9
+    assert laufer._verdict(g, bad) == ref and laufer._stored(g, bad)[0] == {"c": -3}
     assert stabilize(g, bad) == down and down.weights() == {**g.weights(), "c": -3}
     assert is_rational(stabilize(g, bad)) == is_rational(down) == ref
 
