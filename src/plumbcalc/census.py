@@ -39,6 +39,7 @@ ever materialized.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -200,8 +201,9 @@ def census(
     """Classified census stream in deterministic order.
 
     ``jobs <= 1`` classifies each graph as it is enumerated.  ``jobs > 1``
-    sends the graphs' text to a process pool; the output order is the
-    enumeration order regardless of worker scheduling.
+    sends the graphs' text to a process pool of ``jobs`` workers, at most
+    one per CPU; the output order is the enumeration order regardless of
+    worker scheduling.
     """
     graphs = census_graphs(max_vertices, weight_min)
     if jobs <= 1:
@@ -209,7 +211,7 @@ def census(
         return
     import multiprocessing
 
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
         texts = map(serialize_graph, graphs)
         yield from pool.imap(_record_for_text, texts, chunksize=64)
 

@@ -6,7 +6,9 @@ graph is rational, and it has left-orderable fundamental group iff it
 carries a coorientable taut foliation iff the graph is NOT rational.  The
 report simply evaluates the rationality verdict once and populates the
 equivalent fields; the value of the tool is that the verdict is exact and
-cross-checked (Laufer jumps against chi(Z_min) >= 1 on every call).
+cross-checked against Artin on every call: a run stops at its first jump,
+and chi of the cycle just after that jump must be <= 0; only a run with no
+jump goes on to Z_min, where chi(Z_min) >= 1 must hold.
 
 Graphs that are not negative definite still get the arithmetic fields
 (determinant, definiteness, det = 1) but the topology fields are null:

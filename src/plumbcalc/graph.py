@@ -62,13 +62,9 @@ class PlumbingGraph:
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
-    (D, P) pass, and ``_stabilized`` the Laufer runs with the least-id
-    tie-break, keyed by the frozen set of each run: the first jump of a run
-    that stopped there, or the weights ``laufer.stabilize`` lowers, the end
-    cycle, the first jump and chi of the end cycle, the empty set holding
-    the graph's own run.  Only ``rng=None`` runs are stored, because the
-    jump witness of a seeded run depends on the draws of that run's
-    generator.
+    (D, P) pass, and ``_stabilized`` the least-id Laufer runs, keyed by
+    frozen set, in the layout that ``laufer._stored`` documents and alone
+    reads and writes.
     """
 
     __slots__ = (
@@ -107,8 +103,7 @@ class PlumbingGraph:
         self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
-        self._order: list[tuple[VertexId, VertexId | None]] = []
-        self._comps = tuple(_components(self, set(), set(), self._order))
+        self._comps, self._order = _components(self)
         if not len(self._edges) == len(edges) == len(ws) - len(self._comps):
             _raise_edge_fault(ws, edges)
         self._integral = integral
@@ -387,12 +382,12 @@ def is_minimal(g: PlumbingGraph) -> bool:
     return not any(g.weight(v) == -1 and g.degree(v) <= 2 for v in g.vertices)
 
 
-def _deleted(
+def delete(
     g: PlumbingGraph,
-    vertices: Iterable[VertexId],
-    edges: Iterable[tuple[VertexId, VertexId]],
-) -> tuple[set[VertexId], set[tuple[VertexId, VertexId]]]:
-    """The vertex and normalized edge sets that ``delete`` drops, checked."""
+    vertices: Iterable[VertexId] = (),
+    edges: Iterable[tuple[VertexId, VertexId]] = (),
+) -> PlumbingGraph:
+    """Drop the given vertices (with incident edges) and/or edges."""
     vs = set(vertices)
     for v in vs:
         if not g.has_vertex(v):
@@ -402,16 +397,6 @@ def _deleted(
         if not g.has_edge(a, b):
             raise GraphStructureError(f"edge {a!r}-{b!r} not in graph")
         es.add(_normalize_edge(a, b))
-    return vs, es
-
-
-def delete(
-    g: PlumbingGraph,
-    vertices: Iterable[VertexId] = (),
-    edges: Iterable[tuple[VertexId, VertexId]] = (),
-) -> PlumbingGraph:
-    """Drop the given vertices (with incident edges) and/or edges."""
-    vs, es = _deleted(g, vertices, edges)
     ws = {v: w for v, w in g.weights().items() if v not in vs}
     kept = [
         e for e in g.edges if e not in es and e[0] not in vs and e[1] not in vs
@@ -419,47 +404,31 @@ def delete(
     return PlumbingGraph(ws, kept)
 
 
-def delete_components(
-    g: PlumbingGraph,
-    vertices: Iterable[VertexId] = (),
-    edges: Iterable[tuple[VertexId, VertexId]] = (),
-) -> list[frozenset[VertexId]]:
-    """``delete(g, vertices, edges).component_vertex_sets()``, found by a
-    search on ``g`` without building the smaller graph."""
-    return _components(g, *_deleted(g, vertices, edges))
-
-
-def _components(
-    g: PlumbingGraph,
-    vs: set[VertexId],
-    es: set[tuple[VertexId, VertexId]],
-    order: list | None = None,
-) -> list[frozenset[VertexId]]:
-    """Components of ``g`` without the vertices ``vs`` and the normalized
-    edges ``es``.  Each search starts at the least vertex not yet reached,
-    so the components come sorted by least member.  ``order``, if given,
-    gets the (vertex, parent) pair of each vertex as it is reached, so
-    parents come first and each component's pairs are contiguous."""
-    seen = set(vs)
+def _components(g: PlumbingGraph) -> tuple[tuple[frozenset[VertexId], ...], list]:
+    """The components of ``g`` and its rooted order.  Each search starts at
+    the least vertex not yet reached, so the components come sorted by
+    least member; the order gets the (vertex, parent) pair of each vertex
+    as it is reached, so parents come first and each component's pairs are
+    contiguous."""
+    seen: set[VertexId] = set()
     comps: list[frozenset[VertexId]] = []
+    order: list[tuple[VertexId, VertexId | None]] = []
     for start in g.vertices:
         if start in seen:
             continue
         seen.add(start)
         stack, comp = [start], [start]
-        if order is not None:
-            order.append((start, None))
+        order.append((start, None))
         while stack:
             u = stack.pop()
             for w in g._adj[u]:
-                if w not in seen and not (es and _normalize_edge(u, w) in es):
+                if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-                    if order is not None:
-                        order.append((w, u))
+                    order.append((w, u))
         comps.append(frozenset(comp))
-    return comps
+    return tuple(comps), order
 
 
 def subgraph(g: PlumbingGraph, vertices: Iterable[VertexId]) -> PlumbingGraph:

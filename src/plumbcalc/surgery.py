@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd
 
@@ -44,7 +45,6 @@ from .graph import (
     VertexId,
     blow_up_edge,
     delete,
-    delete_components,
     fresh_ids,
     is_minimal,
     minimize,
@@ -55,7 +55,7 @@ from .graph import (
     subgraph,
 )
 from .lattice import _det_definiteness, definiteness, determinant, is_negative_definite
-from .laufer import _checked_bad_set, _stored, is_bad_set, is_rational, stabilize
+from .laufer import _checked_bad_set, _verdict, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,8 @@ def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
 
 @dataclass(frozen=True)
 class CutResult:
-    """A cut (see ``cut_and_fill``); ``decorated_w`` is built when read."""
+    """A cut (see ``cut_and_fill``); the decorated graphs, each side with
+    its slope as a single vertex, are built on first read."""
 
     side_v: PlumbingGraph
     side_w: PlumbingGraph
@@ -98,9 +99,12 @@ class CutResult:
     r: Fraction
     filled_v: PlumbingGraph
     filled_w: PlumbingGraph
-    decorated_v: PlumbingGraph
 
-    @property
+    @cached_property
+    def decorated_v(self) -> PlumbingGraph:
+        return _attach_chain(self.side_v, self.edge[0], [1 / self.r])
+
+    @cached_property
     def decorated_w(self) -> PlumbingGraph:
         return _attach_chain(self.side_w, self.edge[1], [self.r])
 
@@ -112,12 +116,23 @@ class Claim:
     got: object
 
 
+def _branch(g: PlumbingGraph, w: VertexId, v: VertexId) -> set[VertexId]:
+    """The vertices a walk from ``w`` reaches without entering ``v``: the
+    component of g - v that holds ``w``, the w-side of a cut at (v, w)."""
+    seen, stack = {v, w}, [w]
+    while stack:
+        new = [u for u in g.neighbors(stack.pop()) if u not in seen]
+        seen.update(new)
+        stack += new
+    return seen - {v}
+
+
 def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     """Split ``g`` at the edge (v, w); fill the w-side with the string of
-    r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v
-    (``decorated_v`` holds 1/r as a single slope vertex instead)."""
-    comps = delete_components(g, edges=[(v, w)])
-    side_v, side_w = (subgraph(g, next(c for c in comps if u in c)) for u in (v, w))
+    r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v."""
+    in_w = _branch(g, w, v)
+    side_w = subgraph(g, in_w)
+    side_v = subgraph(g, next(c for c in g.component_vertex_sets() if v in c) - in_w)
     det_w = determinant(side_w)
     det_w_minus = determinant(delete(side_w, vertices=[w]))
     if det_w <= 0 or det_w_minus <= 0:
@@ -126,7 +141,6 @@ def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     return CutResult(
         side_v, side_w, (v, w), det_w, det_w_minus, r,
         attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
-        _attach_chain(side_v, v, [1 / r]),
     )
 
 
@@ -297,33 +311,41 @@ def _base_m1(g: PlumbingGraph, edge) -> _Table:
     return _Table((*_definite_claims(g), Claim("m_le_1", True, _m_le_1(g))))
 
 
-def _cut_vertex(g: PlumbingGraph, v: VertexId):
-    """(jump witness, valid targets w) for cutting at v, or None when fewer
-    than two components of g - v hold a node.
+def _node_branches(g: PlumbingGraph) -> dict[VertexId, tuple[VertexId, ...]]:
+    """For each vertex v, the neighbours of v whose component of g - v holds
+    a node, in id order.  They are read from the count of nodes below each
+    vertex of the graph's rooted order: the branch of a child holds the
+    nodes below the child, and the branch of the parent holds the rest of
+    the tree's nodes.  A forest's other trees are not listed."""
+    below = {v: g.degree(v) >= 3 for v in g.vertices}
+    for v, p in reversed(g._order):
+        if p is not None:
+            below[p] += below[v]
+    table = {}
+    for v, p in g._order:  # a tree's pairs follow its root's
+        if p is None:
+            total = below[v]
+        up = total - below[v]
+        table[v] = tuple(u for u in g.neighbors(v) if (below[u] if u != p else up))
+    return table
+
+
+def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
+    """(first jump, jumped component, valid targets w) for cutting at v, or
+    None when fewer than two components of g - v hold a node (``branches``
+    is ``_node_branches(g)``).
 
     When m >= 2 the stabilized graph stays non-rational and its canonical
     Laufer run jumps inside one component of g - v; a valid target is a
-    neighbour of v in another component that holds a node.  The witness
-    is None, with no targets, when the stabilized graph is rational.  The
-    witness is read from the frozen run on g, so no graph is built.
+    neighbour of v in another component that holds a node.  The jump is
+    None when the stabilized graph is rational.  It is read from the frozen
+    run on g, stopped at the jump, so no graph is built.
     """
-    gnodes = set(nodes(g))
-    comps = delete_components(g, vertices=[v])
-    if sum(1 for c in comps if c & gnodes) < 2:
+    if len(branches.get(v, ())) < 2:
         return None
-    drop, _, j, _ = _stored(g, _checked_bad_set(g, [v]), full=True)
-    if j is None:
-        return None, ()
-    comp_of = {u: c for c in comps for u in c}
-    jumped = comp_of[j.vertex]
-    targets = tuple(
-        w for w in g.neighbors(v) if comp_of[w] != jumped and comp_of[w] & gnodes
-    )
-    info = JumpInfo(
-        Fraction(drop.get(v, g.weight(v))), j.step, j.vertex, j.value,
-        tuple(sorted(jumped)),
-    )
-    return info, targets
+    jump = _verdict(g, _checked_bad_set(g, [v])).jump
+    jumped = _branch(g, jump.vertex, v) if jump else set()
+    return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
 
 
 def _case1(g: PlumbingGraph, edge) -> _Table:
@@ -331,18 +353,22 @@ def _case1(g: PlumbingGraph, edge) -> _Table:
     minimized, recurses with fewer nodes; the r-filled w-side is det-0."""
     v, w = edge
     claims = _definite_claims(g)
-    found = _cut_vertex(g, v)
+    found = _cut_vertex(g, v, _node_branches(g))
     if found is None:
         raise InternalCheckError("cut vertex does not separate two node components")
-    jump, targets = found
-    claims.append(Claim("stabilized_not_rational", True, jump is not None))
+    j, jumped, targets = found
+    claims.append(Claim("stabilized_not_rational", True, j is not None))
     _check_claims(claims)
     if w not in targets:
         raise InternalCheckError("cut edge leads to the jump side or to no node")
-    jumped = subgraph(stabilize(g, [v]), set(jump.component) | {v})
+    down = stabilize(g, [v])
+    jump = JumpInfo(
+        Fraction(down.weight(v)), j.step, j.vertex, j.value, tuple(sorted(jumped))
+    )
+    on_jump = subgraph(down, jumped | {v})
     cut = _cut(g, v, w)
     claims += [
-        Claim("jump_component_not_rational", True, not is_rational(jumped).rational),
+        Claim("jump_component_not_rational", True, not is_rational(on_jump).rational),
         Claim("r", cut.r, cut.r),
         *_cut_claims(g, cut),
     ]
@@ -375,24 +401,13 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
-    g - e, from the graph's rooted order: an edge to a child separates
-    nodes when 0 < nodes below the child < nodes of the component, and no
-    edge does when some component holds no node."""
+    g - e: those whose two ends list each other in ``_node_branches``, and
+    none when some component of g holds no node."""
     gnodes = set(nodes(g))
-    below = dict.fromkeys(g.vertices, 0)
-    for v, p in reversed(g._order):
-        below[v] += v in gnodes
-        if p is not None:
-            below[p] += below[v]
-    out = set()
-    for v, p in g._order:  # a component's pairs follow its root's
-        if p is None:
-            total = below[v]
-            if not total:
-                return set()
-        elif 0 < below[v] < total:
-            out.add((min(v, p), max(v, p)))
-    return out
+    if not all(c & gnodes for c in g.component_vertex_sets()):
+        return set()
+    table = _node_branches(g)
+    return {(a, b) for a, b in g.edges if b in table[a] and a in table[b]}
 
 
 def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
@@ -493,11 +508,12 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
         if forced is not None or _holds(base.claims):
             return _build(g, TAG_BASE_M1, base)
     # Case1 at the lexicographically least valid cut edge, see _cut_vertex
+    branches = _node_branches(g)
     for v in (forced,) if forced is not None else g.vertices:
-        found = _cut_vertex(g, v)
+        found = _cut_vertex(g, v, branches)
         if found is None:
             continue
-        jump, targets = found
+        jump, _, targets = found
         if jump is None:
             raise InternalCheckError(
                 f"stabilizing {v!r} made the graph rational although m >= 2"

@@ -182,6 +182,36 @@ def test_census_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "cpus, jobs, size", [(1, 2, 1), (2, 1000, 2), (4, 3, 3), (None, 5, 1)]
+)
+def test_census_pool_at_most_one_worker_per_cpu(monkeypatch, cpus, jobs, size):
+    # a stand-in pool records the size asked for and maps in this process
+    import multiprocessing
+    import os
+
+    asked = []
+
+    class Pool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    records = [r.graph_text for r in census(3, -2, jobs=jobs)]
+    assert asked == [size]
+    assert records == [r.graph_text for r in census(3, -2)]
+
+
 # -- det-1 survey -----------------------------------------------------------
 
 

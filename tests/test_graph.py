@@ -13,7 +13,6 @@ from plumbcalc.graph import (
     canonical_code,
     components,
     delete,
-    delete_components,
     fresh_ids,
     is_isomorphic,
     is_minimal,
@@ -25,7 +24,6 @@ from plumbcalc.graph import (
     subgraph,
     valency,
 )
-from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
 from oracles import pruefer_trees, reference_build, reference_minimize, with_weight
@@ -403,29 +401,6 @@ def test_edge_deletion_gives_two_components_random_trees():
         g = random_tree(rng, rng.randint(2, 9))
         for e in g.edges:
             assert len(components(delete(g, edges=[e]))) == 2
-
-
-def test_delete_components_matches_built_graph():
-    for g in census_graphs(5, -5):
-        for v in g.vertices:
-            assert delete_components(g, [v]) == delete(g, [v]).component_vertex_sets()
-        for e in g.edges:
-            assert (
-                delete_components(g, edges=[e])
-                == delete(g, edges=[e]).component_vertex_sets()
-            )
-    path = parse_graph("vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c")
-    assert delete_components(path, ["b"], [("a", "b")]) == [{"a"}, {"c"}]
-    assert delete_components(path) == path.component_vertex_sets()
-
-
-def test_delete_components_errors_match_delete(s237):
-    for kwargs in ({"vertices": ["zz"]}, {"edges": [("p2", "p3")]}):
-        with pytest.raises(GraphStructureError) as built:
-            delete(s237, **kwargs)
-        with pytest.raises(GraphStructureError) as searched:
-            delete_components(s237, **kwargs)
-        assert str(searched.value) == str(built.value)
 
 
 def test_subgraph_induced(s237):

@@ -45,10 +45,10 @@ def _facts(g: PlumbingGraph) -> list:
 
 
 def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
-    # the components are stored at construction: the search run afresh
-    assert list(g._comps) == _components(g, set(), set())
-    # and so is the rooted order: every component in one run from its least
-    # vertex, each other vertex after its parent, along an edge
+    # the components and the rooted order are stored at construction: the
+    # search run afresh.  The order is every component in one run from its
+    # least vertex, each other vertex after its parent, along an edge
+    assert _components(g) == (g._comps, g._order)
     comps, seen = iter(g._comps), set()
     for v, p in g._order:
         if p is None:
@@ -215,6 +215,20 @@ def test_certificate_run_counts(monkeypatch):
     runs = _count_runs(monkeypatch)
     lo_certificate(two_star_chain())
     assert len(runs) <= 15 and sum(r[3] for r in runs) == 29
+    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [True, False]
+    assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
+
+
+def test_checker_run_counts(monkeypatch):
+    # the checker of the same certificate, handed fresh graphs by a JSON
+    # round trip: the Case1 table reads its jump from the run frozen at m1,
+    # stopped there, and runs it once more to its end for the lowered
+    # weight; every other run stops at its first jump
+    data = json.loads(json.dumps(certificate_to_json(lo_certificate(two_star_chain()))))
+    cert = certificate_from_json(data)
+    runs = _count_runs(monkeypatch)
+    assert check_certificate(cert).ok
+    assert len(runs) == 6 and sum(r[3] for r in runs) == 20
     assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [True, False]
     assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
 

@@ -12,13 +12,13 @@ from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import (
     PlumbingGraph,
     delete,
-    delete_components,
     minimize,
     nodes,
     parse_graph,
     serialize_graph,
 )
 from plumbcalc.lattice import definiteness, determinant, is_negative_definite
+from plumbcalc.census import census_graphs
 from plumbcalc.laufer import is_rational, min_bad
 from plumbcalc.surgery import (
     TAG_BASE_M1,
@@ -26,7 +26,10 @@ from plumbcalc.surgery import (
     TAG_CASE2,
     TAG_SEMIDEF_CUT,
     TAG_SEMIDEF_LEAF,
+    _branch,
+    _cut,
     _m_le_1,
+    _node_branches,
     _node_separating_edges,
     attach_string,
     certificate_from_json,
@@ -443,13 +446,47 @@ def test_node_separating_edges_match_deletion(census6, two_star_m2):
         gnodes = set(nodes(g))
         by_deletion = {
             e for e in g.edges
-            if all(c & gnodes for c in delete_components(g, edges=[e]))
+            if all(c & gnodes for c in delete(g, edges=[e]).component_vertex_sets())
         }
         assert _node_separating_edges(g) == by_deletion, g
         cut_edges += len(by_deletion)
     assert len(det0) == 189 and cut_edges > 1000
     assert _node_separating_edges(forests[0]) == set()
     assert _node_separating_edges(forests[1])
+
+
+def test_node_branches_match_deletion(census6):
+    # the table from one rooted pass against the definition: a neighbour u
+    # of v is listed iff the component of g - v holding u holds a node of g;
+    # and the walk from w that never enters v is that component
+    for g in census6:
+        gnodes = set(nodes(g))
+        table = _node_branches(g)
+        for v in g.vertices:
+            comps = delete(g, [v]).component_vertex_sets()
+            want = tuple(
+                u for u in g.neighbors(v) if next(c for c in comps if u in c) & gnodes
+            )
+            assert table[v] == want, (g, v)
+            for u in g.neighbors(v):
+                assert _branch(g, u, v) == next(c for c in comps if u in c)
+
+
+def test_cut_sides_match_deletion():
+    for g in census_graphs(5, -5):
+        for a, b in g.edges:
+            comps = delete(g, edges=[(a, b)]).component_vertex_sets()
+            for v, w in ((a, b), (b, a)):
+                cut = _cut(g, v, w)
+                assert [set(cut.side_v), set(cut.side_w)] == [
+                    next(c for c in comps if u in c) for u in (v, w)
+                ]
+
+
+def test_cut_builds_each_decorated_graph_once(two_star_m2):
+    cut = cut_and_fill(two_star_m2, ("m1", "m2"))
+    assert cut.decorated_v is cut.decorated_v and cut.decorated_w is cut.decorated_w
+    assert "decorated_v" not in vars(_cut(two_star_m2, "m1", "m2"))
 
 
 def test_semidef_leaf_star_has_seifert_data(two_star_m2):
