@@ -42,9 +42,8 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GraphStructureError
 from .classify import ClassificationReport, classify
@@ -177,8 +176,7 @@ def census_graphs(
     yield from map(_graph_from_codes, _census_roots(max_vertices, weight_min))
 
 
-@dataclass
-class CensusRecord:
+class CensusRecord(NamedTuple):
     graph_text: str
     vertex_count: int
     report: ClassificationReport
@@ -216,8 +214,7 @@ def census(
         yield from pool.imap(_record_for_text, texts, chunksize=64)
 
 
-@dataclass
-class DetOneRecord:
+class DetOneRecord(NamedTuple):
     graph: PlumbingGraph
     rational: bool
 

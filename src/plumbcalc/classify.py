@@ -17,8 +17,8 @@ the equivalences above assume negative definiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
@@ -26,8 +26,7 @@ from .lattice import definiteness, determinant
 from .laufer import DEFAULT_BAD_SET_CAP, is_bad_set, is_rational, min_bad
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     graph_text: str
     negative_definite: bool
     definiteness_kind: str

@@ -61,7 +61,7 @@ def _cmd_classify(args) -> int:
             Path(args.with_certificate).write_text(
                 json.dumps(certificate_to_json(cert), indent=2), encoding="utf-8"
             )
-            rep.certificate_path = args.with_certificate
+            rep = rep._replace(certificate_path=args.with_certificate)
         else:
             print(
                 "note: certificate only exists for non-rational graphs; skipped",

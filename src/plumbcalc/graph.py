@@ -278,7 +278,7 @@ def fresh_ids(g: PlumbingGraph, prefix: str, count: int) -> list[VertexId]:
     i = 1
     while len(out) < count:
         cand = f"{prefix}{i}"
-        if not g.has_vertex(cand) and cand not in out:
+        if not g.has_vertex(cand):  # i only grows, so cand is new to out
             out.append(cand)
         i += 1
     return out

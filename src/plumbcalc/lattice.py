@@ -27,10 +27,9 @@ O(n) exact operations instead of O(n^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
 from .graph import PlumbingGraph, VertexId
@@ -45,8 +44,7 @@ class DefinitenessKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Definiteness:
+class Definiteness(NamedTuple):
     """Verdict of the symmetric elimination; ``corank`` counts the zero
     rows eliminated (only meaningful for the semidefinite verdict)."""
 

@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
@@ -62,21 +61,18 @@ DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
 _PLAIN = frozenset()  # no vertex frozen: the key of the graph's own run
 
 
-@dataclass(frozen=True)
-class LauferStep:
+class LauferStep(NamedTuple):
     cycle_before: dict[VertexId, int]
     vertex: VertexId
     pairing_value: int
 
 
-@dataclass(frozen=True)
-class ComputationSequence:
+class ComputationSequence(NamedTuple):
     steps: tuple[LauferStep, ...]
     final: dict[VertexId, int]
 
 
-@dataclass(frozen=True)
-class JumpWitness:
+class JumpWitness(NamedTuple):
     step: int
     vertex: VertexId
     value: int

@@ -34,48 +34,52 @@ Two numeric criteria are implemented for these spaces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
 from .lattice import determinant
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Central weight plus legs (alpha_i, omega_i), stored sorted.
-
-    Requires 0 < omega < alpha, gcd(alpha, omega) = 1, and at least three
-    legs (the genuine star-shaped case).
-    """
-
+class _SeifertFields(NamedTuple):
     e0: int
     legs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if len(self.legs) < 3:
+
+class SeifertData(_SeifertFields):
+    """Central weight plus legs (alpha_i, omega_i), stored sorted.
+
+    Requires 0 < omega < alpha, gcd(alpha, omega) = 1, and at least three
+    legs (the genuine star-shaped case).  ``_replace`` checks too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, e0: int, legs: tuple[tuple[int, int], ...]):
+        if len(legs) < 3:
             raise GraphStructureError("Seifert data needs at least three legs")
-        for alpha, omega in self.legs:
+        for alpha, omega in legs:
             if not (0 < omega < alpha):
                 raise GraphStructureError(
                     f"leg ({alpha},{omega}) violates 0 < omega < alpha"
                 )
             if gcd(alpha, omega) != 1:
                 raise GraphStructureError(f"leg ({alpha},{omega}) not coprime")
-        object.__setattr__(self, "legs", tuple(sorted(self.legs)))
-        object.__setattr__(self, "e0", int(self.e0))
+        return super().__new__(cls, int(e0), tuple(sorted(legs)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def nu(self) -> int:
         return len(self.legs)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     value: Fraction
     terms: tuple[int, ...]
 
@@ -196,8 +200,7 @@ def pinkham_nonrational(sd: SeifertData) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class RealizabilityWitness:
+class RealizabilityWitness(NamedTuple):
     m: int
     a: int
     assignment: tuple[Fraction, Fraction, Fraction]  # values in (x, y, z) roles

@@ -33,11 +33,11 @@ wrote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd
+from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError, PlumbingError
 from .graph import (
@@ -86,19 +86,16 @@ def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CutResult:
-    """A cut (see ``cut_and_fill``); the decorated graphs, each side with
-    its slope as a single vertex, are built on first read."""
+    """A cut (see ``cut_and_fill``): the two sides, the edge (v, w), the
+    Fractions det_w, det_w_minus and r, and the two filled graphs.  The
+    decorated graphs, each side with its slope as a single vertex, are
+    built on first read."""
 
-    side_v: PlumbingGraph
-    side_w: PlumbingGraph
-    edge: tuple[VertexId, VertexId]
-    det_w: Fraction
-    det_w_minus: Fraction
-    r: Fraction
-    filled_v: PlumbingGraph
-    filled_w: PlumbingGraph
+    def __init__(self, side_v, side_w, edge, det_w, det_w_minus, r, filled_v, filled_w):
+        self.side_v, self.side_w, self.edge = side_v, side_w, edge
+        self.det_w, self.det_w_minus, self.r = det_w, det_w_minus, r
+        self.filled_v, self.filled_w = filled_v, filled_w
 
     @cached_property
     def decorated_v(self) -> PlumbingGraph:
@@ -109,8 +106,7 @@ class CutResult:
         return _attach_chain(self.side_w, self.edge[1], [self.r])
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     kind: str
     expected: object
     got: object
@@ -202,8 +198,7 @@ TAG_SEMIDEF_CUT = "SemidefCut"
 TAG_SEMIDEF_LEAF = "SemidefLeaf"
 
 
-@dataclass(frozen=True)
-class JumpInfo:
+class JumpInfo(NamedTuple):
     """Witness of the jump localization used to pick the cut edge: after
     stabilizing the cut vertex, the canonical Laufer run jumps at the
     recorded step inside the recorded component of g - v."""
@@ -215,8 +210,7 @@ class JumpInfo:
     component: tuple[VertexId, ...]
 
 
-@dataclass(frozen=True)
-class CertificateNode:
+class CertificateNode(NamedTuple):
     graph: PlumbingGraph
     tag: str
     claims: tuple[Claim, ...]
@@ -227,8 +221,7 @@ class CertificateNode:
     seifert: object | None = None  # SeifertData when the leaf is a true star
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     path: str | None = None
     reason: str | None = None
@@ -245,8 +238,7 @@ _DEFINITE_TAGS = (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
 _SEMIDEF_TAGS = (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF)
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(NamedTuple):
     """A node's ordered claims, the fields it carries, and for each child
     the graph it must have with the tags it may carry.  A table raises
     ``InternalCheckError`` when the node's structure is invalid: a bug in

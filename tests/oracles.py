@@ -9,7 +9,8 @@ Pruefer sequences, and continued fractions from the convergent
 recurrence.  The Laufer run, the realizability search and the Brieskorn
 Seifert data also have plain reference versions that rescan everything,
 the Laufer run a second one with a last-in-first-out worklist, and
-``minimize`` has its blow-down loop that builds a graph per step.  A
+``minimize`` has its blow-down loop that builds a graph per step, and
+``fresh_ids`` its loop that scans the ids it has found.  A
 verdict, which the library reads off a run stopped at its first jump, has
 the full-run route of a least-id run carried on to Z_min on a heap.  The
 bad-set verdict has the two-run route: lower the weights, build the graph
@@ -105,6 +106,18 @@ def reference_build(weights, edges):
         adj[a].append(b)
         adj[b].append(a)
     return ws, frozenset(eset), {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+def reference_fresh_ids(g: PlumbingGraph, prefix: str, count: int) -> list:
+    """``fresh_ids`` as the loop that also scans the ids found so far."""
+    out = []
+    i = 1
+    while len(out) < count:
+        cand = f"{prefix}{i}"
+        if not g.has_vertex(cand) and cand not in out:
+            out.append(cand)
+        i += 1
+    return out
 
 
 def pairing(g: PlumbingGraph, a, b) -> Fraction:

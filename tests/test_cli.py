@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -392,3 +395,16 @@ def test_check_certificate_fuzz(tmp_path_factory, data):
         assert certificate_to_json(certificate_from_json(forged)) == _TWO_STAR_CERT
     else:
         assert code == 1 and (err.startswith("error:") or "INVALID" in out)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # these modules cost a cold call about two thirds of its import time;
+    # -S keeps site hooks (.pth files) from adding or hiding modules
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import plumbcalc.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

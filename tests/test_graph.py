@@ -26,7 +26,13 @@ from plumbcalc.graph import (
 )
 from plumbcalc.lattice import determinant
 
-from oracles import pruefer_trees, reference_build, reference_minimize, with_weight
+from oracles import (
+    pruefer_trees,
+    reference_build,
+    reference_fresh_ids,
+    reference_minimize,
+    with_weight,
+)
 
 
 def random_tree(rng: random.Random, n: int, wmin: int = -5) -> PlumbingGraph:
@@ -505,3 +511,12 @@ def test_canonical_code_and_isomorphism_on_long_path():
 def test_fresh_ids_skip_collisions():
     g = parse_graph("vertex q1 -2\nvertex q3 -2\nedge q1 q3")
     assert fresh_ids(g, "q", 3) == ["q2", "q4", "q5"]
+
+
+def test_fresh_ids_match_reference_on_a_long_call():
+    used = ["q1", "q2", "q7", "q40", "q999", "q1000", "q1500", "q2001", "q2004"]
+    g = PlumbingGraph({v: -2 for v in used + ["b1"]}, [])
+    got = fresh_ids(g, "q", 2000)
+    assert got == reference_fresh_ids(g, "q", 2000)
+    assert len(set(got)) == 2000 and not set(got) & set(used)
+    assert got[:3] == ["q3", "q4", "q5"] and got[-1] == "q2009"

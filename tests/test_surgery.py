@@ -510,39 +510,57 @@ def test_random_certificate_mutations(two_star_m2, case2_deep, s237):
     ]
     caught = 0
     trials = 60
+    kinds = set()
     for _ in range(trials):
         data = json.loads(json.dumps(rng.choice(pool)))
-        _mutate(data, rng)
+        kinds.add(_mutate(data, rng))
         res = check_certificate(certificate_from_json(data))
         caught += not res.ok
     assert caught == trials
+    assert kinds == {"claim", "r", "jump", "drop_claim", "seifert", "weight"}
+
+
+def _json_nodes(data):
+    yield data
+    for child in data["children"]:
+        yield from _json_nodes(child)
 
 
 def _mutate(data, rng):
-    """Apply one random semantic mutation somewhere in the tree."""
+    """Apply one random semantic mutation somewhere in the tree and return
+    its kind."""
     # walk to a random node
     node = data
     while node["children"] and rng.random() < 0.5:
         node = rng.choice(node["children"])
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0 and node["claims"]:
         claim = rng.choice(node["claims"])
         if isinstance(claim["expected"], bool):
             claim["expected"] = not claim["expected"]
         else:
             claim["expected"] = str(Fraction(claim["expected"]) + 1)
-    elif kind == 1 and "r" in node:
+        return "claim"
+    if kind == 1 and "r" in node:
         node["r"] = str(Fraction(node["r"]) - 1)
-    elif kind == 2 and "jump" in node:
+        return "r"
+    if kind == 2 and "jump" in node:
         node["jump"]["value"] += 1
-    elif kind == 3 and node["claims"]:
+        return "jump"
+    if kind == 3 and node["claims"]:
         node["claims"].pop(rng.randrange(len(node["claims"])))
-    else:
-        # perturb a weight in the graph text
-        lines = node["graph"].splitlines()
-        idx = [i for i, line in enumerate(lines) if line.startswith("vertex")]
-        i = rng.choice(idx)
-        parts = lines[i].split()
-        parts[2] = str(int(Fraction(parts[2])) - 1 if "/" not in parts[2] else -9)
-        lines[i] = " ".join(parts)
-        node["graph"] = "\n".join(lines) + "\n"
+        return "drop_claim"
+    # Seifert blocks sit on leaves deep in the tree, so any one may be hit
+    stars = [n for n in _json_nodes(data) if "seifert" in n]
+    if kind == 4 and stars:
+        rng.choice(stars)["seifert"]["e0"] -= 1
+        return "seifert"
+    # perturb a weight in the graph text
+    lines = node["graph"].splitlines()
+    idx = [i for i, line in enumerate(lines) if line.startswith("vertex")]
+    i = rng.choice(idx)
+    parts = lines[i].split()
+    parts[2] = str(int(Fraction(parts[2])) - 1 if "/" not in parts[2] else -9)
+    lines[i] = " ".join(parts)
+    node["graph"] = "\n".join(lines) + "\n"
+    return "weight"
