@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from .classify import DEFAULT_BAD_SET_CAP, classify, report_to_json
 from .census import census
@@ -36,8 +35,18 @@ from .surgery import (
 )
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_graph(path: str) -> PlumbingGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
 
 
 def _print_json(data) -> None:
@@ -58,9 +67,8 @@ def _cmd_classify(args) -> int:
     if args.with_certificate:
         if rep.rational is False:
             cert = lo_certificate(minimize(g))
-            Path(args.with_certificate).write_text(
-                json.dumps(certificate_to_json(cert), indent=2), encoding="utf-8"
-            )
+            text = json.dumps(certificate_to_json(cert), indent=2)
+            _write_text(args.with_certificate, text)
             rep = rep._replace(certificate_path=args.with_certificate)
         else:
             print(
@@ -94,6 +102,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from pathlib import Path  # only here: its import pulls in urllib and ipaddress
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "records.jsonl"
@@ -208,7 +218,7 @@ def _cmd_certificate(args) -> int:
     cert = lo_certificate(g)
     data = certificate_to_json(cert)
     if args.out:
-        Path(args.out).write_text(json.dumps(data, indent=2), encoding="utf-8")
+        _write_text(args.out, json.dumps(data, indent=2))
         print(f"wrote certificate to {args.out}")
     else:
         _print_json(data)
@@ -217,7 +227,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_check_certificate(args) -> int:
     try:
-        data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(args.file))
     except RecursionError:
         raise PlumbingError("certificate JSON nests too deeply") from None
     except ValueError as exc:  # also an integer past the interpreter's digit limit

@@ -32,6 +32,7 @@ import re
 from bisect import insort
 from fractions import Fraction
 from functools import cmp_to_key
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphStructureError, ParseError
@@ -40,6 +41,17 @@ VertexId = str
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
 _FRACTION_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?", re.ASCII)
+
+
+def _as_weight(v: VertexId, w) -> Fraction | int:
+    """A ``numbers.Rational`` weight as a ``Fraction``, and a ``str`` one
+    read as the parser reads it."""
+    if isinstance(w, Rational):
+        return Fraction(w)
+    try:
+        return _parse_weight(w)
+    except ValueError:
+        raise GraphStructureError(f"invalid weight {w!r} of vertex {v!r}") from None
 
 
 def _normalize_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
@@ -57,8 +69,10 @@ class PlumbingGraph:
     the (vertex, parent) pairs of each component rooted at its least
     vertex, parents first: the one rooted order that the tree passes read.
     Only a faulty edge list is checked again, edge by edge, to report its
-    first fault.  A weight with denominator 1 is stored as an ``int``, any
-    other as a ``Fraction``.
+    first fault.  A weight is a ``numbers.Rational`` (``int``, ``bool``,
+    ``Fraction``) or a string of the file format (an integer or ``p/q``);
+    anything else is a ``GraphStructureError``.  A weight with denominator
+    1 is stored as an ``int``, any other as a ``Fraction``.
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
@@ -84,7 +98,7 @@ class PlumbingGraph:
                 raise GraphStructureError(f"invalid vertex id {v!r}")
             if type(w) is not int:
                 if type(w) is not Fraction:
-                    w = Fraction(w)
+                    w = _as_weight(v, w)
                 if w.denominator == 1:
                     w = w.numerator
                 else:

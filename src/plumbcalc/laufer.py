@@ -9,17 +9,19 @@ basis vector with positive pairing:
 
 The end cycle is Z_min regardless of the choices of v(i), and the graph
 is Artin-rational iff every step has pairing value exactly 1 (a step with
-value >= 2 is a "jump").  Every l_i stays <= Z_min, so a full run takes
-sum_v Z_min_v - n steps, each O(deg log n) with the worklist of ``_run``;
-no step count is capped.  A verdict needs no more than the first jump: on
-a tree chi(l_0) = 1 and chi(l + E_v) = chi(l) + 1 - (l, E_v), so the cycle
-just after a first jump of value k has chi = 2 - k <= 0, and by Artin's
-criterion (rational iff chi(l) >= 1 for every l > 0) the graph is not
-rational.  So a run for a verdict stops there, and costs O(n) plus the
-steps up to its first jump; a rational graph's run still goes on to Z_min.
-Every verdict is cross-checked against Artin: chi, computed from scratch,
-is <= 0 on the cycle after the jump, or >= 1 on Z_min when no step jumps;
-a disagreement is an internal error.
+value >= 2 is a "jump").  The run here always steps the least vertex id
+with positive pairing, which fixes its steps and its first jump.  Every
+l_i stays <= Z_min, so a full run takes sum_v Z_min_v - n steps, each
+O(deg log n) with the worklist of ``_run``; no step count is capped.  A
+verdict needs no more than the first jump: on a tree chi(l_0) = 1 and
+chi(l + E_v) = chi(l) + 1 - (l, E_v), so the cycle just after a first jump
+of value k has chi = 2 - k <= 0, and by Artin's criterion (rational iff
+chi(l) >= 1 for every l > 0) the graph is not rational.  So a run for a
+verdict stops there, and costs O(n) plus the steps up to its first jump; a
+rational graph's run still goes on to Z_min.  Every verdict is
+cross-checked against Artin: chi, computed from scratch, is <= 0 on the
+cycle after the jump, or >= 1 on Z_min when no step jumps; a disagreement
+is an internal error.
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
 down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
@@ -36,19 +38,17 @@ e'_v + sum_{n~v} Y_n <= 0, so v never turns positive and never steps.  The
 pairing of a vertex off B does not involve the weights of B.  So both runs
 see the same positive vertices off B and none on B, pick the same vertex
 at every step, and end together, at Z_min(g') = Y with the same first
-jump.  Hence one frozen run gives the least-id verdict of g', and with
-B empty the frozen run is the plain run: ``_stored`` runs, cross-checks
-and stores every least-id run, once per (graph, frozen set), and the
-empty set holds the graph's own verdict.  A run made for the verdict
-alone stops at its first jump and is stored as that jump; a caller that
-needs the end cycle Y (``stabilize``, Z_min, the lowered weights) runs
-it once more to the end and stores it in its place.
+jump.  Hence one frozen run gives the verdict of g', and with B empty the
+frozen run is the plain run: ``_stored`` runs, cross-checks and stores
+every run, once per (graph, frozen set), and the empty set holds the
+graph's own verdict.  A run made for the verdict alone stops at its first
+jump; a caller that needs the end cycle Y (``stabilize``, Z_min, chi)
+runs it once more to the end.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, insort
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -80,27 +80,27 @@ class JumpWitness(NamedTuple):
 
 class RationalityVerdict:
     """Laufer's verdict: ``rational``, and ``jump``, the first step of value
-    >= 2 in the run taken (None when the graph is rational).
+    >= 2 (None when the graph is rational).
 
     ``z_min``, the end cycle of the run, and ``chi_zmin``, chi of it, are
-    computed on first read when the verdict comes from the store of least-id
-    runs, which keeps only the jump of a run that stopped there: one full,
-    cross-checked run, stored on the graph.  For the verdict of a frozen
-    set B (the stabilized graph's, see the module docstring) they are Y and
-    chi(Y).  Equality compares all four fields.
+    read from the stored run of ``source``, (graph, frozen set), which runs
+    it to its end on the first read if it stopped at its jump.  For the
+    verdict of a frozen set B (the stabilized graph's, see the module
+    docstring) they are Y and chi(Y).  Only this module makes verdicts.
+    Equality compares all four fields.
     """
 
     __slots__ = ("rational", "jump", "_end", "_source")
 
-    def __init__(self, rational, jump, z_min=None, chi_zmin=None, source=None):
+    def __init__(self, rational, jump, source):
         self.rational = rational
         self.jump = jump
-        self._end = None if source else (z_min, chi_zmin)
+        self._end = None
         self._source = source  # (graph, frozen set) of a stored run
 
     def _read_end(self) -> tuple[dict[VertexId, int], Fraction]:
         if self._end is None:
-            _, y, _, chi_y = _stored(*self._source, full=True)
+            y, chi_y = _stored(*self._source, full=True)[1]
             self._end, self._source = (dict(y), chi_y), None
         return self._end
 
@@ -136,18 +136,13 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
         )
 
 
-def _run(
-    g: PlumbingGraph, rng: random.Random | None, record: bool, frozen=(),
-    stop: bool = False,
-):
+def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
     """The computation sequence from l_0 = sum_v E_v: (end cycle, recorded
     steps, first jump).  ``pos`` holds the sorted ranks (positions in
-    ``g.vertices``) of the vertices with positive pairing; a step updates
-    only the stepped vertex and its neighbours, and ``pos[0]`` or
-    ``rng.choice(pos)`` picks what a full rescan in id order would pick,
-    with the same random draws.  ``frozen`` vertices never step.  With
-    ``stop`` the run ends just after its first jump, and the cycle returned
-    is the one that step reached."""
+    ``g.vertices``) of the vertices with positive pairing, and ``pos[0]``
+    steps; a step updates only the stepped vertex and its neighbours.
+    ``frozen`` vertices never step.  With ``stop`` the run ends just after
+    its first jump, and the cycle returned is the one that step reached."""
     vs = g.vertices
     rank = {v: i for i, v in enumerate(vs)}
     ws = g.weights()
@@ -160,7 +155,7 @@ def _run(
     first_jump: JumpWitness | None = None
     count = 0
     while pos:
-        i = pos[0] if rng is None else rng.choice(pos)
+        i = pos[0]
         val = pair[i]
         if record:
             steps.append(LauferStep(dict(zip(vs, mult)), vs[i], val))
@@ -171,7 +166,7 @@ def _run(
                 break
         pair[i] += weights[i]
         if pair[i] <= 0:
-            del pos[bisect_left(pos, i)]
+            del pos[0]
         for n in nbrs[i]:
             pair[n] += 1
             if pair[n] == 1 and vs[n] not in frozen:
@@ -180,45 +175,30 @@ def _run(
     return dict(zip(vs, mult)), steps, first_jump
 
 
-def z_min(
-    g: PlumbingGraph, rng: random.Random | None = None
-) -> tuple[dict[VertexId, int], ComputationSequence]:
-    """Fundamental cycle plus the full computation sequence.
-
-    ``rng`` randomizes the tie-break among positive-pairing vertices (used
-    by the choice-independence property tests); the default picks the
-    smallest vertex id, which makes golden tests deterministic, and its
-    run is cross-checked and stored on ``g`` like ``is_rational``'s.
-    """
+def z_min(g: PlumbingGraph) -> tuple[dict[VertexId, int], ComputationSequence]:
+    """Fundamental cycle plus the full computation sequence, which steps
+    the least vertex id with positive pairing.  The run is cross-checked
+    and stored on ``g`` like ``is_rational``'s."""
     _check_laufer_input(g)
-    mult, steps, jump = _run(g, rng, record=True)
-    if rng is None:
-        _stored(g, _PLAIN, run=(dict(mult), jump))
+    mult, steps, jump = _run(g, record=True)
+    _stored(g, _PLAIN, run=(dict(mult), jump))
     return mult, ComputationSequence(tuple(steps), dict(mult))
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
-    """Z_min without step recording: the stored least-id run's."""
+    """Z_min without step recording: the stored run's."""
     _check_laufer_input(g)
-    return dict(_stored(g, _PLAIN, full=True)[1])
+    return dict(_stored(g, _PLAIN, full=True)[1][0])
 
 
-def is_rational(
-    g: PlumbingGraph, rng: random.Random | None = None
-) -> RationalityVerdict:
+def is_rational(g: PlumbingGraph) -> RationalityVerdict:
     """Rationality via Laufer jumps, cross-checked against Artin.
 
-    The boolean is tie-break independent; the jump witness reports the
-    first value >= 2 in the run actually taken.  The ``rng=None`` verdict
-    comes from the store on ``g``, and its run stops at the first jump (see
-    ``RationalityVerdict`` for Z_min); a seeded run neither reads nor
-    writes the store, and runs to Z_min.
+    The verdict comes from the store on ``g``, and its run stops at the
+    first jump (see ``RationalityVerdict`` for Z_min).
     """
     _check_laufer_input(g)
-    if rng is None:
-        return _verdict(g, _PLAIN)
-    mult, _, jump = _run(g, rng, record=False)
-    return RationalityVerdict(jump is None, jump, mult, _artin(g, mult, jump, False))
+    return _verdict(g, _PLAIN)
 
 
 def _artin(g, cyc, jump, stopped: bool) -> Fraction:
@@ -248,50 +228,42 @@ def _checked_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> frozenset:
 
 
 def _stored(g: PlumbingGraph, bad: frozenset, full: bool = False, run=None):
-    """The least-id run of ``g`` with ``bad`` frozen, on a graph known to
-    pass ``_check_laufer_input``: its first jump when the run stopped there,
-    else (weights of ``bad`` that stabilizing lowers, end cycle Y, first
-    jump, chi(Y)).  One frozen run gives both the lowered weights and the
-    stabilized graph's verdict (the lemma of the module docstring); with
-    ``bad`` empty nothing is lowered and the verdict is the graph's own.
+    """The run of ``g`` with ``bad`` frozen, on a graph known to pass
+    ``_check_laufer_input``, as (first jump, end): ``end`` is None when the
+    run stopped at its jump, else (end cycle Y, chi(Y)).  By the lemma of
+    the module docstring it is the stabilized graph's run; with ``bad``
+    empty it is the graph's own.
 
     Runs are stored on ``g`` by ``bad`` and cross-checked against Artin when
     made.  A run stops at its first jump unless ``full`` asks for Y, which
     runs a stopped entry again to the end.  ``run``, the (Y, first jump) of
-    a full least-id run the caller has already made, is stored in place of
-    a new run.  Callers must not change what is returned."""
+    a full run the caller has already made, is stored in place of a new
+    run.  Callers must not change what is returned."""
     if g._stabilized is None:
         g._stabilized = {}
     hit = g._stabilized.get(bad)
     full = full or run is not None
-    if hit is None or full and type(hit) is JumpWitness:
+    if hit is None or full and hit[1] is None:
         if run is None:
-            y, _, jump = _run(g, None, record=False, frozen=bad, stop=not full)
+            y, _, jump = _run(g, record=False, frozen=bad, stop=not full)
         else:
             y, jump = run
-        if hit is not None and hit != jump:
-            raise InternalCheckError(f"full run jumps at {jump}, stopped run at {hit}")
+        if hit is not None and hit[0] != jump:
+            raise InternalCheckError(f"full run jumps at {jump}, stopped run at {hit[0]}")
         # chi(l) on g is chi(l) on the lowered graph: l is 1 on bad, and a
         # vertex at multiplicity 1 adds -2 to (K, l) + (l, l) whatever its
         # weight
         stopped = not full and jump is not None
         chi_y = _artin(g, y, jump, stopped)
-        if stopped:
-            hit = jump
-        else:
-            low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
-            drop = {v: w for v, w in low.items() if w < g.weight(v)}
-            hit = (drop, y, jump, chi_y)
-        g._stabilized[bad] = hit
+        hit = g._stabilized[bad] = (jump, None if stopped else (y, chi_y))
     return hit
 
 
 def _verdict(g: PlumbingGraph, bad: frozenset) -> RationalityVerdict:
     """The stored verdict of the run frozen at ``bad``, wrapped with ``g``
     for a caller to keep: the store never holds the graph itself."""
-    hit = _stored(g, bad)
-    jump = hit if type(hit) is JumpWitness else hit[2]
-    return RationalityVerdict(jump is None, jump, source=(g, bad))
+    jump = _stored(g, bad)[0]
+    return RationalityVerdict(jump is None, jump, (g, bad))
 
 
 def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
@@ -305,14 +277,16 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     and is the same.
 
     By the lemma of the module docstring the frozen run is the stabilized
-    graph's least-id run, so it is stored on the graph returned, under the
-    empty set: ``is_rational`` on it runs no Laufer sequence again.  The
-    graph is built only when a weight drops; otherwise ``g`` itself is
-    returned.
+    graph's run, so it is stored on the graph returned, under the empty
+    set: ``is_rational`` on it runs no Laufer sequence again.  The graph is
+    built only when a weight drops; otherwise ``g`` itself is returned.
     """
     bad = _checked_bad_set(g, bad)
-    drop, y, jump, _ = _stored(g, bad, full=True)
-    down = PlumbingGraph({**g.weights(), **drop}, g.edges) if drop else g
+    jump, (y, _) = _stored(g, bad, full=True)
+    ws = g.weights()
+    low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
+    drop = {v: w for v, w in low.items() if w < ws[v]}
+    down = PlumbingGraph({**ws, **drop}, g.edges) if drop else g
     _stored(down, _PLAIN, run=(y, jump))
     return down
 

@@ -10,8 +10,10 @@ recurrence.  The Laufer run, the realizability search and the Brieskorn
 Seifert data also have plain reference versions that rescan everything,
 the Laufer run a second one with a last-in-first-out worklist, and
 ``minimize`` has its blow-down loop that builds a graph per step, and
-``fresh_ids`` its loop that scans the ids it has found.  A
-verdict, which the library reads off a run stopped at its first jump, has
+``fresh_ids`` its loop that scans the ids it has found.  The rescanning
+Laufer run can also step in a random order: the library always steps the
+least id, so that run alone shows that Z_min and the verdict do not
+depend on the order.  A verdict, which the library reads off a run stopped at its first jump, has
 the full-run route of a least-id run carried on to Z_min on a heap.  The
 bad-set verdict has the two-run route: lower the weights, build the graph
 afresh and run Laufer on it.  chi comes from the canonical cycle, solved
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, gcd
+from typing import NamedTuple
 
 from plumbcalc.errors import GraphStructureError, InternalCheckError
 from plumbcalc.graph import (
@@ -52,7 +55,6 @@ from plumbcalc.lattice import (
 from plumbcalc.laufer import (
     DEFAULT_BAD_SET_CAP,
     JumpWitness,
-    RationalityVerdict,
     is_bad_set,
     is_rational,
     min_bad,
@@ -346,7 +348,22 @@ def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=()):
             pair[n] += 1
 
 
-def reference_verdict(g: PlumbingGraph, frozen=()) -> RationalityVerdict:
+class ReferenceVerdict(NamedTuple):
+    """The four fields of a ``RationalityVerdict``, made apart from the
+    library: compare one with ``verdict_fields(v)``."""
+
+    rational: bool
+    jump: JumpWitness | None
+    z_min: dict
+    chi_zmin: Fraction
+
+
+def verdict_fields(v) -> ReferenceVerdict:
+    """The four fields of a library verdict, to compare with a reference."""
+    return ReferenceVerdict(v.rational, v.jump, v.z_min, v.chi_zmin)
+
+
+def reference_verdict(g: PlumbingGraph, frozen=()) -> ReferenceVerdict:
     """The verdict of the least-id Laufer run carried on to its end, with
     ``frozen`` vertices never stepping: the first jump, the end cycle and
     chi of it.  The run keeps a heap of the vertices with positive pairing,
@@ -373,7 +390,7 @@ def reference_verdict(g: PlumbingGraph, frozen=()) -> RationalityVerdict:
             if pair[n] == 1 and n not in frozen:
                 heapq.heappush(heap, n)
         step += 1
-    return RationalityVerdict(jump is None, jump, mult, chi(g, mult))
+    return ReferenceVerdict(jump is None, jump, mult, chi(g, mult))
 
 
 def reference_zmin_lifo(g: PlumbingGraph) -> dict[str, int]:
@@ -440,7 +457,7 @@ def reference_stabilize(g: PlumbingGraph, bad) -> PlumbingGraph:
                 raise InternalCheckError("bad-set stabilization exceeded cap")
 
 
-def reference_bad_verdict(g: PlumbingGraph, bad) -> RationalityVerdict:
+def reference_bad_verdict(g: PlumbingGraph, bad) -> ReferenceVerdict:
     """The verdict of ``stabilize(g, bad)`` by two runs: a rescanning run
     with ``bad`` frozen at multiplicity 1 gives the lowered weights
     e'_v = min(e_v, -sum_{n~v} Y_n), the lowered graph is built afresh from

@@ -398,9 +398,10 @@ def test_check_certificate_fuzz(tmp_path_factory, data):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # these modules cost a cold call about two thirds of its import time;
-    # -S keeps site hooks (.pth files) from adding or hiding modules
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    # the first five cost a cold call about two thirds of its import time,
+    # and pathlib pulls in urllib, ipaddress and fnmatch; -S keeps site
+    # hooks (.pth files) from adding or hiding modules
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "random")
     code = f"import plumbcalc.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

@@ -155,6 +155,21 @@ def test_integral_weights_are_int():
     assert given == {"a": -3, "b": 1} and all(type(w) is int for w in given.values())
 
 
+@pytest.mark.parametrize(
+    "w",
+    [0.1, 2.0, "1e2", " 3 ", "\u0663", float("nan"), float("inf"), None, "x", "9" * 5000],
+    ids=["0.1", "2.0", "'1e2'", "' 3 '", "arabic-indic-3", "nan", "inf", "None", "'x'", "5000-digits"],
+)
+def test_constructor_rejects_what_the_parser_rejects(w):
+    # a weight is a numbers.Rational or a string of the file format: no
+    # float, however integral, and no text that parse_graph turns down
+    with pytest.raises(GraphStructureError, match=r"^invalid weight .* of vertex 'a'$"):
+        PlumbingGraph({"a": w})
+    if isinstance(w, str) and w.split() == [w]:  # a weight token of a file
+        with pytest.raises(ParseError):
+            parse_graph(f"vertex a {w}")
+
+
 def test_slope_weights_stay_fraction():
     g = parse_graph("vertex a -7/2\nvertex b -2\nedge a b")
     assert g.weight("a") == Fraction(-7, 2) and type(g.weight("a")) is Fraction

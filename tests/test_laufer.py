@@ -9,7 +9,6 @@ from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError
 from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph
 from plumbcalc.laufer import (
-    JumpWitness,
     is_bad_set,
     is_rational,
     min_bad,
@@ -28,6 +27,7 @@ from oracles import (
     reference_laufer_run,
     reference_stabilize,
     reference_verdict,
+    verdict_fields,
     with_weight,
 )
 
@@ -102,27 +102,25 @@ def test_zmin_matches_bruteforce(census6):
     assert checked >= 40
 
 
-def _rng(seed):
-    return None if seed is None else random.Random(seed)
-
-
 def test_run_matches_rescanning_reference(
     census6, e8, s237, two_star_m2, case2_shallow, case2_deep
 ):
-    # the worklist run must take the steps, and the random draws, of a run
-    # that rescans every vertex per step
+    # the worklist run must take the steps of a run that rescans every
+    # vertex per step; a run in a random order ends at the same cycle, and
+    # jumps somewhere iff the least-id run does
     graphs = [*census6, e8, s237, two_star_m2, case2_shallow, case2_deep]
     for i, g in enumerate(graphs):
-        for seed in (None, i):
-            z_ref, steps_ref, jump_ref = reference_laufer_run(g, _rng(seed))
-            z, seq = z_min(g, _rng(seed))
-            assert z == z_ref and seq.final == z_ref
-            got = [(s.cycle_before, s.vertex, s.pairing_value) for s in seq.steps]
-            assert got == steps_ref
-            verdict = is_rational(g, _rng(seed))
-            jump = verdict.jump
-            assert verdict.z_min == z_ref
-            assert (jump and (jump.step, jump.vertex, jump.value)) == jump_ref
+        z_ref, steps_ref, jump_ref = reference_laufer_run(g)
+        z, seq = z_min(g)
+        assert z == z_ref and seq.final == z_ref
+        got = [(s.cycle_before, s.vertex, s.pairing_value) for s in seq.steps]
+        assert got == steps_ref
+        verdict = is_rational(g)
+        jump = verdict.jump
+        assert verdict.z_min == z_ref
+        assert (jump and (jump.step, jump.vertex, jump.value)) == jump_ref
+        z_any, _, jump_any = reference_laufer_run(g, random.Random(i))
+        assert z_any == z_ref and (jump_any is None) == verdict.rational
 
 
 def test_integer_chi_matches_canonical_cycle(
@@ -147,10 +145,10 @@ def test_zmin_preconditions():
 def test_zmin_tie_break_independence_small(census6):
     rng = random.Random(43)
     for g in rng.sample(census6, 25):
-        base = zmin_multiplicities(g)
+        base, rational = zmin_multiplicities(g), is_rational(g).rational
         for seed in range(10):
-            z, _ = z_min(g, random.Random(seed))
-            assert z == base
+            z, _, jump = reference_laufer_run(g, random.Random(seed))
+            assert z == base and (jump is None) == rational
 
 
 # -- rationality ----------------------------------------------------------
@@ -195,8 +193,9 @@ def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
         verdict = laufer._verdict(h, bad)
         assert rational == verdict.rational == ref.rational, (g, bad)
         assert verdict.jump == ref.jump, (g, bad)
-        assert ref.rational or type(h._stabilized[bad]) is JumpWitness
-        assert verdict == ref, (g, bad)
+        end = None if ref.jump else (ref.z_min, ref.chi_zmin)
+        assert h._stabilized[bad] == (ref.jump, end), (g, bad)
+        assert verdict_fields(verdict) == ref, (g, bad)
 
 
 def test_stopped_verdicts_match_full_runs_on_census6(census6):
@@ -250,6 +249,20 @@ def test_stabilize_one_vertex_matches_decrement_loop(census6):
             assert stabilize(g, [v]) == reference_stabilize(g, [v]), (g, v)
 
 
+def test_frozen_run_in_any_order_ends_at_the_stabilized_zmin():
+    # the lemma of the laufer module docstring under random tie-breaks: the
+    # run frozen at v, stepping in any order, ends at Z_min of stabilize(g, [v])
+    pairs = 0
+    for g in census_graphs(5, -5):
+        for v in g.vertices:
+            z = is_rational(stabilize(g, [v])).z_min
+            for seed in range(3):
+                y, _, _ = reference_laufer_run(g, random.Random(seed), frozen={v})
+                assert y == z, (g, v, seed)
+            pairs += 1
+    assert pairs == 17_044
+
+
 def test_stabilize_pairs_against_decrement_loop():
     # Every 2-subset of every census-5 graph.  The loop may lower a vertex
     # further than needed; stabilize gives the largest weights with
@@ -274,12 +287,14 @@ def test_stabilize_pairs_against_decrement_loop():
 
 def _assert_bad_verdict_is_the_two_run_verdict(g, bad, seed):
     # the verdict stored by stabilize, read by is_bad_set, equals the old
-    # route's: build the lowered graph afresh and run Laufer on it again
+    # route's: build the lowered graph afresh and run Laufer on it again;
+    # a run on it in a random order ends at the same cycle and verdict
     ref = reference_bad_verdict(g, bad)
     down = stabilize(g, bad)
-    assert is_rational(down) == ref, (g, bad)
+    assert verdict_fields(is_rational(down)) == ref, (g, bad)
     assert is_bad_set(g, bad) == ref.rational
-    assert is_rational(down, random.Random(seed)).rational == ref.rational
+    z, _, jump = reference_laufer_run(down, random.Random(seed))
+    assert z == ref.z_min and (jump is None) == ref.rational
 
 
 def test_bad_verdict_matches_two_run_route_on_single_vertices(census6):
