@@ -76,14 +76,15 @@ class PlumbingGraph:
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
-    (D, P) pass, and ``_stabilized`` the least-id Laufer runs, keyed by
-    frozen set, in the layout that ``laufer._stored`` documents and alone
-    reads and writes.
+    (D, P) pass, ``_stabilized`` the least-id Laufer runs, keyed by frozen
+    set, in the layout that ``laufer._stored`` documents and alone reads
+    and writes, and ``_arrays`` the arrays every Laufer run on the graph
+    starts from (``laufer._run_arrays``), set up by the first run.
     """
 
     __slots__ = (
         "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_comps", "_order", "_stabilized",
+        "_dp", "_comps", "_order", "_stabilized", "_arrays",
     )
 
     def __init__(
@@ -122,7 +123,7 @@ class PlumbingGraph:
             _raise_edge_fault(ws, edges)
         self._integral = integral
         self._hash: int | None = None
-        self._dp = self._stabilized = None
+        self._dp = self._stabilized = self._arrays = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -157,6 +158,9 @@ class PlumbingGraph:
 
     def has_edge(self, a: VertexId, b: VertexId) -> bool:
         return _normalize_edge(a, b) in self._edges
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._weights
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -286,13 +290,16 @@ def serialize_graph(g: PlumbingGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fresh_ids(g: PlumbingGraph, prefix: str, count: int) -> list[VertexId]:
-    """Deterministic unused ids ``<prefix>1, <prefix>2, ...`` skipping collisions."""
+def fresh_ids(
+    taken: PlumbingGraph | Mapping[VertexId, object], prefix: str, count: int
+) -> list[VertexId]:
+    """Deterministic ids ``<prefix>1, <prefix>2, ...`` not in ``taken``, a
+    graph or a mapping keyed by id, skipping collisions."""
     out: list[VertexId] = []
     i = 1
     while len(out) < count:
         cand = f"{prefix}{i}"
-        if not g.has_vertex(cand):  # i only grows, so cand is new to out
+        if cand not in taken:  # i only grows, so cand is new to out
             out.append(cand)
         i += 1
     return out

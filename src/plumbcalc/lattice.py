@@ -22,7 +22,8 @@ exactly what the edge-deletion identity
 needs in its degenerate cases.  Both determinant and definiteness come
 from one post-order pass over the forest: for each rooted subtree, D is
 its det(-I) and P the product of its children's D, so each verdict costs
-O(n) exact operations instead of O(n^3).
+O(n) exact operations instead of O(n^3).  ``root_dp`` runs the same
+recurrence on one side of an edge, which gives a cut its slope.
 """
 
 from __future__ import annotations
@@ -88,27 +89,47 @@ def _det_definiteness(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
     return g._dp
 
 
+def _dp_fold(g: PlumbingGraph, order, acc: dict) -> tuple[list, bool]:
+    """The (D, P) recurrence up a rooted ``order`` of (vertex, parent)
+    pairs, parents first, a root's parent None: the (D, P) of each root, in
+    reverse order, and whether D <= 0 at some other vertex.  ``acc`` holds
+    the (s, prod) sums of the children folded into a vertex so far with
+    ``combine``; it may start with extra leaves folded in."""
+    weight, roots, low = g._weights, [], False
+    for v, p in reversed(order):
+        s, prod = acc.pop(v, (0, 1))
+        d = -weight[v] * prod - s
+        if p is None:
+            roots.append((d, prod))
+        else:
+            low = low or d <= 0
+            acc[p] = combine(*acc.get(p, (0, 1)), d, prod)
+    return roots, low
+
+
 def _dp_pass(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
     """The (D, P) pass: D_v, the det(-I) of the subtree rooted at v, per
     vertex in post order.  Integer graphs stay in ``int``; a slope vertex
     brings ``Fraction`` into the values above it."""
-    acc: dict[VertexId, tuple] = {}
-    det, corank, other = 1, 0, False
-    for v, p in _post_order(g):
-        s, prod = acc.pop(v, (0, 1))
-        d = -g.weight(v) * prod - s
-        if p is None:
-            det *= d
-            corank += d == 0
-            other = other or d < 0
-        else:
-            other = other or d <= 0
-            acc[p] = combine(*acc.get(p, (0, 1)), d, prod)
+    roots, other = _dp_fold(g, g._order, {})
+    det, corank = 1, 0
+    for d, _ in roots:
+        det *= d
+        corank += d == 0
+        other = other or d < 0
     if other:
         return Fraction(det), Definiteness(DefinitenessKind.OTHER)
     if corank:
         return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
     return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
+
+
+def root_dp(g: PlumbingGraph, order, acc: dict | None = None) -> tuple:
+    """(D, P) of the one root of ``order``, a tree of ``g`` rooted as in
+    ``_dp_fold``: the det(-I) of the tree and of the tree minus its root.
+    ``acc`` may hold, by vertex, extra leaves folded in with ``combine``."""
+    (dp,), _ = _dp_fold(g, order, {} if acc is None else acc)
+    return dp
 
 
 def determinant(g: PlumbingGraph) -> Fraction:

@@ -136,21 +136,36 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
         )
 
 
+def _run_arrays(g: PlumbingGraph) -> tuple:
+    """What every run on ``g`` starts from, by rank (position in
+    ``g.vertices``): the rank map, the weights, the neighbours' ranks and
+    the pairings (l_0, E_v) of l_0 = sum_v E_v.  ``_run`` stores them on
+    ``g`` and changes none of them: a run copies the pairings."""
+    vs, ws, adj = g.vertices, g._weights, g._adj
+    rank = {v: i for i, v in enumerate(vs)}
+    weights = [ws[v] for v in vs]
+    nbrs = [[rank[n] for n in adj[v]] for v in vs]
+    pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
+    return rank, weights, nbrs, pair
+
+
 def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
     """The computation sequence from l_0 = sum_v E_v: (end cycle, recorded
-    steps, first jump).  ``pos`` holds the sorted ranks (positions in
-    ``g.vertices``) of the vertices with positive pairing, and ``pos[0]``
-    steps; a step updates only the stepped vertex and its neighbours.
-    ``frozen`` vertices never step.  With ``stop`` the run ends just after
-    its first jump, and the cycle returned is the one that step reached."""
+    steps, first jump).  ``pos`` holds the sorted ranks of the vertices
+    with positive pairing, and ``pos[0]`` steps; a step updates only the
+    stepped vertex and its neighbours.  ``frozen`` vertices never step.
+    With ``stop`` the run ends just after its first jump, and the cycle
+    returned is the one that step reached.  The arrays of ``_run_arrays``
+    are set up on the first run and stored on ``g``; a run copies only the
+    pairings."""
+    if g._arrays is None:
+        g._arrays = _run_arrays(g)
+    rank, weights, nbrs, pair = g._arrays
     vs = g.vertices
-    rank = {v: i for i, v in enumerate(vs)}
-    ws = g.weights()
-    weights = [ws[v] for v in vs]
-    nbrs = [[rank[n] for n in g.neighbors(v)] for v in vs]
+    fixed = set(map(rank.__getitem__, frozen))
     mult = [1] * len(vs)
-    pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
-    pos = [i for i, x in enumerate(pair) if x > 0 and vs[i] not in frozen]
+    pair = list(pair)
+    pos = [i for i, x in enumerate(pair) if x > 0 and i not in fixed]
     steps: list[LauferStep] = []
     first_jump: JumpWitness | None = None
     count = 0
@@ -169,7 +184,7 @@ def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
             del pos[0]
         for n in nbrs[i]:
             pair[n] += 1
-            if pair[n] == 1 and vs[n] not in frozen:
+            if pair[n] == 1 and n not in fixed:
                 insort(pos, n)
         count += 1
     return dict(zip(vs, mult)), steps, first_jump

@@ -99,24 +99,29 @@ def negative_cf(r: Fraction | int) -> ContinuedFraction:
     """Negative (Hirzebruch-Jung style) continued fraction of ``r < 0``.
 
     Integers expand to a single term; otherwise take e_1 = floor(r) and
-    recurse on -1/(r - floor(r)), which keeps every later term <= -2.
-    The expansion is re-evaluated exactly before returning.
+    recurse on -1/(r - floor(r)), which keeps every later term <= -2.  In
+    integers, with r = p/q: e = floor(p/q), then (p, q) <- (-q, p - e q)
+    until the remainder is 0.  The expansion is re-evaluated exactly before
+    returning: the continuant pair of the terms must be (numerator,
+    denominator) of ``r``.
     """
     r = Fraction(r)
     if r >= 0:
         raise GraphStructureError(f"slope must be negative, got {r}")
     terms: list[int] = []
-    x = r
-    while True:
-        f = x.numerator // x.denominator  # floor
-        terms.append(f)
-        frac = x - f
-        if frac == 0:
-            break
-        x = -1 / frac
+    p, q = r.numerator, r.denominator
+    while q:
+        e = p // q
+        terms.append(e)
+        p, q = -q, p - e * q
     if terms[0] > -1 or any(t > -2 for t in terms[1:]):
         raise InternalCheckError(f"continued fraction terms out of range: {terms}")
-    if cf_eval(terms) != r:
+    # [e_k, ..., e_s] = a/b with b > 0, from the right: a/b is then
+    # e_{k-1} - b/a = (b - e_{k-1} a)/(-a), and a < 0 for every tail
+    a, b = terms[-1], 1
+    for e in reversed(terms[:-1]):
+        a, b = b - e * a, -a
+    if (a, b) != (r.numerator, r.denominator):
         raise InternalCheckError(f"continued fraction of {r} failed round-trip")
     return ContinuedFraction(r, tuple(terms))
 

@@ -44,7 +44,6 @@ from .graph import (
     PlumbingGraph,
     VertexId,
     blow_up_edge,
-    delete,
     fresh_ids,
     is_minimal,
     minimize,
@@ -54,7 +53,14 @@ from .graph import (
     serialize_graph,
     subgraph,
 )
-from .lattice import _det_definiteness, definiteness, determinant, is_negative_definite
+from .lattice import (
+    _det_definiteness,
+    combine,
+    definiteness,
+    determinant,
+    is_negative_definite,
+    root_dp,
+)
 from .laufer import _checked_bad_set, _verdict, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
@@ -68,17 +74,24 @@ def attach_string(
 ) -> PlumbingGraph:
     """Attach the string expansion of slope ``r`` by one edge at ``at``;
     the first term of the continued fraction sits next to ``at``."""
-    return _attach_chain(g, at, negative_cf(r).terms)
-
-
-def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
-    """Attach a chain of fresh vertices with the given weights at ``at``."""
+    terms = negative_cf(r).terms
     if not g.has_vertex(at):
         raise GraphStructureError(f"unknown vertex {at!r}")
-    ids = fresh_ids(g, "q", len(weights))
-    ws = g.weights()
+    return _chain(g.weights(), g.edges, at, terms)
+
+
+def _chain(ws: dict, edges, at: VertexId, weights) -> PlumbingGraph:
+    """The graph of ``ws`` and ``edges`` with a chain of vertices of the
+    given weights attached at ``at``, their ids fresh to ``ws``."""
+    ids = fresh_ids(ws, "q", len(weights))
     ws.update(zip(ids, weights))
-    return PlumbingGraph(ws, list(g.edges) + list(zip([at, *ids], ids)))
+    return PlumbingGraph(ws, [*edges, *zip([at, *ids], ids)])
+
+
+def _side(g: PlumbingGraph, walk, weights=()) -> PlumbingGraph:
+    """The tree of ``g`` that ``walk`` covers (see ``_branch``), with a
+    chain of the given weights attached at its root."""
+    return _chain({u: g.weight(u) for u, _ in walk}, walk[1:], walk[0][0], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +100,39 @@ def _attach_chain(g: PlumbingGraph, at: VertexId, weights) -> PlumbingGraph:
 
 
 class CutResult:
-    """A cut (see ``cut_and_fill``): the two sides, the edge (v, w), the
-    Fractions det_w, det_w_minus and r, and the two filled graphs.  The
-    decorated graphs, each side with its slope as a single vertex, are
-    built on first read."""
+    """A cut (see ``cut_and_fill``): the edge (v, w), the Fractions det_w,
+    det_w_minus and r, and the two filled graphs.  The sides, the decorated
+    graphs (each side with its slope as a single vertex) and the
+    determinant of the decorated v-side are computed on first read, from
+    the cut graph and the walk of each side."""
 
-    def __init__(self, side_v, side_w, edge, det_w, det_w_minus, r, filled_v, filled_w):
-        self.side_v, self.side_w, self.edge = side_v, side_w, edge
-        self.det_w, self.det_w_minus, self.r = det_w, det_w_minus, r
+    def __init__(self, g, edge, walks, det_w, det_w_minus, r, filled_v, filled_w):
+        self._g, (self._walk_v, self._walk_w) = g, walks
+        self.edge, self.det_w, self.det_w_minus, self.r = edge, det_w, det_w_minus, r
         self.filled_v, self.filled_w = filled_v, filled_w
 
     @cached_property
+    def side_v(self) -> PlumbingGraph:
+        return _side(self._g, self._walk_v)
+
+    @cached_property
+    def side_w(self) -> PlumbingGraph:
+        return _side(self._g, self._walk_w)
+
+    @cached_property
     def decorated_v(self) -> PlumbingGraph:
-        return _attach_chain(self.side_v, self.edge[0], [1 / self.r])
+        return _side(self._g, self._walk_v, [1 / self.r])
 
     @cached_property
     def decorated_w(self) -> PlumbingGraph:
-        return _attach_chain(self.side_w, self.edge[1], [self.r])
+        return _side(self._g, self._walk_w, [self.r])
+
+    @cached_property
+    def decorated_v_det(self) -> Fraction:
+        """det(decorated_v), from a (D, P) walk of the v-side with no graph
+        built: the slope vertex is a leaf of D = -1/r and P = 1 at v."""
+        slope = {self.edge[0]: combine(0, 1, -1 / self.r, 1)}
+        return Fraction(root_dp(self._g, self._walk_v, slope)[0])
 
 
 class Claim(NamedTuple):
@@ -112,32 +141,32 @@ class Claim(NamedTuple):
     got: object
 
 
-def _branch(g: PlumbingGraph, w: VertexId, v: VertexId) -> set[VertexId]:
-    """The vertices a walk from ``w`` reaches without entering ``v``: the
-    component of g - v that holds ``w``, the w-side of a cut at (v, w)."""
-    seen, stack = {v, w}, [w]
-    while stack:
-        new = [u for u in g.neighbors(stack.pop()) if u not in seen]
-        seen.update(new)
-        stack += new
-    return seen - {v}
+def _branch(g: PlumbingGraph, w: VertexId, v: VertexId) -> list:
+    """The walk from ``w`` that never enters ``v``, as (vertex, parent)
+    pairs, parents first, ``w``'s parent None: the component of g - v that
+    holds ``w``, rooted at ``w``, the w-side of a cut at (v, w)."""
+    walk = [(w, None)]
+    for u, p in walk:  # the list grows as it is read
+        walk += [(c, u) for c in g.neighbors(u) if c != p and c != v]
+    return walk
 
 
 def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     """Split ``g`` at the edge (v, w); fill the w-side with the string of
-    r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v."""
-    in_w = _branch(g, w, v)
-    side_w = subgraph(g, in_w)
-    side_v = subgraph(g, next(c for c in g.component_vertex_sets() if v in c) - in_w)
-    det_w = determinant(side_w)
-    det_w_minus = determinant(delete(side_w, vertices=[w]))
+    r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v.
+    det(G_w) and det(G_w - w) are the D and P of w in one (D, P) walk of
+    the w-side rooted at w.  Only the two filled graphs are built, straight
+    from the weights and edges of ``g`` on each side plus the string; the
+    other graphs of the cut are built when read."""
+    walk_v, walk_w = _branch(g, v, w), _branch(g, w, v)
+    det_w, det_w_minus = map(Fraction, root_dp(g, walk_w))
     if det_w <= 0 or det_w_minus <= 0:
         raise InternalCheckError("side determinants must be positive")
     r = -det_w_minus / det_w
-    return CutResult(
-        side_v, side_w, (v, w), det_w, det_w_minus, r,
-        attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
-    )
+    filled_v = _side(g, walk_v, negative_cf(1 / r).terms)
+    filled_w = _side(g, walk_w, negative_cf(r).terms)
+    walks = walk_v, walk_w
+    return CutResult(g, (v, w), walks, det_w, det_w_minus, r, filled_v, filled_w)
 
 
 def _cut_claims(g: PlumbingGraph, cut: CutResult) -> list[Claim]:
@@ -151,7 +180,7 @@ def _cut_claims(g: PlumbingGraph, cut: CutResult) -> list[Claim]:
             definiteness(cut.filled_w).is_negative_semidefinite,
         ),
         Claim("filled_v_negative_definite", True, is_negative_definite(cut.filled_v)),
-        Claim("decorated_v_det", det_g / cut.det_w_minus, determinant(cut.decorated_v)),
+        Claim("decorated_v_det", det_g / cut.det_w_minus, cut.decorated_v_det),
     ]
     if g.has_integer_weights():
         reduction = gcd(int(cut.det_w), int(cut.det_w_minus))
@@ -336,7 +365,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
     if len(branches.get(v, ())) < 2:
         return None
     jump = _verdict(g, _checked_bad_set(g, [v])).jump
-    jumped = _branch(g, jump.vertex, v) if jump else set()
+    jumped = {u for u, _ in _branch(g, jump.vertex, v)} if jump else set()
     return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
 
 

@@ -22,7 +22,11 @@ monotonicity spot checks of the induction live here too, as no verdict
 needs them, and so do the pairing a^T I b and ``with_weight``, which only
 the tests use.
 The constructor's forest checks have their route of one loop over the
-edges with a union-find, where the constructor counts components.
+edges with a union-find, where the constructor counts components.  A cut
+has the route that builds both sides as subgraphs and reads det_w and
+det_w_minus from the graphs side_w and side_w - w, and the negative
+continued fraction its ``Fraction`` loop, checked by ``cf_eval``, where
+the library expands and checks in integers.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from plumbcalc.graph import (
     blow_down,
     canonical_code,
     delete,
+    fresh_ids,
     nodes,
     subgraph,
 )
@@ -60,6 +65,8 @@ from plumbcalc.laufer import (
     min_bad,
     zmin_multiplicities,
 )
+from plumbcalc.seifert import ContinuedFraction, cf_eval
+from plumbcalc.surgery import attach_string
 
 
 def with_weight(g: PlumbingGraph, v, w) -> PlumbingGraph:
@@ -570,3 +577,80 @@ def monotonicity_report(
             if not is_rational(lowered).rational:
                 rep.failures.append(f"decreasing {v} broke rationality")
     return rep
+
+
+def reference_negative_cf(r) -> ContinuedFraction:
+    """``negative_cf`` as a ``Fraction`` loop: e_1 = floor(r), then the
+    expansion of -1/(r - floor(r)), re-evaluated by ``cf_eval``."""
+    r = Fraction(r)
+    if r >= 0:
+        raise GraphStructureError(f"slope must be negative, got {r}")
+    terms: list[int] = []
+    x = r
+    while True:
+        f = x.numerator // x.denominator  # floor
+        terms.append(f)
+        frac = x - f
+        if frac == 0:
+            break
+        x = -1 / frac
+    if terms[0] > -1 or any(t > -2 for t in terms[1:]):
+        raise InternalCheckError(f"continued fraction terms out of range: {terms}")
+    if cf_eval(terms) != r:
+        raise InternalCheckError(f"continued fraction of {r} failed round-trip")
+    return ContinuedFraction(r, tuple(terms))
+
+
+class ReferenceCut(NamedTuple):
+    """The fields of ``surgery.CutResult``, every graph built at once."""
+
+    side_v: PlumbingGraph
+    side_w: PlumbingGraph
+    edge: tuple
+    det_w: Fraction
+    det_w_minus: Fraction
+    r: Fraction
+    filled_v: PlumbingGraph
+    filled_w: PlumbingGraph
+
+    @property
+    def decorated_v(self) -> PlumbingGraph:
+        return _reference_attach(self.side_v, self.edge[0], 1 / self.r)
+
+    @property
+    def decorated_w(self) -> PlumbingGraph:
+        return _reference_attach(self.side_w, self.edge[1], self.r)
+
+
+def _reference_attach(g: PlumbingGraph, at, weight) -> PlumbingGraph:
+    """``g`` with one fresh vertex of the given weight attached at ``at``."""
+    (q,) = fresh_ids(g, "q", 1)
+    return PlumbingGraph({**g.weights(), q: weight}, [*g.edges, (at, q)])
+
+
+def _reference_branch(g: PlumbingGraph, w, v) -> set:
+    """The vertices a walk from ``w`` reaches without entering ``v``."""
+    seen, stack = {v, w}, [w]
+    while stack:
+        new = [u for u in g.neighbors(stack.pop()) if u not in seen]
+        seen.update(new)
+        stack += new
+    return seen - {v}
+
+
+def reference_cut(g: PlumbingGraph, v, w) -> ReferenceCut:
+    """The cut of ``g`` at the edge (v, w) from graphs: both sides built as
+    subgraphs, det_w and det_w_minus read from side_w and side_w - w, and
+    each side filled by ``attach_string``."""
+    in_w = _reference_branch(g, w, v)
+    side_w = subgraph(g, in_w)
+    side_v = subgraph(g, next(c for c in g.component_vertex_sets() if v in c) - in_w)
+    det_w = determinant(side_w)
+    det_w_minus = determinant(delete(side_w, vertices=[w]))
+    if det_w <= 0 or det_w_minus <= 0:
+        raise InternalCheckError("side determinants must be positive")
+    r = -det_w_minus / det_w
+    return ReferenceCut(
+        side_v, side_w, (v, w), det_w, det_w_minus, r,
+        attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
+    )

@@ -2,8 +2,9 @@
 scratch on an equal graph built apart, and no caller can change it.
 
 The stored facts are the (determinant, definiteness) of the (D, P) pass,
-the component vertex sets and the least-id Laufer runs, one per frozen set,
-the empty set holding the graph's own verdict (see ``PlumbingGraph``).  The
+the component vertex sets, the least-id Laufer runs, one per frozen set,
+the empty set holding the graph's own verdict, and the arrays every Laufer
+run starts from (see ``PlumbingGraph``).  The
 second route is ``parse_graph(serialize_graph(g))``, a fresh graph with
 nothing stored.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from plumbcalc import cli, lattice, laufer
+from plumbcalc import cli, lattice, laufer, surgery
 from plumbcalc.census import census_graphs
 from plumbcalc.classify import classify
 from plumbcalc.errors import GraphStructureError
@@ -61,6 +62,7 @@ def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
     first = _facts(g)
     assert _facts(g) == first
     assert _facts(parse_graph(serialize_graph(g))) == first
+    assert g._arrays is None or g._arrays == laufer._run_arrays(g)
 
 
 def _node_graphs(node):
@@ -110,18 +112,58 @@ def _count_dp_passes(monkeypatch) -> dict:
     return count
 
 
+def _count_builds(monkeypatch) -> list:
+    built = []
+    init = PlumbingGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
+    return built
+
+
 def test_certificate_pass_counts(monkeypatch):
-    # the builder used to run 29 (D, P) passes on this graph, the checker 20
+    # the builder used to run 29 (D, P) passes on this graph, the checker 20;
+    # then 7 and 6 (7 on parsed graphs), while each cut read its sides'
+    # determinants from graphs built for them
     count = _count_dp_passes(monkeypatch)
     cert = lo_certificate(two_star_chain())
-    assert count["passes"] <= 7
+    assert count["passes"] <= 4
     count["passes"] = 0
     assert check_certificate(cert).ok
-    assert count["passes"] <= 6
+    assert count["passes"] <= 3
     parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
     count["passes"] = 0
     assert check_certificate(parsed).ok
-    assert count["passes"] <= 7
+    assert count["passes"] <= 4
+
+
+def test_cut_builds_only_its_filled_graphs(monkeypatch):
+    # the sides, side_w - w and the decorated v-side were built to read a
+    # determinant from each: 5 builds and 2 (D, P) passes per cut
+    g = two_star_chain()
+    det_g = determinant(g)
+    built = _count_builds(monkeypatch)
+    count = _count_dp_passes(monkeypatch)
+    cut = surgery._cut(g, "m1", "m2")
+    assert len(built) == 2 and count["passes"] == 0
+    assert cut.decorated_v_det == det_g / cut.det_w_minus
+    assert len(built) == 2 and count["passes"] == 0
+    assert cut.side_v is cut.side_v and len(built) == 3  # built when read
+
+
+def _count_array_setups(monkeypatch) -> list:
+    setups = []
+    arrays = laufer._run_arrays
+
+    def counted(g):
+        setups.append(len(g))
+        return arrays(g)
+
+    monkeypatch.setattr(laufer, "_run_arrays", counted)
+    return setups
 
 
 def _count_runs(monkeypatch) -> list:
@@ -220,16 +262,19 @@ def test_checker_run_counts(monkeypatch):
     assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
 
 
+def test_m_le_1_sets_up_the_run_arrays_once(monkeypatch):
+    # one frozen run per vertex of the m = 2 root, each from the same arrays
+    g = two_star_chain()
+    setups = _count_array_setups(monkeypatch)
+    runs = _count_runs(monkeypatch)
+    assert not surgery._m_le_1(g)
+    assert len(runs) == len(g) == 10 and setups == [10]
+    assert is_bad_set(g, nodes(g)) and len(runs) == 11 and setups == [10]
+
+
 def test_is_bad_set_builds_no_graph(monkeypatch):
     g = two_star_chain()
-    built = []
-    init = PlumbingGraph.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
+    built = _count_builds(monkeypatch)
     assert not any(is_bad_set(g, {v}) for v in g.vertices)
     assert is_bad_set(g, nodes(g))
     assert not built

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumbcalc.errors import GraphStructureError
+from plumbcalc.errors import GraphStructureError, PlumbingError
 from plumbcalc.graph import (
     PlumbingGraph,
     delete,
@@ -42,7 +42,7 @@ from plumbcalc.surgery import (
 from plumbcalc.seifert import cf_eval, negative_cf
 
 from conftest import certify_inputs, make_star
-from oracles import cf_eval_convergents
+from oracles import cf_eval_convergents, oracle_det, reference_cut, reference_negative_cf
 
 
 # -- continued fractions -----------------------------------------------------
@@ -85,6 +85,21 @@ def test_negative_cf_round_trip_bulk():
     for _ in range(10_000):
         r = Fraction(-rng.randint(1, 10**6), rng.randint(1, 10**6))
         assert cf_eval(negative_cf(r).terms) == r
+
+
+def _cf_outcome(expand, r):
+    try:
+        cf = expand(r)
+    except PlumbingError as exc:
+        return type(exc), str(exc)
+    return cf.value, type(cf.value), cf.terms
+
+
+def test_negative_cf_matches_fraction_loop():
+    # slopes such as -N/(N-1) expand to N - 1 terms, so the bounds stay small
+    slopes = {Fraction(p, q) for p in range(-300, 0) for q in range(1, 301)}
+    for r in sorted(slopes) + [0, 1, Fraction(1, 2)]:
+        assert _cf_outcome(negative_cf, r) == _cf_outcome(reference_negative_cf, r), r
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,7 +473,8 @@ def test_node_separating_edges_match_deletion(census6, two_star_m2):
 def test_node_branches_match_deletion(census6):
     # the table from one rooted pass against the definition: a neighbour u
     # of v is listed iff the component of g - v holding u holds a node of g;
-    # and the walk from w that never enters v is that component
+    # and the walk from u that never enters v is that component, rooted at u,
+    # each other vertex after its parent, along an edge
     for g in census6:
         gnodes = set(nodes(g))
         table = _node_branches(g)
@@ -469,7 +485,13 @@ def test_node_branches_match_deletion(census6):
             )
             assert table[v] == want, (g, v)
             for u in g.neighbors(v):
-                assert _branch(g, u, v) == next(c for c in comps if u in c)
+                walk = _branch(g, u, v)
+                assert {x for x, _ in walk} == next(c for c in comps if u in c)
+                assert len(walk) == len({x for x, _ in walk}) and walk[0] == (u, None)
+                seen = {u}
+                for x, p in walk[1:]:
+                    assert p in seen and g.has_edge(x, p)
+                    seen.add(x)
 
 
 def test_cut_sides_match_deletion():
@@ -481,6 +503,27 @@ def test_cut_sides_match_deletion():
                 assert [set(cut.side_v), set(cut.side_w)] == [
                     next(c for c in comps if u in c) for u in (v, w)
                 ]
+
+
+def test_cut_matches_reference_on_census5():
+    # every field, in the reference's types; the sides and decorated graphs
+    # are read last, as they are built when read
+    for g in census_graphs(5, -5):
+        for a, b in g.edges:
+            for v, w in ((a, b), (b, a)):
+                cut, ref = _cut(g, v, w), reference_cut(g, v, w)
+                for name in ("edge", "det_w", "det_w_minus", "r"):
+                    got, want = getattr(cut, name), getattr(ref, name)
+                    assert (got, type(got)) == (want, type(want)), (g, v, w, name)
+                assert type(cut.det_w) is Fraction and type(cut.r) is Fraction
+                assert (cut.filled_v, cut.filled_w) == (ref.filled_v, ref.filled_w)
+                assert (cut.side_v, cut.side_w) == (ref.side_v, ref.side_w)
+                assert cut.decorated_w == ref.decorated_w
+                decorated_v = ref.decorated_v
+                assert cut.decorated_v == decorated_v
+                det = cut.decorated_v_det
+                assert type(det) is Fraction
+                assert det == determinant(decorated_v) == oracle_det(decorated_v)
 
 
 def test_cut_builds_each_decorated_graph_once(two_star_m2):
