@@ -33,7 +33,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cmp_to_key
 from numbers import Rational
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphStructureError, ParseError
 
@@ -317,7 +317,7 @@ def valency(g: PlumbingGraph, v: VertexId) -> int:
 
 def nodes(g: PlumbingGraph) -> tuple[VertexId, ...]:
     """Vertices of valency >= 3, sorted."""
-    return tuple(v for v in g.vertices if g.degree(v) >= 3)
+    return tuple(v for v in g.vertices if len(g._adj[v]) >= 3)
 
 
 def blow_up_edge(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> PlumbingGraph:
@@ -469,16 +469,37 @@ def components(g: PlumbingGraph) -> list[PlumbingGraph]:
 
 
 def rooted_preorder(
-    g: PlumbingGraph, root: VertexId
+    g: PlumbingGraph, root: VertexId, avoid: VertexId | None = None
 ) -> list[tuple[VertexId, VertexId | None]]:
-    """(vertex, parent) pairs of the tree holding ``root``, parents first."""
-    order: list[tuple[VertexId, VertexId | None]] = []
-    stack: list[tuple[VertexId, VertexId | None]] = [(root, None)]
-    while stack:
-        v, p = stack.pop()
-        order.append((v, p))
-        stack.extend((c, v) for c in g.neighbors(v) if c != p)
-    return order
+    """(vertex, parent) pairs of the tree holding ``root``, rooted at
+    ``root``, breadth first, so parents come first; ``root``'s parent is
+    None.  The walk never enters ``avoid``: with it, the walk covers the
+    component of g - avoid that holds ``root``, the root's side of a cut
+    at (avoid, root) when the two are adjacent."""
+    walk = [(root, None)]
+    for u, p in walk:  # the list grows as it is read
+        walk += [(c, u) for c in g.neighbors(u) if c != p and c != avoid]
+    return walk
+
+
+def branch_counts(
+    g: PlumbingGraph, marked: Container[VertexId]
+) -> dict[VertexId, dict[VertexId, int]]:
+    """For each vertex v and each neighbour u of v, in id order, the number
+    of ``marked`` vertices in the component of g - v that holds u.  One
+    fold up the graph's rooted order counts the marked vertices below each
+    vertex: the branch of a child holds those below the child, and the
+    branch of the parent the rest of the tree's marked vertices."""
+    below = {v: int(v in marked) for v in g._weights}
+    for v, p in reversed(g._order):
+        if p is not None:
+            below[p] += below[v]
+    counts = {}
+    for v, p in g._order:  # a tree's pairs follow its root's
+        if p is None:
+            total = below[v]
+        counts[v] = {u: below[u] if u != p else total - below[v] for u in g._adj[v]}
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -533,26 +554,12 @@ def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
     ``g - v`` minimized; ties give the two endpoints of the central edge)."""
     if len(g) == 0:
         raise GraphStructureError("empty graph has no centroid")
-    n = len(g)
-    # subtree sizes via the rooted order, then max-component sizes
-    order = g._order
-    size = {v: 1 for v in g.vertices}
-    for v, p in reversed(order):
-        if p is not None:
-            size[p] += size[v]
-    best: list[VertexId] = []
-    best_val = n + 1
-    for v, p in order:
-        heaviest = n - size[v]
-        for c in g.neighbors(v):
-            if c != p:
-                heaviest = max(heaviest, size[c])
-        if heaviest < best_val:
-            best_val = heaviest
-            best = [v]
-        elif heaviest == best_val:
-            best.append(v)
-    return tuple(sorted(best))
+    heaviest = {
+        v: max(sizes.values(), default=0)
+        for v, sizes in branch_counts(g, g._weights).items()
+    }
+    least = min(heaviest.values())
+    return tuple(v for v in g.vertices if heaviest[v] == least)
 
 
 def canonical_code(g: PlumbingGraph) -> Code:

@@ -62,15 +62,9 @@ class Definiteness(NamedTuple):
 
 
 def _check_support(g: PlumbingGraph, cyc: Mapping) -> None:
-    for v in cyc:
-        if not g.has_vertex(v):
-            raise GraphStructureError(f"cycle supported on foreign vertex {v!r}")
-
-
-def _post_order(g: PlumbingGraph) -> list[tuple[VertexId, VertexId | None]]:
-    """(vertex, parent) pairs, children before parents; each component is
-    rooted at its least vertex: the graph's rooted order, reversed."""
-    return g._order[::-1]
+    if not cyc.keys() <= g._weights.keys():
+        v = next(v for v in cyc if v not in g._weights)
+        raise GraphStructureError(f"cycle supported on foreign vertex {v!r}")
 
 
 def combine(s, prod, d, p):
@@ -162,7 +156,7 @@ def solve_intersection_form(
     graphs always qualify (all pivots are negative).  A zero pivot raises
     SingularFormError.
     """
-    order = _post_order(g)
+    order = g._order[::-1]  # children before parents
     diag = {v: g.weight(v) for v in g.vertices}
     b = {v: Fraction(rhs.get(v, 0)) for v in g.vertices}
     for v, p in order:
@@ -200,11 +194,12 @@ def chi(g: PlumbingGraph, cyc: Mapping) -> Fraction:
     """Riemann-Roch expression chi(l) = -((K + l), l) / 2.  By adjunction
     (K, l) = sum_v l_v (-2 - e_v), so the canonical cycle is not needed."""
     _check_support(g, cyc)
+    weight, adj = g._weights, g._adj
     total = 0  # (K, l) + (l, l); the neighbour terms count each edge twice
     for v, lv in cyc.items():
-        e = g.weight(v)
+        e = weight[v]
         total += lv * (-2 - e + e * lv)
-        for n in g.neighbors(v):
+        for n in adj[v]:
             total += lv * cyc.get(n, 0)
     return Fraction(-total, 2)
 

@@ -9,8 +9,12 @@ e = e0 + sum_i omega_i/alpha_i; e < 0 is equivalent to the star being
 negative definite.
 
 Continued fractions live here only: ``negative_cf`` is the one expansion
-(a leg's terms b_ij negate that of -alpha_i/omega_i) and ``cf_eval`` the
-one evaluation; ``surgery`` expands its slopes with the same functions.
+(a leg's terms b_ij negate that of -alpha_i/omega_i), and ``surgery``
+expands its slopes with it.  None is evaluated term by term: a leg's
+(alpha_i, omega_i) is the (D, P) of the lattice walk of the leg rooted at
+its first vertex, the det(-I) of the leg and of the leg minus that
+vertex, because D = b_i1 D' - D'' is the recurrence of
+[b_i1, ..., b_is] = b_i1 - 1/[b_i2, ..., b_is].
 
 Two numeric criteria are implemented for these spaces:
 
@@ -37,11 +41,11 @@ import math
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
-from .graph import PlumbingGraph, VertexId, nodes
-from .lattice import determinant
+from .graph import PlumbingGraph, VertexId, nodes, rooted_preorder
+from .lattice import determinant, root_dp
 
 
 class _SeifertFields(NamedTuple):
@@ -82,17 +86,6 @@ class SeifertData(_SeifertFields):
 class ContinuedFraction(NamedTuple):
     value: Fraction
     terms: tuple[int, ...]
-
-
-def cf_eval(terms: Iterable[int]) -> Fraction:
-    """Evaluate [e_1, ..., e_s] = e_1 - 1/(e_2 - ...) exactly."""
-    terms = list(terms)
-    if not terms:
-        raise GraphStructureError("empty continued fraction")
-    val = Fraction(terms[-1])
-    for t in reversed(terms[:-1]):
-        val = t - 1 / val
-    return val
 
 
 def negative_cf(r: Fraction | int) -> ContinuedFraction:
@@ -139,7 +132,8 @@ def star_to_seifert(g: PlumbingGraph) -> SeifertData:
 
     The graph must have exactly one vertex of valency >= 3, integer
     weights, and every leg weight <= -2 (normalize with ``minimize``
-    first if needed).
+    first if needed).  Each leg's (alpha, omega) is its (D, P), read by
+    ``root_dp`` from the walk of the leg (see the module docstring).
     """
     if not g.is_connected():
         raise GraphStructureError("star graph must be connected")
@@ -153,21 +147,14 @@ def star_to_seifert(g: PlumbingGraph) -> SeifertData:
     center = ns[0]
     legs: list[tuple[int, int]] = []
     for first in g.neighbors(center):
-        bs: list[int] = []
-        prev, cur = center, first
-        while True:
-            w = g.weight(cur)
+        leg = rooted_preorder(g, first, center)  # a path, from the center out
+        for v, _ in leg:
+            w = g.weight(v)
             if w > -2:
                 raise GraphStructureError(
-                    f"leg vertex {cur!r} has weight {w} > -2; not in normal form"
+                    f"leg vertex {v!r} has weight {w} > -2; not in normal form"
                 )
-            bs.append(int(-w))
-            rest = [n for n in g.neighbors(cur) if n != prev]
-            if not rest:
-                break
-            prev, cur = cur, rest[0]  # legs are simple paths (single node)
-        value = cf_eval(bs)
-        legs.append((value.numerator, value.denominator))
+        legs.append(root_dp(g, leg))
     return SeifertData(int(g.weight(center)), tuple(legs))
 
 

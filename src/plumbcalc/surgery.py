@@ -44,12 +44,14 @@ from .graph import (
     PlumbingGraph,
     VertexId,
     blow_up_edge,
+    branch_counts,
     fresh_ids,
     is_minimal,
     minimize,
     nodes,
     parse_fraction,
     parse_graph,
+    rooted_preorder,
     serialize_graph,
     subgraph,
 )
@@ -89,8 +91,8 @@ def _chain(ws: dict, edges, at: VertexId, weights) -> PlumbingGraph:
 
 
 def _side(g: PlumbingGraph, walk, weights=()) -> PlumbingGraph:
-    """The tree of ``g`` that ``walk`` covers (see ``_branch``), with a
-    chain of the given weights attached at its root."""
+    """The tree of ``g`` that ``walk`` covers (see ``rooted_preorder``),
+    with a chain of the given weights attached at its root."""
     return _chain({u: g.weight(u) for u, _ in walk}, walk[1:], walk[0][0], weights)
 
 
@@ -141,16 +143,6 @@ class Claim(NamedTuple):
     got: object
 
 
-def _branch(g: PlumbingGraph, w: VertexId, v: VertexId) -> list:
-    """The walk from ``w`` that never enters ``v``, as (vertex, parent)
-    pairs, parents first, ``w``'s parent None: the component of g - v that
-    holds ``w``, rooted at ``w``, the w-side of a cut at (v, w)."""
-    walk = [(w, None)]
-    for u, p in walk:  # the list grows as it is read
-        walk += [(c, u) for c in g.neighbors(u) if c != p and c != v]
-    return walk
-
-
 def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     """Split ``g`` at the edge (v, w); fill the w-side with the string of
     r = -det(G_w - w)/det(G_w) at w and the v-side with that of 1/r at v.
@@ -158,7 +150,7 @@ def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     the w-side rooted at w.  Only the two filled graphs are built, straight
     from the weights and edges of ``g`` on each side plus the string; the
     other graphs of the cut are built when read."""
-    walk_v, walk_w = _branch(g, v, w), _branch(g, w, v)
+    walk_v, walk_w = rooted_preorder(g, v, w), rooted_preorder(g, w, v)
     det_w, det_w_minus = map(Fraction, root_dp(g, walk_w))
     if det_w <= 0 or det_w_minus <= 0:
         raise InternalCheckError("side determinants must be positive")
@@ -301,7 +293,7 @@ def _m_le_1(g: PlumbingGraph) -> bool:
     go first, as they are the likely bad vertices.
     """
     return any(
-        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3)
+        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: len(g._adj[v]) < 3)
     )
 
 
@@ -334,21 +326,12 @@ def _base_m1(g: PlumbingGraph, edge) -> _Table:
 
 def _node_branches(g: PlumbingGraph) -> dict[VertexId, tuple[VertexId, ...]]:
     """For each vertex v, the neighbours of v whose component of g - v holds
-    a node, in id order.  They are read from the count of nodes below each
-    vertex of the graph's rooted order: the branch of a child holds the
-    nodes below the child, and the branch of the parent holds the rest of
-    the tree's nodes.  A forest's other trees are not listed."""
-    below = {v: g.degree(v) >= 3 for v in g.vertices}
-    for v, p in reversed(g._order):
-        if p is not None:
-            below[p] += below[v]
-    table = {}
-    for v, p in g._order:  # a tree's pairs follow its root's
-        if p is None:
-            total = below[v]
-        up = total - below[v]
-        table[v] = tuple(u for u in g.neighbors(v) if (below[u] if u != p else up))
-    return table
+    a node, in id order, read from ``branch_counts``.  A forest's other
+    trees are not listed."""
+    return {
+        v: tuple(u for u, k in counts.items() if k)
+        for v, counts in branch_counts(g, set(nodes(g))).items()
+    }
 
 
 def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
@@ -365,7 +348,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
     if len(branches.get(v, ())) < 2:
         return None
     jump = _verdict(g, _checked_bad_set(g, [v])).jump
-    jumped = {u for u, _ in _branch(g, jump.vertex, v)} if jump else set()
+    jumped = {u for u, _ in rooted_preorder(g, jump.vertex, v)} if jump else set()
     return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
 
 
@@ -422,13 +405,13 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
-    g - e: those whose two ends list each other in ``_node_branches``, and
-    none when some component of g holds no node."""
+    g - e: those whose two ends each count a node on the other's side in
+    ``branch_counts``, and none when some component of g holds no node."""
     gnodes = set(nodes(g))
     if not all(c & gnodes for c in g.component_vertex_sets()):
         return set()
-    table = _node_branches(g)
-    return {(a, b) for a, b in g.edges if b in table[a] and a in table[b]}
+    counts = branch_counts(g, gnodes)
+    return {(a, b) for a, b in g.edges if counts[a][b] and counts[b][a]}
 
 
 def _semidef_cut(g: PlumbingGraph, edge) -> _Table:

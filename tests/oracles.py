@@ -26,7 +26,10 @@ edges with a union-find, where the constructor counts components.  A cut
 has the route that builds both sides as subgraphs and reads det_w and
 det_w_minus from the graphs side_w and side_w - w, and the negative
 continued fraction its ``Fraction`` loop, checked by ``cf_eval``, where
-the library expands and checks in integers.
+the library expands and checks in integers.  ``cf_eval``, the evaluation
+of continued fractions term by term, lives here only: the Seifert data of
+a star has the route that evaluates each leg's terms with it, where the
+library reads the leg's (D, P).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from plumbcalc.laufer import (
     min_bad,
     zmin_multiplicities,
 )
-from plumbcalc.seifert import ContinuedFraction, cf_eval
+from plumbcalc.seifert import ContinuedFraction, SeifertData
 from plumbcalc.surgery import attach_string
 
 
@@ -307,6 +310,52 @@ def oracle_census(max_vertices: int, weight_min: int, keep=None):
                     seen.add(code)
                     out.append(g)
     return out
+
+
+def cf_eval(terms) -> Fraction:
+    """Evaluate [e_1, ..., e_s] = e_1 - 1/(e_2 - ...) exactly, folding from
+    the right."""
+    terms = list(terms)
+    if not terms:
+        raise GraphStructureError("empty continued fraction")
+    val = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        val = t - 1 / val
+    return val
+
+
+def reference_star_to_seifert(g: PlumbingGraph) -> SeifertData:
+    """``star_to_seifert`` with each leg walked as a path from the center
+    and its terms evaluated by ``cf_eval``, where the library reads a leg's
+    (alpha, omega) as the (D, P) of the leg."""
+    if not g.is_connected():
+        raise GraphStructureError("star graph must be connected")
+    if not g.has_integer_weights():
+        raise GraphStructureError("star graph must have integer weights")
+    ns = nodes(g)
+    if len(ns) != 1:
+        raise GraphStructureError(
+            f"not star-shaped: {len(ns)} vertices of valency >= 3"
+        )
+    center = ns[0]
+    legs: list[tuple[int, int]] = []
+    for first in g.neighbors(center):
+        bs: list[int] = []
+        prev, cur = center, first
+        while True:
+            w = g.weight(cur)
+            if w > -2:
+                raise GraphStructureError(
+                    f"leg vertex {cur!r} has weight {w} > -2; not in normal form"
+                )
+            bs.append(int(-w))
+            rest = [n for n in g.neighbors(cur) if n != prev]
+            if not rest:
+                break
+            prev, cur = cur, rest[0]  # legs are simple paths (single node)
+        value = cf_eval(bs)
+        legs.append((value.numerator, value.denominator))
+    return SeifertData(int(g.weight(center)), tuple(legs))
 
 
 def cf_eval_convergents(terms) -> Fraction:

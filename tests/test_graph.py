@@ -10,6 +10,7 @@ from plumbcalc.graph import (
     PlumbingGraph,
     blow_down,
     blow_up_edge,
+    branch_counts,
     canonical_code,
     components,
     delete,
@@ -20,10 +21,13 @@ from plumbcalc.graph import (
     nodes,
     parse_fraction,
     parse_graph,
+    rooted_preorder,
     serialize_graph,
     subgraph,
+    tree_centroids,
     valency,
 )
+from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
 from oracles import (
@@ -427,6 +431,46 @@ def test_edge_deletion_gives_two_components_random_trees():
 def test_subgraph_induced(s237):
     sub = subgraph(s237, ["c", "p2"])
     assert sub.has_edge("c", "p2") and len(sub) == 2
+
+
+# -- rooted walks and branch counts -----------------------------------------
+
+
+def test_rooted_preorder_covers_the_component_parents_first():
+    rng = random.Random(16)
+    forests = []
+    for _ in range(10):  # two trees, the second's ids prefixed by "u"
+        a, b = random_tree(rng, 5), random_tree(rng, 4)
+        ws = {**a.weights(), **{"u" + v: w for v, w in b.weights().items()}}
+        forests.append(
+            PlumbingGraph(ws, [*a.edges, *(("u" + x, "u" + y) for x, y in b.edges)])
+        )
+    for g in [*census_graphs(5, -5), *forests]:
+        for r in g.vertices:
+            walk = rooted_preorder(g, r)
+            comp = next(c for c in g.component_vertex_sets() if r in c)
+            assert walk[0] == (r, None)
+            assert len(walk) == len(comp) and {x for x, _ in walk} == comp
+            seen = {r}
+            for x, p in walk[1:]:
+                assert p in seen and g.has_edge(x, p), (g, r)
+                seen.add(x)
+
+
+def test_tree_centroids_and_branch_counts_match_deletion():
+    # each vertex's heaviest component of g - v, found by deleting v
+    for g in census_graphs(5, -5):
+        heaviest = {}
+        counts = branch_counts(g, g.vertices)
+        for v in g.vertices:
+            comps = delete(g, [v]).component_vertex_sets()
+            assert counts[v] == {
+                u: len(next(c for c in comps if u in c)) for u in g.neighbors(v)
+            }, (g, v)
+            heaviest[v] = max(map(len, comps), default=0)
+        least = min(heaviest.values())
+        assert tree_centroids(g) == tuple(v for v in g.vertices if heaviest[v] == least)
+        assert 1 <= len(tree_centroids(g)) <= 2
 
 
 # -- isomorphism ------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import is_isomorphic, parse_graph
+from plumbcalc.graph import is_isomorphic, minimize, nodes, parse_graph
 from plumbcalc.lattice import definiteness, determinant
 from plumbcalc.laufer import is_rational
 from plumbcalc.seifert import (
@@ -28,6 +28,7 @@ from oracles import (
     oracle_pinkham,
     reference_brieskorn,
     reference_realizable,
+    reference_star_to_seifert,
 )
 
 
@@ -93,6 +94,28 @@ def test_star_to_seifert_errors():
     )
     with pytest.raises(GraphStructureError):
         star_to_seifert(bad_leg)  # leg weight -1 is not normal form
+
+
+def _data_or_error(read, g):
+    try:
+        return read(g)
+    except GraphStructureError as exc:
+        return str(exc)
+
+
+def test_star_to_seifert_matches_cf_eval_route(census6):
+    # the legs read as (D, P) against their terms evaluated one by one, on
+    # each one-node graph and its minimized form; a leg weight above -2
+    # must fail alike, on the same vertex
+    outcomes = {SeifertData: 0, str: 0}
+    for g in census6:
+        if len(nodes(g)) != 1:
+            continue
+        for h in (g, minimize(g)):
+            got = _data_or_error(star_to_seifert, h)
+            assert got == _data_or_error(reference_star_to_seifert, h), h
+            outcomes[type(got)] += 1
+    assert all(outcomes.values()), outcomes
 
 
 # -- orbifold Euler number -----------------------------------------------

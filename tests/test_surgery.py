@@ -15,6 +15,7 @@ from plumbcalc.graph import (
     minimize,
     nodes,
     parse_graph,
+    rooted_preorder,
     serialize_graph,
 )
 from plumbcalc.lattice import definiteness, determinant, is_negative_definite
@@ -26,7 +27,6 @@ from plumbcalc.surgery import (
     TAG_CASE2,
     TAG_SEMIDEF_CUT,
     TAG_SEMIDEF_LEAF,
-    _branch,
     _cut,
     _m_le_1,
     _node_branches,
@@ -39,10 +39,16 @@ from plumbcalc.surgery import (
     lo_certificate,
     semidef_decompose,
 )
-from plumbcalc.seifert import cf_eval, negative_cf
+from plumbcalc.seifert import negative_cf
 
 from conftest import certify_inputs, make_star
-from oracles import cf_eval_convergents, oracle_det, reference_cut, reference_negative_cf
+from oracles import (
+    cf_eval,
+    cf_eval_convergents,
+    oracle_det,
+    reference_cut,
+    reference_negative_cf,
+)
 
 
 # -- continued fractions -----------------------------------------------------
@@ -485,7 +491,7 @@ def test_node_branches_match_deletion(census6):
             )
             assert table[v] == want, (g, v)
             for u in g.neighbors(v):
-                walk = _branch(g, u, v)
+                walk = rooted_preorder(g, u, v)
                 assert {x for x, _ in walk} == next(c for c in comps if u in c)
                 assert len(walk) == len({x for x, _ in walk}) and walk[0] == (u, None)
                 seen = {u}
