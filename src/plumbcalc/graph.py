@@ -23,7 +23,9 @@ File format (UTF-8, line oriented)::
     edge <id> <id>
 
 Ids match ``[A-Za-z0-9_]+``.  Serialization emits vertices sorted by id,
-then edges sorted lexicographically.
+then edges sorted lexicographically.  Parse errors name the line of the
+first fault; an edge that closes a cycle is named when no line has any
+other fault.
 """
 
 from __future__ import annotations
@@ -40,7 +42,19 @@ from .errors import GraphStructureError, ParseError
 VertexId = str
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
+_IDS_RE = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*")  # ids joined by spaces
 _FRACTION_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?", re.ASCII)
+_INTS_RE = re.compile(r"[+-]?\d+(?: [+-]?\d+)*", re.ASCII)  # integers joined by spaces
+
+
+def _ids_valid(ids: Mapping) -> bool:
+    """Whether every id is a string matching ``_ID_RE``, by one match over
+    the ids joined by spaces; the space count catches an id holding one."""
+    try:
+        joined = " ".join(ids)
+    except TypeError:  # an id that is not a string
+        return False
+    return joined.count(" ") == len(ids) - 1 and _IDS_RE.fullmatch(joined) is not None
 
 
 def _as_weight(v: VertexId, w) -> Fraction | int:
@@ -62,9 +76,13 @@ class PlumbingGraph:
     """Immutable decorated forest.
 
     ``weights`` maps vertex id to its exact rational decoration; ``edges``
-    is any iterable of id pairs.  Construction validates the forest
-    invariants (no self-loops, no multi-edges, no cycles) in one pass: the
-    component search fills ``_comps``, and a graph is a forest iff it has
+    is any iterable of id pairs.  The constructor is the one place that
+    checks ids, weights and the forest; ``parse_graph`` leaves all three to
+    it.  When every weight is an ``int``, all ids are checked by one match
+    over the joined ids; otherwise each vertex is checked in turn, its id
+    and then its weight.  Construction validates the forest invariants (no
+    self-loops, no multi-edges, no cycles) in one pass: the component
+    search fills ``_comps``, and a graph is a forest iff it has
     |V| - #components distinct edges.  The same search leaves ``_order``,
     the (vertex, parent) pairs of each component rooted at its least
     vertex, parents first: the one rooted order that the tree passes read.
@@ -78,13 +96,15 @@ class PlumbingGraph:
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
     (D, P) pass, ``_stabilized`` the least-id Laufer runs, keyed by frozen
     set, in the layout that ``laufer._stored`` documents and alone reads
-    and writes, and ``_arrays`` the arrays every Laufer run on the graph
-    starts from (``laufer._run_arrays``), set up by the first run.
+    and writes, ``_arrays`` the arrays every Laufer run on the graph
+    starts from (``laufer._run_arrays``), set up by the first run,
+    ``_nodes`` the tuple ``nodes`` returns, and ``_branches`` the node
+    branches of ``surgery._node_branches``.
     """
 
     __slots__ = (
         "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_comps", "_order", "_stabilized", "_arrays",
+        "_dp", "_comps", "_order", "_stabilized", "_arrays", "_nodes", "_branches",
     )
 
     def __init__(
@@ -92,19 +112,21 @@ class PlumbingGraph:
         weights: Mapping[VertexId, Fraction | int | str],
         edges: Iterable[tuple[VertexId, VertexId]] = (),
     ):
-        ws: dict[VertexId, Fraction | int] = {}
+        ws: dict[VertexId, Fraction | int] = dict(weights)
         integral = True
-        for v, w in weights.items():
-            if not isinstance(v, str) or not _ID_RE.fullmatch(v):
-                raise GraphStructureError(f"invalid vertex id {v!r}")
-            if type(w) is not int:
-                if type(w) is not Fraction:
-                    w = _as_weight(v, w)
-                if w.denominator == 1:
-                    w = w.numerator
-                else:
-                    integral = False
-            ws[v] = w
+        if not (set(map(type, ws.values())) <= {int} and _ids_valid(ws)):
+            ws = {}
+            for v, w in weights.items():
+                if not isinstance(v, str) or not _ID_RE.fullmatch(v):
+                    raise GraphStructureError(f"invalid vertex id {v!r}")
+                if type(w) is not int:
+                    if type(w) is not Fraction:
+                        w = _as_weight(v, w)
+                    if w.denominator == 1:
+                        w = w.numerator
+                    else:
+                        integral = False
+                ws[v] = w
         edges = tuple(edges)
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in ws}
         try:
@@ -116,14 +138,14 @@ class PlumbingGraph:
             raise
         self._weights = ws
         self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._adj = {v: tuple(sorted(ns) if len(ns) > 1 else ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
         self._comps, self._order = _components(self)
         if not len(self._edges) == len(edges) == len(ws) - len(self._comps):
             _raise_edge_fault(ws, edges)
         self._integral = integral
         self._hash: int | None = None
-        self._dp = self._stabilized = self._arrays = None
+        self._dp = self._stabilized = self._arrays = self._nodes = self._branches = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -195,8 +217,16 @@ class PlumbingGraph:
 
 
 def _raise_edge_fault(ws: Mapping, edges: Sequence) -> None:
-    """Raise the error of the first faulty edge, checking each edge in turn
-    for a loop, an undeclared end, a repeat and a cycle (by union-find)."""
+    """Raise the error of the first faulty edge, if any (``_edge_fault``)."""
+    fault = _edge_fault(ws, edges)
+    if fault is not None:
+        raise GraphStructureError(fault[1])
+
+
+def _edge_fault(ws: Mapping, edges: Sequence) -> tuple[int, str] | None:
+    """The index and error message of the first faulty edge, checking each
+    edge in turn for a loop, an undeclared end, a repeat and a cycle (by
+    union-find), or None when the edges form a forest on ``ws``."""
     parent = {v: v for v in ws}
 
     def find(x: VertexId) -> VertexId:
@@ -206,20 +236,21 @@ def _raise_edge_fault(ws: Mapping, edges: Sequence) -> None:
         return x
 
     eset: set[tuple[VertexId, VertexId]] = set()
-    for a, b in edges:
+    for i, (a, b) in enumerate(edges):
         if a == b:
-            raise GraphStructureError(f"loop at vertex {a!r}")
+            return i, f"loop at vertex {a!r}"
         if a not in ws or b not in ws:
             missing = a if a not in ws else b
-            raise GraphStructureError(f"edge to undeclared vertex {missing!r}")
+            return i, f"edge to undeclared vertex {missing!r}"
         e = _normalize_edge(a, b)
         if e in eset:
-            raise GraphStructureError(f"multi-edge between {a!r} and {b!r}")
+            return i, f"multi-edge between {a!r} and {b!r}"
         ra, rb = find(a), find(b)
         if ra == rb:
-            raise GraphStructureError(f"cycle detected through edge {a!r}-{b!r}")
+            return i, f"cycle detected through edge {a!r}-{b!r}"
         parent[ra] = rb
         eset.add(e)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +259,51 @@ def _raise_edge_fault(ws: Mapping, edges: Sequence) -> None:
 
 
 def parse_graph(text: str) -> PlumbingGraph:
-    """Parse the line-oriented graph format; all errors carry line numbers."""
+    """Parse the line-oriented graph format; all errors carry line numbers.
+
+    Valid text is read in one pass over its lines.  A line must be
+    ``vertex <id> <w>`` or ``edge <a> <b>``, a vertex new, and an edge no
+    loop, between vertices declared on earlier lines.  All-integer weight
+    tokens become ``int`` in one batch; otherwise the tokens go on as
+    strings, which the constructor reads as the file format does.
+    ``PlumbingGraph`` is the one place where ids, weights and the forest
+    are checked.  Text turned down anywhere is read again by
+    ``_parse_lines``, which checks each line as it reads it and so reports
+    the first fault with its line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    weights: dict[VertexId, int | str] = {}
+    edges: list[tuple[VertexId, VertexId]] = []
+    for parts in map(str.split, lines):
+        if len(parts) == 3:
+            kind, a, b = parts
+            if kind == "vertex" and a not in weights:
+                weights[a] = b
+                continue
+            if kind == "edge" and a != b and a in weights and b in weights:
+                edges.append((a, b))
+                continue
+        if parts:
+            return _parse_lines(text)
+    try:
+        if _INTS_RE.fullmatch(" ".join(weights.values())):
+            weights = dict(zip(weights, map(int, weights.values())))
+        return PlumbingGraph(weights, edges)
+    except ValueError:  # a GraphStructureError, or an int past the digit limit
+        pass
+    return _parse_lines(text)  # outside the handler: its error chains to none
+
+
+def _parse_lines(text: str) -> PlumbingGraph:
+    """``parse_graph`` line by line: each line is checked as it is read,
+    so the first faulty line raises its ``ParseError``.  An edge that
+    closes a cycle is reported, with its line, only when no line has any
+    other fault."""
     weights: dict[VertexId, Fraction | int] = {}
     edges: list[tuple[VertexId, VertexId]] = []
+    edge_lines: list[int] = []
     seen: set[tuple[VertexId, VertexId]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -262,12 +335,13 @@ def parse_graph(text: str) -> PlumbingGraph:
                 raise ParseError(f"multi-edge between {a!r} and {b!r}", lineno)
             seen.add(e)
             edges.append((a, b))
+            edge_lines.append(lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    try:
-        return PlumbingGraph(weights, edges)
-    except GraphStructureError as exc:
-        raise ParseError(str(exc)) from exc
+    fault = _edge_fault(weights, edges)  # only a cycle is left to find
+    if fault is not None:
+        raise ParseError(fault[1], edge_lines[fault[0]])
+    return PlumbingGraph(weights, edges)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -284,9 +358,11 @@ def _parse_weight(text: str) -> Fraction | int:
 
 
 def serialize_graph(g: PlumbingGraph) -> str:
-    """Canonical text form: vertices sorted by id, then sorted edges."""
-    lines = [f"vertex {v} {g.weight(v)}" for v in g.vertices]
-    lines.extend(f"edge {a} {b}" for a, b in g.edges)
+    """Canonical text form: vertices sorted by id, then edges sorted, read
+    in order off the sorted vertices and their sorted neighbours."""
+    ws, adj = g._weights, g._adj
+    lines = [f"vertex {v} {ws[v]}" for v in g._vertices]
+    lines += [f"edge {a} {b}" for a in g._vertices for b in adj[a] if a < b]
     return "\n".join(lines) + "\n"
 
 
@@ -316,8 +392,10 @@ def valency(g: PlumbingGraph, v: VertexId) -> int:
 
 
 def nodes(g: PlumbingGraph) -> tuple[VertexId, ...]:
-    """Vertices of valency >= 3, sorted."""
-    return tuple(v for v in g.vertices if len(g._adj[v]) >= 3)
+    """Vertices of valency >= 3, sorted; stored on the graph."""
+    if g._nodes is None:
+        g._nodes = tuple(v for v in g._vertices if len(g._adj[v]) >= 3)
+    return g._nodes
 
 
 def blow_up_edge(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> PlumbingGraph:

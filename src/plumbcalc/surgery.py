@@ -326,12 +326,14 @@ def _base_m1(g: PlumbingGraph, edge) -> _Table:
 
 def _node_branches(g: PlumbingGraph) -> dict[VertexId, tuple[VertexId, ...]]:
     """For each vertex v, the neighbours of v whose component of g - v holds
-    a node, in id order, read from ``branch_counts``.  A forest's other
-    trees are not listed."""
-    return {
-        v: tuple(u for u, k in counts.items() if k)
-        for v, counts in branch_counts(g, set(nodes(g))).items()
-    }
+    a node, in id order, read from ``branch_counts`` and stored on the
+    graph.  A forest's other trees are not listed."""
+    if g._branches is None:
+        g._branches = {
+            v: tuple(u for u, k in counts.items() if k)
+            for v, counts in branch_counts(g, set(nodes(g))).items()
+        }
+    return g._branches
 
 
 def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
@@ -405,13 +407,13 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
-    g - e: those whose two ends each count a node on the other's side in
-    ``branch_counts``, and none when some component of g holds no node."""
+    g - e: those whose two ends each list the other in ``_node_branches``,
+    and none when some component of g holds no node."""
     gnodes = set(nodes(g))
     if not all(c & gnodes for c in g.component_vertex_sets()):
         return set()
-    counts = branch_counts(g, gnodes)
-    return {(a, b) for a, b in g.edges if counts[a][b] and counts[b][a]}
+    branches = _node_branches(g)
+    return {(a, b) for a, b in g.edges if b in branches[a] and a in branches[b]}
 
 
 def _semidef_cut(g: PlumbingGraph, edge) -> _Table:

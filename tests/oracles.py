@@ -22,7 +22,10 @@ monotonicity spot checks of the induction live here too, as no verdict
 needs them, and so do the pairing a^T I b and ``with_weight``, which only
 the tests use.
 The constructor's forest checks have their route of one loop over the
-edges with a union-find, where the constructor counts components.  A cut
+edges with a union-find, where the constructor counts components, and
+the parser its line-by-line loop, which checks each line as it reads it,
+where the library reads valid text in one pass and leaves every check
+to the constructor.  A cut
 has the route that builds both sides as subgraphs and reads det_w and
 det_w_minus from the graphs side_w and side_w - w, and the negative
 continued fraction its ``Fraction`` loop, checked by ``cf_eval``, where
@@ -42,10 +45,11 @@ from itertools import combinations, permutations, product
 from math import ceil, gcd
 from typing import NamedTuple
 
-from plumbcalc.errors import GraphStructureError, InternalCheckError
+from plumbcalc.errors import GraphStructureError, InternalCheckError, ParseError
 from plumbcalc.graph import (
     _ID_RE,
     PlumbingGraph,
+    _parse_weight,
     blow_down,
     canonical_code,
     delete,
@@ -118,6 +122,65 @@ def reference_build(weights, edges):
         adj[a].append(b)
         adj[b].append(a)
     return ws, frozenset(eset), {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+def reference_parse_graph(text: str) -> PlumbingGraph:
+    """``parse_graph`` as one loop that checks each line as it reads it,
+    with a union-find for cycles: the graph, or the first faulty line's
+    ``ParseError``, a cycle's only when no line has another fault."""
+    weights = {}
+    edges = []
+    seen = set()
+    parent = {}  # union-find for cycle detection
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    cycle = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] == "vertex":
+            if len(parts) != 3:
+                raise ParseError("expected 'vertex <id> <weight>'", lineno)
+            _, vid, wtext = parts
+            if not _ID_RE.fullmatch(vid):
+                raise ParseError(f"invalid vertex id {vid!r}", lineno)
+            if vid in weights:
+                raise ParseError(f"duplicate vertex {vid!r}", lineno)
+            try:
+                weights[vid] = _parse_weight(wtext)
+            except ValueError:
+                raise ParseError(f"invalid weight {wtext!r}", lineno) from None
+        elif parts[0] == "edge":
+            if len(parts) != 3:
+                raise ParseError("expected 'edge <id> <id>'", lineno)
+            _, a, b = parts
+            if a == b:
+                raise ParseError(f"loop at vertex {a!r}", lineno)
+            if a not in weights or b not in weights:
+                missing = a if a not in weights else b
+                raise ParseError(f"edge to undeclared vertex {missing!r}", lineno)
+            e = (a, b) if a < b else (b, a)
+            if e in seen:
+                raise ParseError(f"multi-edge between {a!r} and {b!r}", lineno)
+            seen.add(e)
+            edges.append((a, b))
+            ra, rb = find(a), find(b)
+            if ra == rb and cycle is None:
+                cycle = ParseError(f"cycle detected through edge {a!r}-{b!r}", lineno)
+            parent[ra] = rb
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+    if cycle is not None:
+        raise cycle
+    try:
+        return PlumbingGraph(weights, edges)
+    except GraphStructureError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def reference_fresh_ids(g: PlumbingGraph, prefix: str, count: int) -> list:

@@ -30,11 +30,13 @@ from plumbcalc.graph import (
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
 
+from conftest import perfbench_module
 from oracles import (
     pruefer_trees,
     reference_build,
     reference_fresh_ids,
     reference_minimize,
+    reference_parse_graph,
     with_weight,
 )
 
@@ -134,6 +136,97 @@ def test_parse_graph_raises_only_parse_error(text):
         parse_graph(text)
     except ParseError:
         pass
+
+
+def _parsed(parse, text):
+    """The graph's weights with their types, edges and adjacency, or the
+    ``ParseError``'s message and line."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    weights = [(v, w, type(w)) for v, w in g.weights().items()]
+    return weights, g.edges, {v: g.neighbors(v) for v in g.vertices}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPH_LINES | st.text())
+def test_parse_graph_matches_reference(text):
+    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+
+
+_BAD_WEIGHTS = ["1/0", "x", "1.5", "1_000", "\u0663", "9" * 5000, "-", "2/-3"]
+
+
+@st.composite
+def _faulty_files(draw):
+    """A valid graph file, with comments and blank lines, each edge on a
+    random line after its ends' lines, and one line of a random kind of
+    fault, or none, put in at a random line."""
+    n = draw(st.integers(1, 7))
+    ids = [f"v{i}" for i in range(n)]
+    forms = st.sampled_from(["-2", "-1", "+3", "007", "-0", "-7/2", "4/2", "9" * 40])
+    lines = [f"vertex {v} {draw(forms)}" for v in ids]
+    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    for v, p in edges:  # p comes before v
+        after = next(i for i, x in enumerate(lines) if x.startswith(f"vertex {v} "))
+        at = draw(st.integers(after + 1, len(lines)))
+        lines.insert(at, f"edge {v} {p}" if draw(st.booleans()) else f"edge {p} {v}")
+    for extra in draw(st.lists(st.sampled_from(["", "# note", "  \t", "#"]), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] += " # trailing"
+    v, w = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    chords = [
+        (a, b) for a in ids for b in ids if a < b and (a, b) not in edges and (b, a) not in edges
+    ]
+    faults = {
+        "none": None,
+        "directive": "flurb a b",
+        "vertex arity": draw(st.sampled_from(["vertex", "vertex x", "vertex x -2 -3"])),
+        "edge arity": draw(st.sampled_from(["edge", f"edge {v}", f"edge {v} {w} {v}"])),
+        "id": draw(st.sampled_from(["vertex a* -1", "vertex \u00e9 -1", "vertex a-b -2"])),
+        "duplicate": f"vertex {v} -2",
+        "weight": f"vertex x {draw(st.sampled_from(_BAD_WEIGHTS))}",
+        "loop": f"edge {v} {v}",
+        "undeclared": draw(st.sampled_from([f"edge {v} zz", f"edge zz {v}"])),
+        "multi-edge": "edge {} {}".format(*draw(st.permutations(draw(st.sampled_from(edges)))))
+        if edges else None,
+        "cycle": "edge {} {}".format(*draw(st.sampled_from(chords))) if chords else None,
+    }
+    kind = draw(st.sampled_from(sorted(faults)))
+    if kind == "undeclared" and draw(st.booleans()):
+        lines.append("vertex zz -2")  # declared, but mostly after its edge
+    if faults[kind] is not None:
+        lines.insert(draw(st.integers(0, len(lines))), faults[kind])
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_faulty_files())
+def test_parse_graph_matches_reference_on_one_fault(text):
+    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+
+
+def test_parse_graph_matches_reference_on_benchmark_texts(census6):
+    inputs = perfbench_module("inputs")
+    texts = [serialize_graph(g) for g in census6]
+    texts += [t.text() for t in inputs.classify_large_inputs(0)]
+    for text in texts:
+        assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+
+
+def test_parse_cycle_error_names_its_line():
+    cycle = "vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge c a"
+    with pytest.raises(ParseError) as err:
+        parse_graph(cycle + "\n# closed")
+    assert str(err.value) == "line 6: cycle detected through edge 'c'-'a'"
+    assert err.value.line == 6
+    # a cycle is reported only when no line has another fault
+    with pytest.raises(ParseError) as err:
+        parse_graph(cycle + "\nedge a c")
+    assert str(err.value) == "line 7: multi-edge between 'a' and 'c'"
 
 
 def test_serialize_parse_round_trip(s237):
@@ -257,6 +350,22 @@ def test_constructor_rejects_invalid_ids(vid):
     # that parse_graph rejects
     with pytest.raises(GraphStructureError, match="invalid vertex id"):
         PlumbingGraph({vid: -1})
+
+
+def test_constructor_names_the_first_faulty_vertex():
+    # all-int weights have their ids checked in one match, and a fault
+    # there is named by the per-vertex loop, in the order of the mapping
+    cases = [
+        ({"a": -1, "b c": -2, "d*": -3}, "invalid vertex id 'b c'"),
+        ({"a": -1, "": -2}, "invalid vertex id ''"),
+        ({"a": -2, 7: -1, "b*": -1}, "invalid vertex id 7"),
+        ({"a": "x", "b*": -1}, "invalid weight 'x' of vertex 'a'"),
+        ({"a*": Fraction(1, 2), "b": "x"}, "invalid vertex id 'a*'"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(GraphStructureError) as err:
+            PlumbingGraph(weights)
+        assert str(err.value) == message
 
 
 def test_disconnected_allowed_in_model():

@@ -2,19 +2,21 @@
 scratch on an equal graph built apart, and no caller can change it.
 
 The stored facts are the (determinant, definiteness) of the (D, P) pass,
-the component vertex sets, the least-id Laufer runs, one per frozen set,
-the empty set holding the graph's own verdict, and the arrays every Laufer
-run starts from (see ``PlumbingGraph``).  The
+the component vertex sets, the nodes and their branches, the least-id
+Laufer runs, one per frozen set, the empty set holding the graph's own
+verdict, and the arrays every Laufer run starts from (see
+``PlumbingGraph``).  The
 second route is ``parse_graph(serialize_graph(g))``, a fresh graph with
 nothing stored.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from plumbcalc import cli, lattice, laufer, surgery
+from plumbcalc import cli, graph, lattice, laufer, surgery
 from plumbcalc.census import census_graphs
 from plumbcalc.classify import classify
 from plumbcalc.errors import GraphStructureError
@@ -35,6 +37,7 @@ from oracles import reference_bad_verdict, reference_verdict, verdict_fields
 
 def _facts(g: PlumbingGraph) -> list:
     out = [determinant(g), definiteness(g), g.component_vertex_sets()]
+    out += [nodes(g), surgery._node_branches(g)]
     try:
         v = is_rational(g)
     except GraphStructureError as exc:
@@ -122,6 +125,47 @@ def _count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(PlumbingGraph, "__init__", counted)
     return built
+
+
+def test_valid_text_is_read_in_one_pass(monkeypatch, census6):
+    # the line-by-line read only reports faults: valid text never reaches
+    # it, and each parse builds one graph
+    def refused(text):
+        raise AssertionError("valid text read line by line")
+
+    rng = random.Random(17)
+    tree = PlumbingGraph(
+        {f"t{i}": rng.randint(-5, -1) for i in range(1000)},
+        [(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, 1000)],
+    )
+    texts = [serialize_graph(g) for g in [*census6, tree]]
+    texts.append("# slopes\nvertex a -7/2\nvertex b -4/2  # int\nedge b a\n")
+    monkeypatch.setattr(graph, "_parse_lines", refused)
+    built = _count_builds(monkeypatch)
+    for i, text in enumerate(texts, start=1):
+        parse_graph(text)
+        assert len(built) == i
+
+
+def test_node_branches_folded_once_per_graph(monkeypatch):
+    # _certify and its Case1 table, and semidef_decompose and its cut,
+    # each folded the same graph's node branches
+    folded = []
+    fold = surgery.branch_counts
+
+    def counted(g, marked):
+        folded.append(g)  # kept alive, so no id is reused
+        return fold(g, marked)
+
+    monkeypatch.setattr(surgery, "branch_counts", counted)
+    for g in [two_star_chain(), *certify_inputs(0)[:20]]:
+        folded.clear()
+        certs = [lo_certificate(g)]
+        assert len(folded) == len(set(map(id, folded)))
+        certs.append(certificate_from_json(certificate_to_json(certs[0])))
+        folded.clear()
+        assert all(check_certificate(c).ok for c in certs)
+        assert len(folded) == len(set(map(id, folded)))
 
 
 def test_certificate_pass_counts(monkeypatch):
