@@ -30,7 +30,6 @@ from .graph import (
     parse_graph,
     serialize_graph,
     subgraph,
-    valency,
 )
 from .lattice import (
     Definiteness,

@@ -82,10 +82,11 @@ class PlumbingGraph:
     over the joined ids; otherwise each vertex is checked in turn, its id
     and then its weight.  Construction validates the forest invariants (no
     self-loops, no multi-edges, no cycles) in one pass: the component
-    search fills ``_comps``, and a graph is a forest iff it has
-    |V| - #components distinct edges.  The same search leaves ``_order``,
-    the (vertex, parent) pairs of each component rooted at its least
-    vertex, parents first: the one rooted order that the tree passes read.
+    search counts the trees into ``_tree_count``, and a graph is a forest
+    iff it has |V| - #trees distinct edges.  The same search leaves
+    ``_order``, the (vertex, parent) pairs of each tree rooted at its least
+    vertex, parents first: the one tree structure the graph keeps, which
+    the tree passes, the component sets and the canonical codes read.
     Only a faulty edge list is checked again, edge by edge, to report its
     first fault.  A weight is a ``numbers.Rational`` (``int``, ``bool``,
     ``Fraction``) or a string of the file format (an integer or ``p/q``);
@@ -104,7 +105,7 @@ class PlumbingGraph:
 
     __slots__ = (
         "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_comps", "_order", "_stabilized", "_arrays", "_nodes", "_branches",
+        "_dp", "_tree_count", "_order", "_stabilized", "_arrays", "_nodes", "_branches",
     )
 
     def __init__(
@@ -140,8 +141,8 @@ class PlumbingGraph:
         self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
         self._adj = {v: tuple(sorted(ns) if len(ns) > 1 else ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
-        self._comps, self._order = _components(self)
-        if not len(self._edges) == len(edges) == len(ws) - len(self._comps):
+        self._tree_count, self._order = _components(self)
+        if not len(self._edges) == len(edges) == len(ws) - self._tree_count:
             _raise_edge_fault(ws, edges)
         self._integral = integral
         self._hash: int | None = None
@@ -206,14 +207,14 @@ class PlumbingGraph:
     # -- derived structure -------------------------------------------------
 
     def is_connected(self) -> bool:
-        return len(self.component_vertex_sets()) <= 1
+        return self._tree_count <= 1
 
     def has_integer_weights(self) -> bool:
         return self._integral
 
     def component_vertex_sets(self) -> list[frozenset[VertexId]]:
         """Connected components as vertex sets, sorted by least member."""
-        return list(self._comps)
+        return [frozenset(tree) for tree in _trees(self)]
 
 
 def _raise_edge_fault(ws: Mapping, edges: Sequence) -> None:
@@ -386,11 +387,6 @@ def fresh_ids(
 # ---------------------------------------------------------------------------
 
 
-def valency(g: PlumbingGraph, v: VertexId) -> int:
-    """Edge count at ``v``; a vertex with valency >= 3 is a node."""
-    return g.degree(v)
-
-
 def nodes(g: PlumbingGraph) -> tuple[VertexId, ...]:
     """Vertices of valency >= 3, sorted; stored on the graph."""
     if g._nodes is None:
@@ -503,31 +499,37 @@ def delete(
     return PlumbingGraph(ws, kept)
 
 
-def _components(g: PlumbingGraph) -> tuple[tuple[frozenset[VertexId], ...], list]:
-    """The components of ``g`` and its rooted order.  Each search starts at
-    the least vertex not yet reached, so the components come sorted by
-    least member; the order gets the (vertex, parent) pair of each vertex
-    as it is reached, so parents come first and each component's pairs are
-    contiguous."""
+def _components(g: PlumbingGraph) -> tuple[int, list]:
+    """The number of trees of ``g`` and its rooted order.  Each search
+    starts at the least vertex not yet reached, so the trees come sorted by
+    least vertex; the order gets the (vertex, parent) pair of each vertex
+    as it is reached, so parents come first and each tree's pairs are
+    contiguous, led by its root's."""
     seen: set[VertexId] = set()
-    comps: list[frozenset[VertexId]] = []
     order: list[tuple[VertexId, VertexId | None]] = []
+    trees = 0
     for start in g.vertices:
         if start in seen:
             continue
         seen.add(start)
-        stack, comp = [start], [start]
+        trees += 1
+        stack = [start]
         order.append((start, None))
         while stack:
             u = stack.pop()
             for w in g._adj[u]:
                 if w not in seen:
                     seen.add(w)
-                    comp.append(w)
                     stack.append(w)
                     order.append((w, u))
-        comps.append(frozenset(comp))
-    return tuple(comps), order
+    return trees, order
+
+
+def _trees(g: PlumbingGraph) -> list[list[VertexId]]:
+    """The vertices of each tree of ``g``: the rooted order split at its
+    roots, so the trees come sorted by least vertex."""
+    roots = [i for i, (_, p) in enumerate(g._order) if p is None]
+    return [[v for v, _ in g._order[i:j]] for i, j in zip(roots, roots[1:] + [None])]
 
 
 def subgraph(g: PlumbingGraph, vertices: Iterable[VertexId]) -> PlumbingGraph:
@@ -620,59 +622,55 @@ def _subtree_codes(g: PlumbingGraph, root: VertexId) -> dict[VertexId, Code]:
     return codes
 
 
-def _centroid_codes(g: PlumbingGraph) -> tuple[VertexId, dict[VertexId, Code]]:
-    """The centroid of a tree with the least rooted code (the least id on
-    ties) and the codes of the subtrees under it."""
-    rooted = [(c, _subtree_codes(g, c)) for c in tree_centroids(g)]
-    return min(rooted, key=lambda rc: _code_key(rc[1][rc[0]]))
+def _is_centroid(sizes: Mapping[VertexId, int]) -> bool:
+    """Whether a vertex whose branches hold ``sizes`` vertices is a centroid
+    of its tree: no branch holds more than half the tree, which makes its
+    heaviest branch the least of the tree's."""
+    return 2 * max(sizes.values(), default=0) <= sum(sizes.values()) + 1
 
 
 def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
-    """The 1 or 2 centroid vertices of a connected tree (max component of
-    ``g - v`` minimized; ties give the two endpoints of the central edge)."""
+    """The 1 or 2 centroid vertices of each tree of ``g``, in id order: the
+    vertices whose largest branch is least in their tree (ties give the two
+    endpoints of the central edge)."""
     if len(g) == 0:
         raise GraphStructureError("empty graph has no centroid")
-    heaviest = {
-        v: max(sizes.values(), default=0)
-        for v, sizes in branch_counts(g, g._weights).items()
-    }
-    least = min(heaviest.values())
-    return tuple(v for v in g.vertices if heaviest[v] == least)
+    counts = branch_counts(g, g._weights)
+    return tuple(v for v in g.vertices if _is_centroid(counts[v]))
+
+
+def _rooted_trees(g: PlumbingGraph) -> list[tuple[VertexId, dict[VertexId, Code]]]:
+    """For each tree of ``g``, its centroid with the least rooted code (the
+    least id on ties) and the codes of the subtrees under it; trees sorted
+    by that code.  One ``branch_counts`` over the forest finds the
+    centroids of every tree."""
+    counts = branch_counts(g, g._weights)
+
+    def key(rooted: tuple[VertexId, dict[VertexId, Code]]):
+        return _code_key(rooted[1][rooted[0]])
+
+    out = []
+    for tree in _trees(g):
+        cents = sorted(v for v in tree if _is_centroid(counts[v]))
+        out.append(min([(c, _subtree_codes(g, c)) for c in cents], key=key))
+    out.sort(key=key)
+    return out
 
 
 def canonical_code(g: PlumbingGraph) -> Code:
-    """Isomorphism-invariant code: per component, the minimum rooted code
-    over its centroid(s); components sorted.  Equal codes iff isomorphic."""
-    comps = g.component_vertex_sets()
-    comp_codes = []
-    for comp in comps:
-        root, codes = _centroid_codes(g if len(comps) == 1 else subgraph(g, comp))
-        comp_codes.append(codes[root])
-    return tuple(sorted(comp_codes, key=_code_key))
+    """Isomorphism-invariant code: per tree, the minimum rooted code over
+    its centroid(s); trees sorted.  Equal codes iff isomorphic."""
+    return tuple(codes[root] for root, codes in _rooted_trees(g))
 
 
 def is_isomorphic(
     g1: PlumbingGraph, g2: PlumbingGraph
 ) -> tuple[bool, dict[VertexId, VertexId] | None]:
     """Decorated-forest isomorphism plus a witness vertex map when true."""
-    if len(g1) != len(g2):
+    if len(g1) != len(g2) or g1._tree_count != g2._tree_count:
         return False, None
-    comps1 = g1.component_vertex_sets()
-    comps2 = g2.component_vertex_sets()
-    if len(comps1) != len(comps2):
-        return False, None
-
-    def keyed(g: PlumbingGraph, comps: Sequence[frozenset[VertexId]]):
-        out = []
-        for comp in comps:
-            sub = subgraph(g, comp)
-            out.append((*_centroid_codes(sub), sub))
-        out.sort(key=lambda t: _code_key(t[1][t[0]]))
-        return out
-
-    k1, k2 = keyed(g1, comps1), keyed(g2, comps2)
     mapping: dict[VertexId, VertexId] = {}
-    for (r1, codes1, s1), (r2, codes2, s2) in zip(k1, k2):
+    for (r1, codes1), (r2, codes2) in zip(_rooted_trees(g1), _rooted_trees(g2)):
         if _compare_codes(codes1[r1], codes2[r2]):
             return False, None
         # match children in (code, id) order, depth first; neighbours come
@@ -681,8 +679,8 @@ def is_isomorphic(
         while stack:
             v1, p1, v2, p2 = stack.pop()
             mapping[v1] = v2
-            kids1 = [c for c in s1.neighbors(v1) if c != p1]
-            kids2 = [c for c in s2.neighbors(v2) if c != p2]
+            kids1 = [c for c in g1._adj[v1] if c != p1]
+            kids2 = [c for c in g2._adj[v2] if c != p2]
             kids1.sort(key=lambda c: _code_key(codes1[c]))
             kids2.sort(key=lambda c: _code_key(codes2[c]))
             pairs = [(c1, v1, c2, v2) for c1, c2 in zip(kids1, kids2)]

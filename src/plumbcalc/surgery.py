@@ -408,11 +408,11 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
     g - e: those whose two ends each list the other in ``_node_branches``,
-    and none when some component of g holds no node."""
-    gnodes = set(nodes(g))
-    if not all(c & gnodes for c in g.component_vertex_sets()):
-        return set()
+    and none when some tree of g holds no node, read at each tree's root:
+    the root is a node or has a branch that holds one."""
     branches = _node_branches(g)
+    if not all(branches[v] or g.degree(v) >= 3 for v, p in g._order if p is None):
+        return set()
     return {(a, b) for a, b in g.edges if b in branches[a] and a in branches[b]}
 
 

@@ -22,7 +22,11 @@ monotonicity spot checks of the induction live here too, as no verdict
 needs them, and so do the pairing a^T I b and ``with_weight``, which only
 the tests use.
 The constructor's forest checks have their route of one loop over the
-edges with a union-find, where the constructor counts components, and
+edges with a union-find, where the constructor counts components, the
+component sets a union-find of their own, where the graph splits its
+rooted order at the roots, and the canonical code its route that builds
+each component as a graph and finds its centroids by deletion, where the
+library reads every tree's centroids off one fold over the forest, and
 the parser its line-by-line loop, which checks each line as it reads it,
 where the library reads valid text in one pass and leaves every check
 to the constructor.  A cut
@@ -193,6 +197,47 @@ def reference_fresh_ids(g: PlumbingGraph, prefix: str, count: int) -> list:
             out.append(cand)
         i += 1
     return out
+
+
+def reference_components(g: PlumbingGraph) -> list[frozenset]:
+    """The component vertex sets of ``g`` by a union-find over its edges,
+    sorted by least member."""
+    parent = {v: v for v in g.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in g.edges:
+        parent[find(a)] = find(b)
+    comps: dict = {}
+    for v in g.vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return sorted(map(frozenset, comps.values()), key=min)
+
+
+def reference_canonical_code(g: PlumbingGraph) -> tuple:
+    """``canonical_code`` component by component: each component built as
+    its own graph, its centroids found by deleting each vertex in turn, and
+    the least code rooted at one of them kept, codes built by recursion and
+    ordered by the built-in tuple order; the codes sorted.  The recursion
+    keeps this to shallow trees."""
+
+    def code(c: PlumbingGraph, v, p) -> tuple:
+        kids = sorted(code(c, u, v) for u in c.neighbors(v) if u != p)
+        return (c.weight(v), tuple(kids))
+
+    out = []
+    for comp in reference_components(g):
+        c = subgraph(g, comp)
+        heaviest = {
+            v: max(map(len, reference_components(delete(c, [v]))), default=0)
+            for v in c.vertices
+        }
+        least = min(heaviest.values())
+        out.append(min(code(c, v, None) for v in c.vertices if heaviest[v] == least))
+    return tuple(sorted(out))
 
 
 def pairing(g: PlumbingGraph, a, b) -> Fraction:

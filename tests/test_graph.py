@@ -25,7 +25,6 @@ from plumbcalc.graph import (
     serialize_graph,
     subgraph,
     tree_centroids,
-    valency,
 )
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
@@ -34,6 +33,8 @@ from conftest import perfbench_module
 from oracles import (
     pruefer_trees,
     reference_build,
+    reference_canonical_code,
+    reference_components,
     reference_fresh_ids,
     reference_minimize,
     reference_parse_graph,
@@ -331,12 +332,13 @@ def test_constructor_matches_reference_build(case, one_shot):
 
 
 def test_valency(s237):
-    assert valency(s237, "c") == 3
-    assert valency(s237, "p2") == 1
+    # a vertex's valency is its degree
+    assert s237.degree("c") == 3
+    assert s237.degree("p2") == 1
     g = parse_graph("vertex a -1")
-    assert valency(g, "a") == 0
-    with pytest.raises(GraphStructureError):
-        valency(g, "nope")
+    assert g.degree("a") == 0
+    with pytest.raises(GraphStructureError, match="unknown vertex 'nope'"):
+        g.degree("nope")
 
 
 def test_nodes(s237, e8):
@@ -567,8 +569,11 @@ def test_rooted_preorder_covers_the_component_parents_first():
 
 
 def test_tree_centroids_and_branch_counts_match_deletion():
-    # each vertex's heaviest component of g - v, found by deleting v
-    for g in census_graphs(5, -5):
+    # each vertex's heaviest branch, the largest component of g - v next to
+    # v, found by deleting v; a forest's centroids are each tree's own
+    rng = random.Random(9)
+    forests = [_random_forest(rng)[1] for _ in range(20)]
+    for g in [*census_graphs(5, -5), *forests]:
         heaviest = {}
         counts = branch_counts(g, g.vertices)
         for v in g.vertices:
@@ -576,10 +581,13 @@ def test_tree_centroids_and_branch_counts_match_deletion():
             assert counts[v] == {
                 u: len(next(c for c in comps if u in c)) for u in g.neighbors(v)
             }, (g, v)
-            heaviest[v] = max(map(len, comps), default=0)
-        least = min(heaviest.values())
-        assert tree_centroids(g) == tuple(v for v in g.vertices if heaviest[v] == least)
-        assert 1 <= len(tree_centroids(g)) <= 2
+            heaviest[v] = max(counts[v].values(), default=0)
+        cents = []
+        for tree in reference_components(g):
+            least = min(heaviest[v] for v in tree)
+            cents += [v for v in tree if heaviest[v] == least]
+            assert 1 <= len(set(cents) & tree) <= 2
+        assert tree_centroids(g) == tuple(sorted(cents))
 
 
 # -- isomorphism ------------------------------------------------------------
@@ -638,6 +646,64 @@ def test_isomorphism_invariant_under_relabeling(n, rng):
     )
     assert canonical_code(g) == canonical_code(h)
     assert is_isomorphic(g, h)[0]
+
+
+def _disjoint_union(trees, names) -> PlumbingGraph:
+    """The forest of ``trees`` in turn, their vertices renamed to ``names``."""
+    keys = [(i, v) for i, t in enumerate(trees) for v in t.vertices]
+    rename = dict(zip(keys, names))
+    return PlumbingGraph(
+        {rename[i, v]: t.weight(v) for i, t in enumerate(trees) for v in t.vertices},
+        [(rename[i, a], rename[i, b]) for i, t in enumerate(trees) for a, b in t.edges],
+    )
+
+
+def _random_forest(rng: random.Random) -> tuple[list[PlumbingGraph], PlumbingGraph]:
+    trees = [random_tree(rng, rng.randint(1, 6), -3) for _ in range(rng.randint(1, 4))]
+    return trees, _disjoint_union(trees, [f"t{i}" for i in range(24)])
+
+
+def test_forest_codes_isomorphisms_and_components_match_oracles():
+    rng = random.Random(18)
+    for _ in range(300):
+        trees, g = _random_forest(rng)
+        comps = reference_components(g)
+        assert g.component_vertex_sets() == comps
+        assert g.is_connected() == (len(comps) == 1)
+        code = canonical_code(g)
+        assert code == reference_canonical_code(g), g
+        # relabelled, and the trees given in another order
+        names = [f"w{i}" for i in range(len(g))]
+        rng.shuffle(names)
+        h = _disjoint_union(trees, names)
+        rng.shuffle(trees)
+        assert canonical_code(h) == canonical_code(_disjoint_union(trees, names)) == code
+        ok, witness = is_isomorphic(g, h)
+        assert ok and sorted(witness.values()) == sorted(h.vertices)
+        assert all(h.weight(witness[v]) == g.weight(v) for v in g.vertices)
+        assert all(h.has_edge(witness[a], witness[b]) for a, b in g.edges)
+        v = rng.choice(g.vertices)
+        assert is_isomorphic(with_weight(g, v, g.weight(v) - 1), h) == (False, None)
+
+
+def test_codes_and_isomorphism_build_no_graph_on_a_forest(monkeypatch):
+    # each component was built as a subgraph to root its codes
+    rng = random.Random(7)
+    trees = [random_tree(rng, n) for n in (5, 1, 4, 5)]
+    g = _disjoint_union(trees, [f"t{i}" for i in range(15)])
+    h = _disjoint_union(trees[::-1], [f"w{i}" for i in range(15)])
+    lowered = with_weight(h, "w0", h.weight("w0") - 1)
+    built = []
+    init = PlumbingGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlumbingGraph, "__init__", counted)
+    assert canonical_code(g) == canonical_code(h)
+    assert is_isomorphic(g, h)[0] and is_isomorphic(g, lowered) == (False, None)
+    assert not built
 
 
 def _code_shape(code):

@@ -48,20 +48,23 @@ def _facts(g: PlumbingGraph) -> list:
 
 
 def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
-    # the components and the rooted order are stored at construction: the
-    # search run afresh.  The order is every component in one run from its
-    # least vertex, each other vertex after its parent, along an edge
-    assert _components(g) == (g._comps, g._order)
-    comps, seen = iter(g._comps), set()
+    # the tree count and the rooted order are stored at construction: the
+    # search run afresh.  The order is every tree in one run from the least
+    # vertex not yet reached, each other vertex after its parent in the same
+    # run, along an edge; with |V| - #trees edges, no edge joins two runs
+    assert _components(g) == (g._tree_count, g._order)
+    rest, seen, roots = iter(g.vertices), set(), 0
     for v, p in g._order:
         if p is None:
-            comp = next(comps)
-            assert v == min(comp)
+            roots, tree = roots + 1, set()
+            assert v == next(u for u in rest if u not in seen)
         else:
-            assert p in seen and g.has_edge(v, p)
-        assert v in comp and v not in seen
+            assert p in tree and g.has_edge(v, p)
+        assert v not in seen
         seen.add(v)
-    assert len(seen) == len(g) and next(comps, None) is None
+        tree.add(v)
+    assert len(seen) == len(g) and roots == g._tree_count
+    assert len(g.edges) == len(g) - roots
     first = _facts(g)
     assert _facts(g) == first
     assert _facts(parse_graph(serialize_graph(g))) == first
