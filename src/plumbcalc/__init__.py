@@ -64,7 +64,6 @@ from .surgery import (
 from .seifert import (
     ContinuedFraction,
     SeifertData,
-    brieskorn_cover_rational,
     brieskorn_seifert,
     foliation_criterion,
     negative_cf,

@@ -23,7 +23,9 @@ from typing import NamedTuple
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
 from .lattice import definiteness, determinant
-from .laufer import DEFAULT_BAD_SET_CAP, is_bad_set, is_rational, min_bad
+from .laufer import is_bad_set, is_rational, min_bad
+
+DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
 
 
 class ClassificationReport(NamedTuple):

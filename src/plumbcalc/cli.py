@@ -1,8 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 for input errors (bad files, bad arguments,
-failed certificate verification), 2 for internal consistency failures
-(these indicate a bug in the calculator, never a property of the input).
+failed certificate verification, a result with a number past the
+interpreter's limit on the digits of an integer written as text), 2 for
+internal consistency failures (these indicate a bug in the calculator,
+never a property of the input).  A command whose result can hold such a
+number composes its output before it writes any of it, so a failure
+writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -205,23 +209,24 @@ def _cmd_cut(args) -> int:
             }
         )
         return 0
-    print(f"r = {cut.r}")
-    print("# side filled with r (det = 0):")
-    print(serialize_graph(cut.filled_w))
-    print("# side filled with 1/r (negative definite):")
-    print(serialize_graph(cut.filled_v))
+    print("\n".join([
+        f"r = {cut.r}",
+        "# side filled with r (det = 0):",
+        serialize_graph(cut.filled_w),
+        "# side filled with 1/r (negative definite):",
+        serialize_graph(cut.filled_v),
+    ]))
     return 0
 
 
 def _cmd_certificate(args) -> int:
     g = minimize(_load_graph(args.file))
-    cert = lo_certificate(g)
-    data = certificate_to_json(cert)
+    text = json.dumps(certificate_to_json(lo_certificate(g)), indent=2)
     if args.out:
-        _write_text(args.out, json.dumps(data, indent=2))
+        _write_text(args.out, text)
         print(f"wrote certificate to {args.out}")
     else:
-        _print_json(data)
+        print(text)
     return 0
 
 
@@ -249,7 +254,7 @@ def _cmd_seifert(args) -> int:
     verdict = is_rational(g)
     fol = foliation_criterion(sd) if sd.nu == 3 else None
     if args.json:
-        _print_json(
+        print(json.dumps(
             {
                 "e0": sd.e0,
                 "legs": [list(leg) for leg in sd.legs],
@@ -258,17 +263,21 @@ def _cmd_seifert(args) -> int:
                 "pinkham_witness": witness,
                 "foliation_criterion": fol,
                 "rational": verdict.rational,
-            }
-        )
+            },
+            indent=2,
+        ))
         return 0
-    print(f"e0 = {sd.e0}")
-    print("legs (alpha, omega):", ", ".join(f"({a},{o})" for a, o in sd.legs))
-    print(f"orbifold Euler number e = {e}")
-    print(f"Pinkham non-rational: {_bool_str(pink)}"
-          + (f" (witness l = {witness})" if witness is not None else ""))
+    lines = [
+        f"e0 = {sd.e0}",
+        "legs (alpha, omega): " + ", ".join(f"({a},{o})" for a, o in sd.legs),
+        f"orbifold Euler number e = {e}",
+        f"Pinkham non-rational: {_bool_str(pink)}"
+        + (f" (witness l = {witness})" if witness is not None else ""),
+    ]
     if fol is not None:
-        print(f"foliation criterion:  {_bool_str(fol)}")
-    print(f"Laufer rational:      {_bool_str(verdict.rational)}")
+        lines.append(f"foliation criterion:  {_bool_str(fol)}")
+    lines.append(f"Laufer rational:      {_bool_str(verdict.rational)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -379,6 +388,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PlumbingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: the result holds a number of more than {sys.get_int_max_str_digits()}"
+            " digits, the interpreter's limit for writing an integer as text",
+            file=sys.stderr,
+        )
         return 1
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

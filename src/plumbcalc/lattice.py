@@ -35,9 +35,6 @@ from typing import Mapping, NamedTuple
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
 from .graph import PlumbingGraph, VertexId
 
-Cycle = Mapping[VertexId, int]
-QCycle = Mapping[VertexId, Fraction]
-
 
 class DefinitenessKind(Enum):
     NEGATIVE_DEFINITE = "negative_definite"

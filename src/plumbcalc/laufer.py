@@ -57,7 +57,6 @@ from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
 from .lattice import chi, is_negative_definite
 
-DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
 _PLAIN = frozenset()  # no vertex frozen: the key of the graph's own run
 
 
@@ -83,34 +82,28 @@ class RationalityVerdict:
     >= 2 (None when the graph is rational).
 
     ``z_min``, the end cycle of the run, and ``chi_zmin``, chi of it, are
-    read from the stored run of ``source``, (graph, frozen set), which runs
-    it to its end on the first read if it stopped at its jump.  For the
-    verdict of a frozen set B (the stabilized graph's, see the module
+    read on every access from the one store of runs, the entry of
+    ``source``, (graph, frozen set); a run stopped at its jump is run to its
+    end once, on the first read.  ``z_min`` is a fresh dict each time.  For
+    the verdict of a frozen set B (the stabilized graph's, see the module
     docstring) they are Y and chi(Y).  Only this module makes verdicts.
     Equality compares all four fields.
     """
 
-    __slots__ = ("rational", "jump", "_end", "_source")
+    __slots__ = ("rational", "jump", "_source")
 
     def __init__(self, rational, jump, source):
         self.rational = rational
         self.jump = jump
-        self._end = None
         self._source = source  # (graph, frozen set) of a stored run
-
-    def _read_end(self) -> tuple[dict[VertexId, int], Fraction]:
-        if self._end is None:
-            y, chi_y = _stored(*self._source, full=True)[1]
-            self._end, self._source = (dict(y), chi_y), None
-        return self._end
 
     @property
     def z_min(self) -> dict[VertexId, int]:
-        return self._read_end()[0]
+        return dict(_stored(*self._source, full=True)[1][0])
 
     @property
     def chi_zmin(self) -> Fraction:
-        return self._read_end()[1]
+        return _stored(*self._source, full=True)[1][1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalityVerdict):

@@ -271,21 +271,3 @@ def brieskorn_seifert(p: int, q: int, r: int) -> SeifertData:
         raise InternalCheckError("Brieskorn graph determinant is not 1")
     return sd
 
-
-def brieskorn_cover_rational(m: int, n: int) -> bool:
-    """Rationality of the double-suspension Brieskorn singularity with
-    exponents (2, m, n): true iff 1/2 + 1/m + 1/n > 1.  When (2, m, n) are
-    pairwise coprime the verdict is cross-checked against the Laufer run
-    on the actual Seifert graph."""
-    if m < 2 or n < 2:
-        raise GraphStructureError("exponents must be >= 2")
-    verdict = Fraction(1, 2) + Fraction(1, m) + Fraction(1, n) > 1
-    if gcd(m, n) == 1 and m % 2 and n % 2:
-        from .laufer import is_rational
-
-        direct = is_rational(seifert_to_graph(brieskorn_seifert(2, m, n))).rational
-        if direct != verdict:
-            raise InternalCheckError(
-                f"Brieskorn inequality and Laufer disagree for (2,{m},{n})"
-            )
-    return verdict

@@ -22,13 +22,13 @@ until a graph with at most one bad vertex remains; det-0 sides are
 decomposed further into Seifert (star-shaped) leaves.
 
 Each certificate tag has one claim table (``_TABLES``): a function that
-takes a node's graph and stored edge and returns the node's ordered
-claims, the fields it carries (edge, slope, jump witness, Seifert data)
-and the graphs its children must have.  The tables are the single
-statement of the certificate format.  The builder records what a table
-returns; ``check_certificate`` recomputes every table from the serialized
-graphs with lattice/Laufer primitives only and trusts nothing the builder
-wrote.
+takes a node's graph and stored edge and returns the node it proves, with
+its ordered claims and the fields it carries (edge, slope, jump witness,
+Seifert data) but no children, and the graphs its children must have.
+The tables are the single statement of the certificate format.  The
+builder records the node a table returns; ``check_certificate``
+recomputes every table from the serialized graphs with lattice/Laufer
+primitives only and trusts nothing the builder wrote.
 """
 
 from __future__ import annotations
@@ -255,22 +255,13 @@ class CheckResult(NamedTuple):
 # Claim tables: what each tag claims, stated once for builder and checker
 # ---------------------------------------------------------------------------
 
+# A table returns (node, children): the node it proves, with no children,
+# and for each child the graph it must have with the tags it may carry.  It
+# raises ``InternalCheckError`` when the node's structure is invalid: a bug
+# in the builder, a rejected node in the checker.
+
 _DEFINITE_TAGS = (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
 _SEMIDEF_TAGS = (TAG_SEMIDEF_CUT, TAG_SEMIDEF_LEAF)
-
-
-class _Table(NamedTuple):
-    """A node's ordered claims, the fields it carries, and for each child
-    the graph it must have with the tags it may carry.  A table raises
-    ``InternalCheckError`` when the node's structure is invalid: a bug in
-    the builder, a rejected node in the checker."""
-
-    claims: tuple[Claim, ...]
-    children: tuple[tuple[PlumbingGraph, tuple[str, ...]], ...] = ()
-    edge: tuple[VertexId, VertexId] | None = None
-    r: Fraction | None = None
-    jump: JumpInfo | None = None
-    seifert: object | None = None
 
 
 def _holds(claims) -> bool:
@@ -319,9 +310,10 @@ def _semidefinite_claims(g: PlumbingGraph) -> list[Claim]:
     ]
 
 
-def _base_m1(g: PlumbingGraph, edge) -> _Table:
+def _base_m1(g: PlumbingGraph, edge):
     """Leaf: a non-rational graph with at most one bad vertex."""
-    return _Table((*_definite_claims(g), Claim("m_le_1", True, _m_le_1(g))))
+    claims = (*_definite_claims(g), Claim("m_le_1", True, _m_le_1(g)))
+    return CertificateNode(g, TAG_BASE_M1, claims), ()
 
 
 def _node_branches(g: PlumbingGraph) -> dict[VertexId, tuple[VertexId, ...]]:
@@ -354,7 +346,7 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
     return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
 
 
-def _case1(g: PlumbingGraph, edge) -> _Table:
+def _case1(g: PlumbingGraph, edge):
     """Cut at (v, w) chosen by ``_cut_vertex``: the 1/r-filled v-side,
     minimized, recurses with fewer nodes; the r-filled w-side is det-0."""
     v, w = edge
@@ -384,14 +376,11 @@ def _case1(g: PlumbingGraph, edge) -> _Table:
         Claim("child_not_rational", True, not is_rational(child).rational),
         Claim("node_count_decreases", True, len(nodes(child)) < len(nodes(g))),
     ]
-    return _Table(
-        tuple(claims),
-        ((child, _DEFINITE_TAGS), (cut.filled_w, _SEMIDEF_TAGS)),
-        edge=(v, w), r=cut.r, jump=jump,
-    )
+    node = CertificateNode(g, TAG_CASE1, tuple(claims), (), (v, w), cut.r, jump)
+    return node, ((child, _DEFINITE_TAGS), (cut.filled_w, _SEMIDEF_TAGS))
 
 
-def _case2(g: PlumbingGraph, edge) -> _Table:
+def _case2(g: PlumbingGraph, edge):
     """No valid cut vertex and two adjacent nodes: blow up the node edge;
     the new (-1)-vertex is the child's forced cut vertex."""
     claims = _definite_claims(g)
@@ -402,7 +391,8 @@ def _case2(g: PlumbingGraph, edge) -> _Table:
     _check_claims(claims)
     blown = blow_up_edge(g, ns)
     claims.append(Claim("child_not_rational", True, not is_rational(blown).rational))
-    return _Table(tuple(claims), ((blown, (TAG_BASE_M1, TAG_CASE1)),), edge=ns)
+    node = CertificateNode(g, TAG_CASE2, tuple(claims), edge=ns)
+    return node, ((blown, (TAG_BASE_M1, TAG_CASE1)),)
 
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
@@ -416,7 +406,7 @@ def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     return {(a, b) for a, b in g.edges if b in branches[a] and a in branches[b]}
 
 
-def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
+def _semidef_cut(g: PlumbingGraph, edge):
     """Cut a det-0 graph along an edge with nodes on both sides; both fills
     stay det-0 and semidefinite with fewer nodes."""
     claims = _semidefinite_claims(g)
@@ -437,11 +427,8 @@ def _semidef_cut(g: PlumbingGraph, edge) -> _Table:
             ),
             Claim(f"filled_{name}_fewer_nodes", True, len(nodes(filled)) < count),
         ]
-    return _Table(
-        tuple(claims),
-        ((cut.filled_v, _SEMIDEF_TAGS), (cut.filled_w, _SEMIDEF_TAGS)),
-        edge=(v, w), r=cut.r,
-    )
+    node = CertificateNode(g, TAG_SEMIDEF_CUT, tuple(claims), (), (v, w), cut.r)
+    return node, ((cut.filled_v, _SEMIDEF_TAGS), (cut.filled_w, _SEMIDEF_TAGS))
 
 
 def _star_data(g: PlumbingGraph):
@@ -451,11 +438,14 @@ def _star_data(g: PlumbingGraph):
         return None
 
 
-def _semidef_leaf(g: PlumbingGraph, edge) -> _Table:
+def _semidef_leaf(g: PlumbingGraph, edge):
     """Leaf: a det-0 semidefinite graph with at most one node, carrying its
-    Seifert invariants when it minimizes to a true star."""
+    Seifert invariants when it minimizes to a true star.  They are read
+    only when the claims hold: the builder tries this table on every det-0
+    graph, and the checker reports a failing claim first."""
     claims = (*_semidefinite_claims(g), Claim("nodes_le_1", True, len(nodes(g)) <= 1))
-    return _Table(claims, seifert=_star_data(g))
+    seifert = _star_data(g) if _holds(claims) else None
+    return CertificateNode(g, TAG_SEMIDEF_LEAF, claims, seifert=seifert), ()
 
 
 _TABLES = {
@@ -472,19 +462,14 @@ _TABLES = {
 # ---------------------------------------------------------------------------
 
 
-def _build(
-    g: PlumbingGraph, tag: str, table: _Table, forced_child: VertexId | None = None
-) -> CertificateNode:
-    """Record a node from its table, then build its children."""
-    _check_claims(table.claims)
-    children = tuple(
+def _build(node: CertificateNode, children, forced_child=None) -> CertificateNode:
+    """Record the node a table returns with its ``children`` built."""
+    _check_claims(node.claims)
+    return node._replace(children=tuple(
         semidef_decompose(graph) if tags == _SEMIDEF_TAGS
         else _certify(graph, forced_child)
-        for graph, tags in table.children
-    )
-    return CertificateNode(
-        g, tag, table.claims, children, table.edge, table.r, table.jump, table.seifert
-    )
+        for graph, tags in children
+    ))
 
 
 def lo_certificate(g: PlumbingGraph) -> CertificateNode:
@@ -511,8 +496,8 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
     if forced is None or is_bad_set(g, {forced}):
         base = _base_m1(g, None)
         # a bad forced vertex alone gives m <= 1; _build re-verifies it
-        if forced is not None or _holds(base.claims):
-            return _build(g, TAG_BASE_M1, base)
+        if forced is not None or _holds(base[0].claims):
+            return _build(*base)
     # Case1 at the lexicographically least valid cut edge, see _cut_vertex
     branches = _node_branches(g)
     for v in (forced,) if forced is not None else g.vertices:
@@ -525,13 +510,13 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
                 f"stabilizing {v!r} made the graph rational although m >= 2"
             )
         if targets:
-            return _build(g, TAG_CASE1, _case1(g, (v, targets[0])))
+            return _build(*_case1(g, (v, targets[0])))
     if forced is not None:
         raise InternalCheckError("forced blow-up vertex admitted no valid cut")
-    case2 = _case2(g, None)
-    ((blown, _),) = case2.children
+    node, children = _case2(g, None)
+    ((blown, _),) = children
     (u,) = set(blown.vertices) - set(g.vertices)
-    return _build(g, TAG_CASE2, case2, forced_child=u)
+    return _build(node, children, forced_child=u)
 
 
 def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
@@ -548,12 +533,12 @@ def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
             "semidefinite decomposition requires a negative semidefinite graph"
         )
     leaf = _semidef_leaf(g0, None)
-    if _holds(leaf.claims):
-        return _build(g0, TAG_SEMIDEF_LEAF, leaf)
+    if _holds(leaf[0].claims):
+        return _build(*leaf)
     edge = min(_node_separating_edges(g0), default=None)
     if edge is None:
         raise InternalCheckError("no edge separates two nodes of a 2-node tree")
-    return _build(g0, TAG_SEMIDEF_CUT, _semidef_cut(g0, edge))
+    return _build(*_semidef_cut(g0, edge))
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +549,14 @@ def semidef_decompose(g0: PlumbingGraph) -> CertificateNode:
 def check_certificate(cert: CertificateNode) -> CheckResult:
     """Re-verify every claim of a certificate from scratch.
 
-    Each node's claim table is recomputed from its graph and stored edge:
-    determinants, definiteness, rationality, the slope, the jump witness,
-    the Seifert data and the child graphs.  A node is rejected when a
-    recomputed claim fails, when a stored claim or field differs from the
-    recomputed one, or when a child's graph or tag does not match.  The
-    first failing node's path is reported.  Jump witnesses come from the
-    canonical (smallest-id tie-break) Laufer run, which is the run this
-    certificate format prescribes.
+    Each node's claim table is recomputed from its graph and stored edge,
+    which gives the node it proves: determinants, definiteness, rationality,
+    the slope, the jump witness and the Seifert data, and the child graphs.
+    A node is rejected when a recomputed claim fails, when a stored claim
+    or field differs from the recomputed node's, or when a child's graph or
+    tag does not match.  The first failing node's path is reported.  Jump
+    witnesses come from the canonical (smallest-id tie-break) Laufer run,
+    which is the run this certificate format prescribes.
     """
     try:
         return _check_node(cert, "root")
@@ -592,28 +577,28 @@ def _check_node(
     if table_of is None:
         return _fail(path, f"unknown tag {node.tag!r}")
     try:
-        table = table_of(node.graph if graph is None else graph, node.edge)
-        _check_claims(table.claims)
+        fresh, children = table_of(node.graph if graph is None else graph, node.edge)
+        _check_claims(fresh.claims)
     except InternalCheckError as exc:
         return _fail(path, str(exc))
     except Exception as exc:
         return _fail(path, f"exception: {exc}")
-    for stored, fresh in zip_longest(node.claims, table.claims):
+    for stored, claim in zip_longest(node.claims, fresh.claims):
         # the JSON forms tell a bool from a number, == does not (True == 1)
-        if stored != fresh or _claim_to_json(stored) != _claim_to_json(fresh):
-            return _fail(path, f"stored claim {stored} != recomputed {fresh}")
-    for name in ("edge", "r", "jump", "seifert"):
-        stored, fresh = getattr(node, name), getattr(table, name)
-        if stored != fresh:
-            return _fail(path, f"stored {name} {stored} != recomputed {fresh}")
-    if len(node.children) != len(table.children):
-        return _fail(path, f"{node.tag} node needs {len(table.children)} children")
-    for i, (child, (want, tags)) in enumerate(zip(node.children, table.children)):
+        if stored != claim or _claim_to_json(stored) != _claim_to_json(claim):
+            return _fail(path, f"stored claim {stored} != recomputed {claim}")
+    # the fields after graph, tag, claims and children: edge, r, jump, seifert
+    for name, stored, value in zip(node._fields[4:], node[4:], fresh[4:]):
+        if stored != value:
+            return _fail(path, f"stored {name} {stored} != recomputed {value}")
+    if len(node.children) != len(children):
+        return _fail(path, f"{node.tag} node needs {len(children)} children")
+    for i, (child, (want, tags)) in enumerate(zip(node.children, children)):
         if child.graph != want:
             return _fail(path, f"children[{i}] graph differs from the recomputed one")
         if child.tag not in tags:
             return _fail(path, f"children[{i}] of a {node.tag} node has tag {child.tag!r}")
-    for i, (child, (want, _)) in enumerate(zip(node.children, table.children)):
+    for i, (child, (want, _)) in enumerate(zip(node.children, children)):
         res = _check_node(child, f"{path}.children[{i}]", want)
         if not res:
             return res

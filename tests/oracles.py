@@ -19,8 +19,9 @@ bad-set verdict has the two-run route: lower the weights, build the graph
 afresh and run Laufer on it.  chi comes from the canonical cycle, solved
 from the adjunction relations, in place of the adjunction sum.  The
 monotonicity spot checks of the induction live here too, as no verdict
-needs them, and so do the pairing a^T I b and ``with_weight``, which only
-the tests use.
+needs them, and so do the pairing a^T I b, ``with_weight`` and the
+(2, m, n) rule for Brieskorn covers, 1/2 + 1/m + 1/n > 1 checked against
+Laufer, which only the tests use.
 The constructor's forest checks have their route of one loop over the
 edges with a union-find, where the constructor counts components, the
 component sets a union-find of their own, where the graph splits its
@@ -49,6 +50,7 @@ from itertools import combinations, permutations, product
 from math import ceil, gcd
 from typing import NamedTuple
 
+from plumbcalc.classify import DEFAULT_BAD_SET_CAP
 from plumbcalc.errors import GraphStructureError, InternalCheckError, ParseError
 from plumbcalc.graph import (
     _ID_RE,
@@ -69,14 +71,18 @@ from plumbcalc.lattice import (
     intersection_form,
 )
 from plumbcalc.laufer import (
-    DEFAULT_BAD_SET_CAP,
     JumpWitness,
     is_bad_set,
     is_rational,
     min_bad,
     zmin_multiplicities,
 )
-from plumbcalc.seifert import ContinuedFraction, SeifertData
+from plumbcalc.seifert import (
+    ContinuedFraction,
+    SeifertData,
+    brieskorn_seifert,
+    seifert_to_graph,
+)
 from plumbcalc.surgery import attach_string
 
 
@@ -666,6 +672,23 @@ def reference_brieskorn(p: int, q: int, r: int):
             if (-1 - s) % big == 0:
                 found.append(((-1 - s) // big, ((p, o1), (q, o2), (r, o3))))
     return found
+
+
+def brieskorn_cover_rational(m: int, n: int) -> bool:
+    """Rationality of the double-suspension Brieskorn singularity with
+    exponents (2, m, n): true iff 1/2 + 1/m + 1/n > 1.  When (2, m, n) are
+    pairwise coprime the verdict is cross-checked against the Laufer run
+    on the actual Seifert graph."""
+    if m < 2 or n < 2:
+        raise GraphStructureError("exponents must be >= 2")
+    verdict = Fraction(1, 2) + Fraction(1, m) + Fraction(1, n) > 1
+    if gcd(m, n) == 1 and m % 2 and n % 2:
+        direct = is_rational(seifert_to_graph(brieskorn_seifert(2, m, n))).rational
+        if direct != verdict:
+            raise InternalCheckError(
+                f"Brieskorn inequality and Laufer disagree for (2,{m},{n})"
+            )
+    return verdict
 
 
 # ---------------------------------------------------------------------------

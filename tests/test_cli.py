@@ -292,6 +292,43 @@ def test_hostile_graph_files_are_input_errors(tmp_path, capsys):
     assert messages[3] == "error: empty graph\n"
 
 
+def _path_text(n: int, weight: int) -> str:
+    return "".join(
+        [f"vertex v{i} {weight}\n" for i in range(n)]
+        + [f"edge v{i} v{i + 1}\n" for i in range(n - 1)]
+    )
+
+
+def test_results_past_the_digit_limit_are_input_errors(tmp_path, capsys):
+    # valid negative definite trees whose results hold numbers of more digits
+    # than Python writes as text: the path's determinant has about 4,800, and
+    # so has the Seifert leg of the path hung at p7 of Sigma(2,3,7)
+    path = tmp_path / "path.graph"
+    path.write_text(_path_text(1600, -1000))
+    hung = tmp_path / "hung.graph"
+    hung.write_text(S237_TEXT + _path_text(1600, -1000) + "edge p7 v0\n")
+    # cut --edge v0,v1 of that path fails too, after it builds a filled side
+    # of 1.6 million vertices; the slope of this cut has 4,347 digits
+    thirds = tmp_path / "thirds.graph"
+    thirds.write_text(_path_text(10400, -3))
+    message = f"error: the result holds a number of more than {sys.get_int_max_str_digits()}"
+    for argv in [
+        ["classify", path],
+        ["classify", hung, "--json"],
+        ["certificate", hung],
+        ["seifert", hung],
+        ["seifert", hung, "--json"],
+        ["cut", thirds, "--edge", "v0,v1"],
+        ["cut", thirds, "--edge", "v0,v1", "--json"],
+    ]:
+        assert main([str(a) for a in argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(["zmin", str(hung)]) == 0
+    assert "rational: no" in capsys.readouterr().out
+
+
 def _run_check(path: Path, text: str) -> tuple[int, str, str]:
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

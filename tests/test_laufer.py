@@ -323,6 +323,37 @@ def test_min_bad_case2_fixtures(case2_shallow, case2_deep):
     assert min_bad(case2_deep)[0] == 2
 
 
+def test_min_bad_returns_the_least_bad_set_in_its_order(monkeypatch, two_star_m2):
+    # No input found here has a least bad set off the nodes, so the bad sets
+    # are chosen: the least of them comes first by size, then subsets of the
+    # nodes before the others, then lexicographically by sorted ids
+    g, node_set = two_star_m2, set(nodes(two_star_m2))  # nodes xc and yc
+
+    def order(bad):
+        return len(bad), not bad <= node_set, sorted(bad)
+
+    def least(family):
+        monkeypatch.setattr(laufer, "is_bad_set", lambda g, bad: frozenset(bad) in family)
+        return min_bad(g)
+
+    families = [
+        ({"yl1"}, {"m2"}, {"xc", "yc"}),  # a non-node singleton, before a node pair
+        ({"m1"}, {"yc"}),  # a node before a lesser non-node
+        ({"yc"}, {"xc"}),
+        ({"xc", "yl1"}, {"m2", "xc"}, {"xl1", "yc", "yl1"}),  # mixed pairs
+        ({"m1", "m2"}, {"xc", "yc"}),
+        ({"m1", "m2", "xc"}, {"m1", "m2", "yl3"}, {"xc", "yc", "yl3"}),
+        (set(), {"xc"}),
+    ]
+    rng = random.Random(5)
+    for _ in range(40):
+        families.append([set(rng.sample(g.vertices, rng.randint(1, 4))) for _ in range(3)])
+    for family in families:
+        family = {frozenset(bad) for bad in family}
+        want = min(family, key=order)
+        assert least(family) == (len(want), want), family
+
+
 # -- monotonicity -----------------------------------------------------------
 
 

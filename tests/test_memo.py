@@ -71,11 +71,11 @@ def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
     assert g._arrays is None or g._arrays == laufer._run_arrays(g)
 
 
-def _node_graphs(node):
+def _nodes(node):
     stack = [node]
     while stack:
         n = stack.pop()
-        yield n.graph
+        yield n
         stack.extend(n.children)
 
 
@@ -90,8 +90,8 @@ def test_stored_facts_match_fresh_copy_on_certify_inputs():
     # has stored its facts
     for g in certify_inputs(0):
         _assert_facts_match_fresh_copy(g)
-        for h in _node_graphs(lo_certificate(g)):
-            _assert_facts_match_fresh_copy(h)
+        for n in _nodes(lo_certificate(g)):
+            _assert_facts_match_fresh_copy(n.graph)
 
 
 def test_returned_values_do_not_alias_the_store(s237):
@@ -169,6 +169,30 @@ def test_node_branches_folded_once_per_graph(monkeypatch):
         folded.clear()
         assert all(check_certificate(c).ok for c in certs)
         assert len(folded) == len(set(map(id, folded)))
+
+
+def test_seifert_data_read_once_per_leaf(monkeypatch):
+    # the builder tried the leaf table, with its Seifert data, on every det-0
+    # graph, SemidefCut nodes too: 189 reads where the checker made 155
+    read = []
+    star_data = surgery._star_data
+
+    def counted(g):
+        read.append(g)
+        return star_data(g)
+
+    monkeypatch.setattr(surgery, "_star_data", counted)
+    built = checked = leaves = 0
+    for g in certify_inputs(0):
+        cert = lo_certificate(g)
+        built += len(read)
+        read.clear()
+        parsed = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+        assert check_certificate(parsed).ok
+        checked += len(read)
+        read.clear()
+        leaves += sum(n.tag == surgery.TAG_SEMIDEF_LEAF for n in _nodes(cert))
+    assert built == checked == leaves == 155
 
 
 def test_certificate_pass_counts(monkeypatch):

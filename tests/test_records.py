@@ -26,7 +26,6 @@ from plumbcalc.surgery import (
     Claim,
     CutResult,
     JumpInfo,
-    _Table,
     cut_and_fill,
 )
 
@@ -45,7 +44,6 @@ FIELDS = {
     CertificateNode: (
         "graph", "tag", "claims", "children", "edge", "r", "jump", "seifert",
     ),
-    _Table: ("claims", "children", "edge", "r", "jump", "seifert"),
     CheckResult: ("ok", "path", "reason"),
     CensusRecord: ("graph_text", "vertex_count", "report", "seconds"),
     DetOneRecord: ("graph", "rational"),
@@ -61,7 +59,6 @@ DEFAULTS = {
     CertificateNode: {
         "children": (), "edge": None, "r": None, "jump": None, "seifert": None,
     },
-    _Table: {"children": (), "edge": None, "r": None, "jump": None, "seifert": None},
     CheckResult: {"path": None, "reason": None},
     ClassificationReport: {
         "m": None, "m_is_upper_bound": False, "bad_set": None, "certificate_path": None,
@@ -89,7 +86,6 @@ def _samples(s237):
         claim,
         jump,
         CertificateNode(s237, "Case1", (claim,), (), ("c", "p2"), Fraction(-1, 2), jump),
-        _Table((claim,), ((s237, ("BaseM1",)),), seifert=sd),
         CheckResult(False, "root.children[0]", "stored r 1 != recomputed 2"),
         CensusRecord(report.graph_text, 4, report, 0.25),
         DetOneRecord(s237, False),

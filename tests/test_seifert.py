@@ -12,7 +12,6 @@ from plumbcalc.lattice import definiteness, determinant
 from plumbcalc.laufer import is_rational
 from plumbcalc.seifert import (
     SeifertData,
-    brieskorn_cover_rational,
     brieskorn_seifert,
     foliation_criterion,
     hirzebruch_cf,
@@ -24,6 +23,7 @@ from plumbcalc.seifert import (
 )
 
 from oracles import (
+    brieskorn_cover_rational,
     cf_eval_convergents,
     oracle_pinkham,
     reference_brieskorn,
