@@ -44,13 +44,29 @@ every run, once per (graph, frozen set), and the empty set holds the
 graph's own verdict.  A run made for the verdict alone stops at its first
 jump; a caller that needs the end cycle Y (``stabilize``, Z_min, chi)
 runs it once more to the end.
+
+Prefix lemma: let S(B), the prefix of a run frozen at B that jumps, be
+the set of vertices it picks at steps 0 to J, where J is the step of its
+first jump, included.  Take B0 in B, with the B0-run jumping and B - B0
+disjoint from S(B0).  Then the run frozen at B has the first jump of the
+run frozen at B0, at the same step, vertex and value, so B is not bad.
+Proof: both runs start from l_0.  While their cycles agree, the vertices
+of B - B0 sit at multiplicity 1 in both and every pairing agrees.  At a
+step k <= J the B0-run picks the least positive vertex off B0; it is in
+S(B0), so off B, and it is also the least positive vertex off B, which
+the B-run picks, with the same value.  So the runs agree through step J.
+With B0 empty: a single vertex v can be bad only if v is in S(empty), and
+for every other v the run frozen at {v} jumps where the plain run does,
+which ``_vertex_jump`` reads with no run made.  Every stored run keeps its
+prefix beside its jump: ``_run`` reads it, once, from the cycle that the
+jump step reaches, which is the end cycle of a stopped run.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
@@ -99,11 +115,11 @@ class RationalityVerdict:
 
     @property
     def z_min(self) -> dict[VertexId, int]:
-        return dict(_stored(*self._source, full=True)[1][0])
+        return dict(_stored(*self._source, full=True)[2][0])
 
     @property
     def chi_zmin(self) -> Fraction:
-        return _stored(*self._source, full=True)[1][1]
+        return _stored(*self._source, full=True)[2][1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalityVerdict):
@@ -144,13 +160,14 @@ def _run_arrays(g: PlumbingGraph) -> tuple:
 
 def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
     """The computation sequence from l_0 = sum_v E_v: (end cycle, recorded
-    steps, first jump).  ``pos`` holds the sorted ranks of the vertices
-    with positive pairing, and ``pos[0]`` steps; a step updates only the
-    stepped vertex and its neighbours.  ``frozen`` vertices never step.
-    With ``stop`` the run ends just after its first jump, and the cycle
-    returned is the one that step reached.  The arrays of ``_run_arrays``
-    are set up on the first run and stored on ``g``; a run copies only the
-    pairings."""
+    steps, first jump, prefix), the prefix being the vertices stepped up to
+    the first jump, included (None when no step jumps).  ``pos`` holds the
+    sorted ranks of the vertices with positive pairing, and ``pos[0]``
+    steps; a step updates only the stepped vertex and its neighbours.
+    ``frozen`` vertices never step.  With ``stop`` the run ends just after
+    its first jump, and the cycle returned is the one that step reached.
+    The arrays of ``_run_arrays`` are set up on the first run and stored on
+    ``g``; a run copies only the pairings."""
     if g._arrays is None:
         g._arrays = _run_arrays(g)
     rank, weights, nbrs, pair = g._arrays
@@ -161,6 +178,7 @@ def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
     pos = [i for i, x in enumerate(pair) if x > 0 and i not in fixed]
     steps: list[LauferStep] = []
     first_jump: JumpWitness | None = None
+    prefix = None
     count = 0
     while pos:
         i = pos[0]
@@ -170,6 +188,7 @@ def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
         mult[i] += 1
         if first_jump is None and val >= 2:
             first_jump = JumpWitness(count, vs[i], val)
+            prefix = frozenset(compress(vs, map((1).__lt__, mult)))
             if stop:
                 break
         pair[i] += weights[i]
@@ -180,7 +199,7 @@ def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
             if pair[n] == 1 and n not in fixed:
                 insort(pos, n)
         count += 1
-    return dict(zip(vs, mult)), steps, first_jump
+    return dict(zip(vs, mult)), steps, first_jump, prefix
 
 
 def z_min(g: PlumbingGraph) -> tuple[dict[VertexId, int], ComputationSequence]:
@@ -188,15 +207,15 @@ def z_min(g: PlumbingGraph) -> tuple[dict[VertexId, int], ComputationSequence]:
     the least vertex id with positive pairing.  The run is cross-checked
     and stored on ``g`` like ``is_rational``'s."""
     _check_laufer_input(g)
-    mult, steps, jump = _run(g, record=True)
-    _stored(g, _PLAIN, run=(dict(mult), jump))
+    mult, steps, jump, prefix = _run(g, record=True)
+    _stored(g, _PLAIN, run=(dict(mult), jump, prefix))
     return mult, ComputationSequence(tuple(steps), dict(mult))
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
     """Z_min without step recording: the stored run's."""
     _check_laufer_input(g)
-    return dict(_stored(g, _PLAIN, full=True)[1][0])
+    return dict(_stored(g, _PLAIN, full=True)[2][0])
 
 
 def is_rational(g: PlumbingGraph) -> RationalityVerdict:
@@ -237,33 +256,36 @@ def _checked_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> frozenset:
 
 def _stored(g: PlumbingGraph, bad: frozenset, full: bool = False, run=None):
     """The run of ``g`` with ``bad`` frozen, on a graph known to pass
-    ``_check_laufer_input``, as (first jump, end): ``end`` is None when the
-    run stopped at its jump, else (end cycle Y, chi(Y)).  By the lemma of
-    the module docstring it is the stabilized graph's run; with ``bad``
-    empty it is the graph's own.
+    ``_check_laufer_input``, as (first jump, prefix, end): the prefix is
+    S(bad) of the prefix lemma, None when no step jumps, and ``end`` is None
+    when the run stopped at its jump, else (end cycle Y, chi(Y)).  By the
+    lemma of the module docstring it is the stabilized graph's run; with
+    ``bad`` empty it is the graph's own.
 
     Runs are stored on ``g`` by ``bad`` and cross-checked against Artin when
     made.  A run stops at its first jump unless ``full`` asks for Y, which
-    runs a stopped entry again to the end.  ``run``, the (Y, first jump) of
-    a full run the caller has already made, is stored in place of a new
-    run.  Callers must not change what is returned."""
+    runs a stopped entry again to the end.  ``run``, the (Y, first jump,
+    prefix) of a full run the caller has already made, is stored in place
+    of a new run.  Callers must not change what is returned."""
     if g._stabilized is None:
         g._stabilized = {}
     hit = g._stabilized.get(bad)
     full = full or run is not None
-    if hit is None or full and hit[1] is None:
+    if hit is None or full and hit[2] is None:
         if run is None:
-            y, _, jump = _run(g, record=False, frozen=bad, stop=not full)
+            y, _, jump, prefix = _run(g, record=False, frozen=bad, stop=not full)
         else:
-            y, jump = run
-        if hit is not None and hit[0] != jump:
-            raise InternalCheckError(f"full run jumps at {jump}, stopped run at {hit[0]}")
+            y, jump, prefix = run
+        if hit is not None and hit[:2] != (jump, prefix):
+            raise InternalCheckError(
+                f"full run jumps at {jump} after {prefix}, stopped run at {hit[:2]}"
+            )
         # chi(l) on g is chi(l) on the lowered graph: l is 1 on bad, and a
         # vertex at multiplicity 1 adds -2 to (K, l) + (l, l) whatever its
         # weight
         stopped = not full and jump is not None
         chi_y = _artin(g, y, jump, stopped)
-        hit = g._stabilized[bad] = (jump, None if stopped else (y, chi_y))
+        hit = g._stabilized[bad] = (jump, prefix, None if stopped else (y, chi_y))
     return hit
 
 
@@ -272,6 +294,23 @@ def _verdict(g: PlumbingGraph, bad: frozenset) -> RationalityVerdict:
     for a caller to keep: the store never holds the graph itself."""
     jump = _stored(g, bad)[0]
     return RationalityVerdict(jump is None, jump, (g, bad))
+
+
+def _prefix(g: PlumbingGraph) -> frozenset | None:
+    """S(empty), the prefix of ``g``'s own run (see the prefix lemma of the
+    module docstring), None when ``g`` is rational; read from the store."""
+    _check_laufer_input(g)
+    return _stored(g, _PLAIN)[1]
+
+
+def _vertex_jump(g: PlumbingGraph, v: VertexId) -> JumpWitness | None:
+    """The first jump of the run frozen at {v}, None when {v} is bad.  By the
+    prefix lemma of the module docstring it is the plain run's first jump
+    when ``g`` is not rational and v is off S(empty): then no frozen run is
+    made."""
+    bad = _checked_bad_set(g, [v])
+    prefix = _stored(g, _PLAIN)[1]
+    return _stored(g, bad if prefix is None or v in prefix else _PLAIN)[0]
 
 
 def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
@@ -290,12 +329,12 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     built only when a weight drops; otherwise ``g`` itself is returned.
     """
     bad = _checked_bad_set(g, bad)
-    jump, (y, _) = _stored(g, bad, full=True)
+    jump, prefix, (y, _) = _stored(g, bad, full=True)
     ws = g.weights()
     low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
     drop = {v: w for v, w in low.items() if w < ws[v]}
     down = PlumbingGraph({**ws, **drop}, g.edges) if drop else g
-    _stored(down, _PLAIN, run=(y, jump))
+    _stored(down, _PLAIN, run=(y, jump, prefix))
     return down
 
 

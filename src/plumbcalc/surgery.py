@@ -63,7 +63,7 @@ from .lattice import (
     is_negative_definite,
     root_dp,
 )
-from .laufer import _checked_bad_set, _verdict, is_bad_set, is_rational, stabilize
+from .laufer import _prefix, _vertex_jump, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
@@ -277,14 +277,13 @@ def _check_claims(claims) -> None:
 
 
 def _m_le_1(g: PlumbingGraph) -> bool:
-    """m <= 1: a single vertex is a bad set (every vertex of a rational
-    graph is one, as lowering weights keeps a graph rational).
-
-    So this equals ``min_bad(g)[0] <= 1`` at n Laufer runs or fewer.  Nodes
-    go first, as they are the likely bad vertices.
-    """
-    return any(
-        is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: len(g._adj[v]) < 3)
+    """``min_bad(g)[0] <= 1``: ``g`` is rational, or a single vertex is bad,
+    and by the prefix lemma of ``laufer`` only one of S(empty), those the
+    plain run steps up to its first jump, can be.  Nodes go first, as they
+    are the likely bad vertices."""
+    prefix = _prefix(g)
+    return prefix is None or any(
+        is_bad_set(g, {v}) for v in sorted(prefix, key=lambda v: (len(g._adj[v]) < 3, v))
     )
 
 
@@ -336,12 +335,12 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
     When m >= 2 the stabilized graph stays non-rational and its canonical
     Laufer run jumps inside one component of g - v; a valid target is a
     neighbour of v in another component that holds a node.  The jump is
-    None when the stabilized graph is rational.  It is read from the frozen
-    run on g, stopped at the jump, so no graph is built.
+    None when the stabilized graph is rational.  It is read by
+    ``laufer._vertex_jump``, with no graph built.
     """
     if len(branches.get(v, ())) < 2:
         return None
-    jump = _verdict(g, _checked_bad_set(g, [v])).jump
+    jump = _vertex_jump(g, v)
     jumped = {u for u, _ in rooted_preorder(g, jump.vertex, v)} if jump else set()
     return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
 
@@ -493,7 +492,7 @@ def lo_certificate(g: PlumbingGraph) -> CertificateNode:
 
 
 def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNode:
-    if forced is None or is_bad_set(g, {forced}):
+    if forced is None or _vertex_jump(g, forced) is None:
         base = _base_m1(g, None)
         # a bad forced vertex alone gives m <= 1; _build re-verifies it
         if forced is not None or _holds(base[0].claims):

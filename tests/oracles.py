@@ -37,7 +37,10 @@ continued fraction its ``Fraction`` loop, checked by ``cf_eval``, where
 the library expands and checks in integers.  ``cf_eval``, the evaluation
 of continued fractions term by term, lives here only: the Seifert data of
 a star has the route that evaluates each leg's terms with it, where the
-library reads the leg's (D, P).
+library reads the leg's (D, P).  The m <= 1 test of a certificate leaf and
+the jump of a Case1 cut vertex have the route that makes the frozen run of
+every vertex, where the library takes the plain run's jump for a vertex
+off its prefix, and the prefix itself the steps of the rescanning run.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from plumbcalc.laufer import (
     is_bad_set,
     is_rational,
     min_bad,
+    stabilize,
     zmin_multiplicities,
 )
 from plumbcalc.seifert import (
@@ -495,11 +499,12 @@ def oracle_pinkham(sd, l_max: int):
     return witnesses
 
 
-def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=()):
+def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=(), stop=False):
     """Laufer's computation sequence, rescanning every vertex in id order
     for the positive pairings before each step; ``frozen`` vertices never
     step.  Returns (Z_min, steps as (cycle before, vertex, pairing value),
-    first jump as (step, vertex, value) or None)."""
+    first jump as (step, vertex, value) or None).  With ``stop`` it returns
+    once it has recorded its first jump, the cycle not yet stepped."""
     weights = {v: int(g.weight(v)) for v in g.vertices}
     mult = {v: 1 for v in g.vertices}
     pair = {v: weights[v] + g.degree(v) for v in g.vertices}
@@ -512,10 +517,20 @@ def reference_laufer_run(g: PlumbingGraph, rng=None, frozen=()):
         steps.append((dict(mult), v, pair[v]))
         if jump is None and pair[v] >= 2:
             jump = (len(steps) - 1, v, pair[v])
+            if stop:
+                return mult, steps, jump
         mult[v] += 1
         pair[v] += weights[v]
         for n in g.neighbors(v):
             pair[n] += 1
+
+
+def reference_prefix(g: PlumbingGraph, frozen=()) -> frozenset | None:
+    """S(frozen) of the prefix lemma of ``laufer``: the vertices of the
+    steps of ``reference_laufer_run`` up to its first jump, included, or
+    None when no step jumps."""
+    _, steps, jump = reference_laufer_run(g, frozen=frozen, stop=True)
+    return None if jump is None else frozenset(v for _, v, _ in steps[: jump[0] + 1])
 
 
 class ReferenceVerdict(NamedTuple):
@@ -834,3 +849,22 @@ def reference_cut(g: PlumbingGraph, v, w) -> ReferenceCut:
         side_v, side_w, (v, w), det_w, det_w_minus, r,
         attach_string(side_v, v, 1 / r), attach_string(side_w, w, r),
     )
+
+
+def reference_m_le_1(g: PlumbingGraph) -> bool:
+    """``surgery._m_le_1`` with one frozen run per vertex, nodes first, each
+    made by ``is_bad_set``, where the library makes one only for the
+    vertices of the plain run's prefix."""
+    return any(is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3))
+
+
+def reference_cut_vertex(g: PlumbingGraph, v, branches):
+    """``surgery._cut_vertex`` with the jump read from the run frozen at v,
+    which ``stabilize`` makes to its end and files on the lowered graph,
+    where the library takes the plain run's jump for v off its prefix, and
+    the jumped component from a walk that does not enter v."""
+    if len(branches.get(v, ())) < 2:
+        return None
+    jump = is_rational(stabilize(g, [v])).jump
+    jumped = _reference_branch(g, jump.vertex, v) if jump else set()
+    return jump, jumped, tuple(w for w in branches[v] if w not in jumped)

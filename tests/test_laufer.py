@@ -25,6 +25,7 @@ from oracles import (
     reference_bad_verdict,
     reference_chi,
     reference_laufer_run,
+    reference_prefix,
     reference_stabilize,
     reference_verdict,
     verdict_fields,
@@ -184,8 +185,9 @@ def test_rational_iff_chi_at_least_one(census6):
 
 def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
     # on a copy with nothing stored, each verdict comes from a run stopped at
-    # its first jump and stored as that jump alone; reading Z_min and chi
-    # runs it once more, to its end
+    # its first jump and stored as that jump and the run's prefix, the
+    # vertices the rescanning run steps up to the jump; reading Z_min and
+    # chi runs it once more, to its end, and keeps the prefix
     h = PlumbingGraph(g.weights(), g.edges)
     for bad in frozen_sets:
         ref = reference_verdict(g, bad)
@@ -193,9 +195,11 @@ def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
         verdict = laufer._verdict(h, bad)
         assert rational == verdict.rational == ref.rational, (g, bad)
         assert verdict.jump == ref.jump, (g, bad)
-        end = None if ref.jump else (ref.z_min, ref.chi_zmin)
-        assert h._stabilized[bad] == (ref.jump, end), (g, bad)
+        prefix = reference_prefix(g, bad) if ref.jump else None
+        end = (ref.z_min, ref.chi_zmin)
+        assert h._stabilized[bad] == (ref.jump, prefix, None if ref.jump else end), (g, bad)
         assert verdict_fields(verdict) == ref, (g, bad)
+        assert h._stabilized[bad] == (ref.jump, prefix, end), (g, bad)
 
 
 def test_stopped_verdicts_match_full_runs_on_census6(census6):
@@ -213,6 +217,22 @@ def _long_runs():
 @pytest.mark.parametrize("g", _long_runs(), ids=["long_run", "237", "97_101_103", "199_201_203"])
 def test_stopped_verdicts_match_full_runs_on_long_runs(g):
     _assert_stopped_verdicts_are_the_full_runs(g, [frozenset()])
+
+
+def test_recorded_and_stabilized_runs_keep_their_prefix(census6):
+    # the graph's own entry is also filled by the recording run of z_min and,
+    # on a lowered graph, by the frozen run that stabilize hands on: both
+    # keep the prefix of the rescanning run on a fresh copy
+    for g in census6:
+        h = PlumbingGraph(g.weights(), g.edges)
+        z_min(h)
+        assert laufer._prefix(h) == reference_prefix(g), g
+        if is_rational(g).rational:
+            continue
+        for v in g.vertices:
+            down = stabilize(h, [v])
+            fresh = PlumbingGraph(down.weights(), down.edges)
+            assert laufer._prefix(down) == reference_prefix(fresh), (g, v)
 
 
 # -- bad vertices -----------------------------------------------------------

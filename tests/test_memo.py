@@ -10,6 +10,7 @@ second route is ``parse_graph(serialize_graph(g))``, a fresh graph with
 nothing stored.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -20,7 +21,14 @@ from plumbcalc import cli, graph, lattice, laufer, surgery
 from plumbcalc.census import census_graphs
 from plumbcalc.classify import classify
 from plumbcalc.errors import GraphStructureError
-from plumbcalc.graph import PlumbingGraph, _components, nodes, parse_graph, serialize_graph
+from plumbcalc.graph import (
+    PlumbingGraph,
+    _components,
+    minimize,
+    nodes,
+    parse_graph,
+    serialize_graph,
+)
 from plumbcalc.lattice import definiteness, determinant
 from plumbcalc.laufer import is_bad_set, is_rational, stabilize
 from plumbcalc.seifert import brieskorn_seifert, seifert_to_graph
@@ -31,8 +39,8 @@ from plumbcalc.surgery import (
     lo_certificate,
 )
 
-from conftest import certify_inputs, two_star_chain
-from oracles import reference_bad_verdict, reference_verdict, verdict_fields
+from conftest import certify_inputs, perfbench_module, two_star_chain
+from oracles import reference_bad_verdict, reference_prefix, reference_verdict, verdict_fields
 
 
 def _facts(g: PlumbingGraph) -> list:
@@ -309,38 +317,58 @@ def test_recording_run_stores_the_verdict(monkeypatch, s237):
 def test_certificate_run_counts(monkeypatch):
     # the builder used to run 23 Laufer sequences on this graph, 3 of them
     # the same run frozen at m1 on the 10-vertex root: for m <= 1, for the
-    # Case1 selection and for the Case1 table.  Then 14 full runs; now the
-    # runs stop at their first jump, and only m1, whose lowered weight the
-    # Case1 node records, runs once more to its end.
+    # Case1 selection and for the Case1 table.  Then 14 full runs, then up
+    # to 15 runs stopped at their first jump, one frozen run per vertex for
+    # m <= 1 and per cut vertex tried.  Now only the vertices of a plain
+    # run's prefix get a frozen run (xc on the root and on the 7-vertex
+    # child), and m1, whose lowered weight the Case1 node records, runs to
+    # its end once.
     runs = _count_runs(monkeypatch)
     lo_certificate(two_star_chain())
-    assert len(runs) <= 15 and sum(r[3] for r in runs) == 29
-    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [True, False]
+    assert len(runs) == 6 and sum(r[3] for r in runs) == 20
+    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [False]
     assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
 
 
 def test_checker_run_counts(monkeypatch):
     # the checker of the same certificate, handed fresh graphs by a JSON
-    # round trip: the Case1 table reads its jump from the run frozen at m1,
-    # stopped there, and runs it once more to its end for the lowered
-    # weight; every other run stops at its first jump
+    # round trip: the Case1 table read its jump from the run frozen at m1,
+    # stopped there, and ran it once more to its end for the lowered
+    # weight.  m1 is off the root's prefix, so the jump is the plain run's,
+    # and the one run frozen at m1 is the full run; every other run stops
+    # at its first jump
     data = json.loads(json.dumps(certificate_to_json(lo_certificate(two_star_chain()))))
     cert = certificate_from_json(data)
     runs = _count_runs(monkeypatch)
     assert check_certificate(cert).ok
-    assert len(runs) == 6 and sum(r[3] for r in runs) == 20
-    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [True, False]
+    assert len(runs) == 5 and sum(r[3] for r in runs) == 19
+    assert [r[2] for r in runs if r[:2] == (10, frozenset({"m1"}))] == [False]
     assert [r for r in runs if not r[2]] == [(10, frozenset({"m1"}), False, 16)]
 
 
+def test_large_tree_certificate_run_count(monkeypatch):
+    # the benchmark's classify_large_inputs(3)[94], 120 vertices and 31
+    # nodes once minimized: its build and check made 2,943 Laufer runs while
+    # every m <= 1 test and cut-vertex scan made one frozen run per vertex
+    t = perfbench_module("inputs").classify_large_inputs(3)[94]
+    g = minimize(PlumbingGraph(t.weight_map(), t.edge_names()))
+    runs = _count_runs(monkeypatch)
+    text = json.dumps(certificate_to_json(lo_certificate(g)))
+    assert check_certificate(certificate_from_json(json.loads(text))).ok
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "1a53709fe791"
+    assert (len(g), len(nodes(g)), len(runs)) == (120, 31, 88)
+
+
 def test_m_le_1_sets_up_the_run_arrays_once(monkeypatch):
-    # one frozen run per vertex of the m = 2 root, each from the same arrays
+    # the plain run and one frozen run per vertex of its prefix, {xc}, on
+    # the m = 2 root (one per vertex, 10, before the prefix was read), each
+    # from the same arrays
     g = two_star_chain()
     setups = _count_array_setups(monkeypatch)
     runs = _count_runs(monkeypatch)
     assert not surgery._m_le_1(g)
-    assert len(runs) == len(g) == 10 and setups == [10]
-    assert is_bad_set(g, nodes(g)) and len(runs) == 11 and setups == [10]
+    assert [r[1] for r in runs] == [frozenset(), frozenset({"xc"})] and setups == [10]
+    assert is_bad_set(g, nodes(g)) and len(runs) == 3 and setups == [10]
 
 
 def test_is_bad_set_builds_no_graph(monkeypatch):
@@ -364,7 +392,9 @@ def test_bad_set_results_do_not_alias_the_store(s237):
     g = parse_graph(serialize_graph(s237))
     bad = frozenset({"c"})
     ref = reference_bad_verdict(g, bad)
-    entry = (ref.jump, (ref.z_min, ref.chi_zmin))  # (first jump, (Y, chi(Y)))
+    # (first jump, prefix, (Y, chi(Y))): {c} is bad, so no step jumps
+    entry = (ref.jump, reference_prefix(g, bad), (ref.z_min, ref.chi_zmin))
+    assert entry[:2] == (None, None)
     verdict = laufer._verdict(g, bad)
     assert verdict_fields(verdict) == ref and laufer._stored(g, bad) == entry
     verdict.z_min["c"] += 5
@@ -376,6 +406,11 @@ def test_bad_set_results_do_not_alias_the_store(s237):
     assert stabilize(g, bad) == down and down.weights() == {**g.weights(), "c": -3}
     assert is_rational(stabilize(g, bad)) == is_rational(down)
     assert verdict_fields(is_rational(down)) == ref
+    # the plain run of g jumps after stepping c: its prefix is {c}
+    plain = reference_verdict(g)
+    entry = (plain.jump, reference_prefix(g), (plain.z_min, plain.chi_zmin))
+    assert verdict_fields(is_rational(g)) == plain and laufer._stored(g, frozenset()) == entry
+    assert entry[1] == {"c"}
 
 
 @pytest.mark.parametrize("text", ["vertex a 1", "vertex a -2\nvertex b -2"])

@@ -20,7 +20,7 @@ from plumbcalc.graph import (
 )
 from plumbcalc.lattice import definiteness, determinant, is_negative_definite
 from plumbcalc.census import census_graphs
-from plumbcalc.laufer import is_rational, min_bad
+from plumbcalc.laufer import _prefix, is_rational, min_bad
 from plumbcalc.surgery import (
     TAG_BASE_M1,
     TAG_CASE1,
@@ -28,6 +28,7 @@ from plumbcalc.surgery import (
     TAG_SEMIDEF_CUT,
     TAG_SEMIDEF_LEAF,
     _cut,
+    _cut_vertex,
     _m_le_1,
     _node_branches,
     _node_separating_edges,
@@ -47,7 +48,11 @@ from oracles import (
     cf_eval_convergents,
     oracle_det,
     reference_cut,
+    reference_cut_vertex,
+    reference_m_le_1,
     reference_negative_cf,
+    reference_prefix,
+    reference_verdict,
 )
 
 
@@ -414,6 +419,42 @@ def test_m_le_1_matches_min_bad(census6, two_star_m2, case2_deep):
         assert _m_le_1(g) == (m <= 1), serialize_graph(g)
         ms[m] = ms.get(m, 0) + 1
     assert ms[0] == 25288 and ms[1] and ms[2]
+
+
+def _assert_prefix_lemma(g) -> int:
+    # on a non-rational graph, each vertex off the plain run's prefix
+    # S(empty) has the plain run's first jump as its frozen jump (the prefix
+    # lemma of laufer), and the m <= 1 test and the cut-vertex scan, which
+    # make frozen runs for the prefix alone, equal their all-vertex
+    # references.  The library reads a fresh copy, which holds no run yet.
+    # Returns the number of vertices off the prefix
+    plain = reference_verdict(g)
+    if plain.rational:
+        return 0
+    prefix = reference_prefix(g)
+    for v in set(g.vertices) - prefix:
+        assert reference_verdict(g, {v}).jump == plain.jump, (g, v)
+    h = PlumbingGraph(g.weights(), g.edges)
+    assert _prefix(h) == prefix, g
+    assert _m_le_1(h) == reference_m_le_1(g), g
+    branches = _node_branches(h)
+    for v in g.vertices:
+        assert _cut_vertex(h, v, branches) == reference_cut_vertex(g, v, branches), (g, v)
+    return len(g) - len(prefix)
+
+
+def test_prefix_lemma_on_census6(census6):
+    assert sum(map(_assert_prefix_lemma, census6)) == 10481
+
+
+def test_prefix_lemma_on_certificate_graphs():
+    # no census-6 graph has a vertex between two nodes, which is where the
+    # cut-vertex scan reads a jump: the definite graphs of certificates do,
+    # and in two of these certificates such a vertex is in the prefix
+    for g in certify_inputs(0):
+        for n in _walk(lo_certificate(g)):
+            if n.tag in (TAG_BASE_M1, TAG_CASE1, TAG_CASE2):
+                _assert_prefix_lemma(n.graph)
 
 
 # -- semidefinite decomposition ----------------------------------------------
