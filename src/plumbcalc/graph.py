@@ -100,7 +100,7 @@ class PlumbingGraph:
     and writes, ``_arrays`` the arrays every Laufer run on the graph
     starts from (``laufer._run_arrays``), set up by the first run,
     ``_nodes`` the tuple ``nodes`` returns, and ``_branches`` the node
-    branches of ``surgery._node_branches``.
+    counts of ``surgery._node_counts``, by vertex.
     """
 
     __slots__ = (

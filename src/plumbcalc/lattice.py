@@ -22,8 +22,8 @@ exactly what the edge-deletion identity
 needs in its degenerate cases.  Both determinant and definiteness come
 from one post-order pass over the forest: for each rooted subtree, D is
 its det(-I) and P the product of its children's D, so each verdict costs
-O(n) exact operations instead of O(n^3).  ``root_dp`` runs the same
-recurrence on one side of an edge, which gives a cut its slope.
+O(n) exact operations instead of O(n^3).  ``root_dp`` and ``walk_verdict``
+run it on a cut's side: its slope, and its verdict with the slope hung.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def combine(s, prod, d, p):
 
 
 def _det_definiteness(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
-    """``determinant`` and ``definiteness``, from one ``_dp_pass`` per graph:
-    the result is stored on ``g``."""
+    """``determinant`` and ``definiteness``, from one ``walk_verdict`` of
+    the whole forest per graph: the result is stored on ``g``."""
     if g._dp is None:
-        g._dp = _dp_pass(g)
+        g._dp = walk_verdict(g, g._order)
     return g._dp
 
 
@@ -98,28 +98,32 @@ def _dp_fold(g: PlumbingGraph, order, acc: dict) -> tuple[list, bool]:
     return roots, low
 
 
-def _dp_pass(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
-    """The (D, P) pass: D_v, the det(-I) of the subtree rooted at v, per
-    vertex in post order.  Integer graphs stay in ``int``; a slope vertex
-    brings ``Fraction`` into the values above it."""
-    roots, other = _dp_fold(g, g._order, {})
+def walk_verdict(g: PlumbingGraph, order, slope=None) -> tuple[Fraction, Definiteness]:
+    """(determinant, definiteness) of the forest ``order`` walks (``_dp_fold``),
+    in ``int`` on an integer graph.  ``slope`` = (v, d, c), d, c > 0, hangs a
+    vertex of weight -d/c at v: a leaf of (D, P) = (d/c, 1), folded in as
+    (d, c).  As ``combine`` is bilinear, this scales the D and P of each
+    ancestor of the leaf by c and of no other vertex: every sign and every
+    zero stays, and the roots' D multiply to the determinant times c."""
+    at, d, c = slope or (None, 0, 1)
+    roots, other = _dp_fold(g, order, {at: combine(0, 1, d, c)} if slope else {})
     det, corank = 1, 0
     for d, _ in roots:
         det *= d
         corank += d == 0
         other = other or d < 0
+    det = Fraction(det, c)
     if other:
-        return Fraction(det), Definiteness(DefinitenessKind.OTHER)
+        return det, Definiteness(DefinitenessKind.OTHER)
     if corank:
-        return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
-    return Fraction(det), Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
+        return det, Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
+    return det, Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
 
 
-def root_dp(g: PlumbingGraph, order, acc: dict | None = None) -> tuple:
+def root_dp(g: PlumbingGraph, order) -> tuple:
     """(D, P) of the one root of ``order``, a tree of ``g`` rooted as in
-    ``_dp_fold``: the det(-I) of the tree and of the tree minus its root.
-    ``acc`` may hold, by vertex, extra leaves folded in with ``combine``."""
-    (dp,), _ = _dp_fold(g, order, {} if acc is None else acc)
+    ``_dp_fold``: the det(-I) of the tree and of the tree minus its root."""
+    (dp,), _ = _dp_fold(g, order, {})
     return dp
 
 

@@ -44,7 +44,6 @@ from .graph import (
     PlumbingGraph,
     VertexId,
     blow_up_edge,
-    branch_counts,
     fresh_ids,
     is_minimal,
     minimize,
@@ -57,11 +56,11 @@ from .graph import (
 )
 from .lattice import (
     _det_definiteness,
-    combine,
     definiteness,
     determinant,
     is_negative_definite,
     root_dp,
+    walk_verdict,
 )
 from .laufer import _prefix, _vertex_jump, is_bad_set, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
@@ -103,14 +102,16 @@ def _side(g: PlumbingGraph, walk, weights=()) -> PlumbingGraph:
 
 class CutResult:
     """A cut (see ``cut_and_fill``): the edge (v, w), the Fractions det_w,
-    det_w_minus and r, and the two filled graphs.  The sides, the decorated
-    graphs (each side with its slope as a single vertex) and the
-    determinant of the decorated v-side are computed on first read, from
-    the cut graph and the walk of each side."""
+    det_w_minus and r, and the two filled graphs.  The sides and the
+    decorated graphs (each side with its slope as a single vertex) are
+    built on first read, from the cut graph and the walk of each side.  A
+    decorated side's (det, definiteness) is one ``walk_verdict`` of the
+    side with no graph built, 1/r folded in at v as (det_w, det_w_minus)
+    and r at w as (det_w_minus, det_w): ``int`` on an integer graph."""
 
-    def __init__(self, g, edge, walks, det_w, det_w_minus, r, filled_v, filled_w):
-        self._g, (self._walk_v, self._walk_w) = g, walks
-        self.edge, self.det_w, self.det_w_minus, self.r = edge, det_w, det_w_minus, r
+    def __init__(self, g, edge, walks, dp_w, r, filled_v, filled_w):
+        self._g, (self._walk_v, self._walk_w), self._dp_w = g, walks, dp_w
+        self.edge, self.det_w, self.det_w_minus, self.r = edge, *map(Fraction, dp_w), r
         self.filled_v, self.filled_w = filled_v, filled_w
 
     @cached_property
@@ -130,11 +131,12 @@ class CutResult:
         return _side(self._g, self._walk_w, [self.r])
 
     @cached_property
-    def decorated_v_det(self) -> Fraction:
-        """det(decorated_v), from a (D, P) walk of the v-side with no graph
-        built: the slope vertex is a leaf of D = -1/r and P = 1 at v."""
-        slope = {self.edge[0]: combine(0, 1, -1 / self.r, 1)}
-        return Fraction(root_dp(self._g, self._walk_v, slope)[0])
+    def decorated_v_verdict(self) -> tuple:
+        return walk_verdict(self._g, self._walk_v, (self.edge[0], *self._dp_w))
+
+    @cached_property
+    def decorated_w_verdict(self) -> tuple:
+        return walk_verdict(self._g, self._walk_w, (self.edge[1], *self._dp_w[::-1]))
 
 
 class Claim(NamedTuple):
@@ -151,14 +153,13 @@ def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
     from the weights and edges of ``g`` on each side plus the string; the
     other graphs of the cut are built when read."""
     walk_v, walk_w = rooted_preorder(g, v, w), rooted_preorder(g, w, v)
-    det_w, det_w_minus = map(Fraction, root_dp(g, walk_w))
+    dp_w = det_w, det_w_minus = root_dp(g, walk_w)
     if det_w <= 0 or det_w_minus <= 0:
         raise InternalCheckError("side determinants must be positive")
-    r = -det_w_minus / det_w
+    r = -Fraction(det_w_minus) / det_w
     filled_v = _side(g, walk_v, negative_cf(1 / r).terms)
     filled_w = _side(g, walk_w, negative_cf(r).terms)
-    walks = walk_v, walk_w
-    return CutResult(g, (v, w), walks, det_w, det_w_minus, r, filled_v, filled_w)
+    return CutResult(g, (v, w), (walk_v, walk_w), dp_w, r, filled_v, filled_w)
 
 
 def _cut_claims(g: PlumbingGraph, cut: CutResult) -> list[Claim]:
@@ -172,7 +173,7 @@ def _cut_claims(g: PlumbingGraph, cut: CutResult) -> list[Claim]:
             definiteness(cut.filled_w).is_negative_semidefinite,
         ),
         Claim("filled_v_negative_definite", True, is_negative_definite(cut.filled_v)),
-        Claim("decorated_v_det", det_g / cut.det_w_minus, cut.decorated_v_det),
+        Claim("decorated_v_det", det_g / cut.det_w_minus, cut.decorated_v_verdict[0]),
     ]
     if g.has_integer_weights():
         reduction = gcd(int(cut.det_w), int(cut.det_w_minus))
@@ -188,9 +189,9 @@ def cut_and_fill(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> CutResult:
     identity det(G_v(1/r)) = det(G)/det(G_w - w) holds exactly for the
     slope-decorated graph (one rational vertex); after string expansion
     the determinant is det(G)/gcd(det(G_w), det(G_w - w)) because the
-    string realizes the reduced fraction.  Both forms are kept and every
-    identity is verified exactly before returning; a failure is an
-    implementation bug, never bad input.
+    string realizes the reduced fraction.  Every identity is verified
+    exactly before returning, the decorated graphs' by folds (``CutResult``);
+    a failure is an implementation bug, never bad input.
     """
     v, w = e
     if not g.has_edge(v, w):
@@ -200,10 +201,11 @@ def cut_and_fill(g: PlumbingGraph, e: tuple[VertexId, VertexId]) -> CutResult:
     if not is_negative_definite(g):
         raise GraphStructureError("cut_and_fill requires a negative definite graph")
     cut = _cut(g, v, w)
+    defn_v = cut.decorated_v_verdict[1]
     _check_claims([
         *_cut_claims(g, cut),
-        Claim("decorated_w_det_zero", True, determinant(cut.decorated_w) == 0),
-        Claim("decorated_v_negative_definite", True, is_negative_definite(cut.decorated_v)),
+        Claim("decorated_w_det_zero", True, cut.decorated_w_verdict[0] == 0),
+        Claim("decorated_v_negative_definite", True, defn_v.is_negative_definite),
     ])
     return cut
 
@@ -315,22 +317,24 @@ def _base_m1(g: PlumbingGraph, edge):
     return CertificateNode(g, TAG_BASE_M1, claims), ()
 
 
-def _node_branches(g: PlumbingGraph) -> dict[VertexId, tuple[VertexId, ...]]:
-    """For each vertex v, the neighbours of v whose component of g - v holds
-    a node, in id order, read from ``branch_counts`` and stored on the
-    graph.  A forest's other trees are not listed."""
+def _node_counts(g: PlumbingGraph) -> tuple[dict, dict, dict]:
+    """(below, parent, up) by vertex: the nodes in its subtree of ``g._order``,
+    its parent and its tree's other nodes, from one fold stored on the graph."""
     if g._branches is None:
-        g._branches = {
-            v: tuple(u for u, k in counts.items() if k)
-            for v, counts in branch_counts(g, set(nodes(g))).items()
-        }
+        below, up = {v: int(len(ns) >= 3) for v, ns in g._adj.items()}, {}
+        for v, p in reversed(g._order):
+            if p is not None:
+                below[p] += below[v]
+        for v, p in g._order:
+            up[v] = 0 if p is None else up[p] + below[p] - below[v]
+        g._branches = below, dict(g._order), up
     return g._branches
 
 
-def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
+def _cut_vertex(g: PlumbingGraph, v: VertexId):
     """(first jump, jumped component, valid targets w) for cutting at v, or
-    None when fewer than two components of g - v hold a node (``branches``
-    is ``_node_branches(g)``).
+    None when fewer than two components of g - v hold a node (below[u] for
+    a child u of v and up[v] for its parent, see ``_node_counts``).
 
     When m >= 2 the stabilized graph stays non-rational and its canonical
     Laufer run jumps inside one component of g - v; a valid target is a
@@ -338,11 +342,13 @@ def _cut_vertex(g: PlumbingGraph, v: VertexId, branches):
     None when the stabilized graph is rational.  It is read by
     ``laufer._vertex_jump``, with no graph built.
     """
-    if len(branches.get(v, ())) < 2:
+    below, parent, up = _node_counts(g)
+    branches = [u for u in g._adj.get(v, ()) if (below[u] if parent[u] == v else up[v])]
+    if len(branches) < 2:
         return None
     jump = _vertex_jump(g, v)
     jumped = {u for u, _ in rooted_preorder(g, jump.vertex, v)} if jump else set()
-    return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
+    return jump, jumped, tuple(w for w in branches if w not in jumped)
 
 
 def _case1(g: PlumbingGraph, edge):
@@ -350,7 +356,7 @@ def _case1(g: PlumbingGraph, edge):
     minimized, recurses with fewer nodes; the r-filled w-side is det-0."""
     v, w = edge
     claims = _definite_claims(g)
-    found = _cut_vertex(g, v, _node_branches(g))
+    found = _cut_vertex(g, v)
     if found is None:
         raise InternalCheckError("cut vertex does not separate two node components")
     j, jumped, targets = found
@@ -396,13 +402,13 @@ def _case2(g: PlumbingGraph, edge):
 
 def _node_separating_edges(g: PlumbingGraph) -> set[tuple[VertexId, VertexId]]:
     """The edges e, as in ``g.edges``, with a node in every component of
-    g - e: those whose two ends each list the other in ``_node_branches``,
-    and none when some tree of g holds no node, read at each tree's root:
-    the root is a node or has a branch that holds one."""
-    branches = _node_branches(g)
-    if not all(branches[v] or g.degree(v) >= 3 for v, p in g._order if p is None):
+    g - e: the edges (v, p) of the rooted order with nodes below and above
+    v (see ``_node_counts``), and none when some tree of g holds no node,
+    read at its root."""
+    below, parent, up = _node_counts(g)
+    if not all(below[v] for v, p in parent.items() if p is None):
         return set()
-    return {(a, b) for a, b in g.edges if b in branches[a] and a in branches[b]}
+    return {(min(v, p), max(v, p)) for v, p in parent.items() if below[v] and up[v]}
 
 
 def _semidef_cut(g: PlumbingGraph, edge):
@@ -498,9 +504,8 @@ def _certify(g: PlumbingGraph, forced: VertexId | None = None) -> CertificateNod
         if forced is not None or _holds(base[0].claims):
             return _build(*base)
     # Case1 at the lexicographically least valid cut edge, see _cut_vertex
-    branches = _node_branches(g)
     for v in (forced,) if forced is not None else g.vertices:
-        found = _cut_vertex(g, v, branches)
+        found = _cut_vertex(g, v)
         if found is None:
             continue
         jump, _, targets = found

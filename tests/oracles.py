@@ -858,13 +858,16 @@ def reference_m_le_1(g: PlumbingGraph) -> bool:
     return any(is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3))
 
 
-def reference_cut_vertex(g: PlumbingGraph, v, branches):
+def reference_cut_vertex(g: PlumbingGraph, v):
     """``surgery._cut_vertex`` with the jump read from the run frozen at v,
     which ``stabilize`` makes to its end and files on the lowered graph,
     where the library takes the plain run's jump for v off its prefix, and
-    the jumped component from a walk that does not enter v."""
-    if len(branches.get(v, ())) < 2:
+    each component of g - v, the jumped one and those that hold a node,
+    from a walk that does not enter v, where the library reads node counts."""
+    gnodes = set(nodes(g))
+    branches = [u for u in g.neighbors(v) if _reference_branch(g, u, v) & gnodes]
+    if len(branches) < 2:
         return None
     jump = is_rational(stabilize(g, [v])).jump
     jumped = _reference_branch(g, jump.vertex, v) if jump else set()
-    return jump, jumped, tuple(w for w in branches[v] if w not in jumped)
+    return jump, jumped, tuple(w for w in branches if w not in jumped)

@@ -45,7 +45,7 @@ from oracles import reference_bad_verdict, reference_prefix, reference_verdict, 
 
 def _facts(g: PlumbingGraph) -> list:
     out = [determinant(g), definiteness(g), g.component_vertex_sets()]
-    out += [nodes(g), surgery._node_branches(g)]
+    out += [nodes(g), surgery._node_counts(g)]
     try:
         v = is_rational(g)
     except GraphStructureError as exc:
@@ -115,14 +115,16 @@ def test_returned_values_do_not_alias_the_store(s237):
 
 
 def _count_dp_passes(monkeypatch) -> dict:
+    # whole-graph (D, P) passes: the walks of g._order.  A cut folds each
+    # decorated side by a walk of that side, which is not counted
     count = {"passes": 0}
-    walk = lattice._dp_pass
+    walk = lattice.walk_verdict
 
-    def counted(g):
-        count["passes"] += 1
-        return walk(g)
+    def counted(g, order, *slope):
+        count["passes"] += order is g._order
+        return walk(g, order, *slope)
 
-    monkeypatch.setattr(lattice, "_dp_pass", counted)
+    monkeypatch.setattr(lattice, "walk_verdict", counted)
     return count
 
 
@@ -162,13 +164,14 @@ def test_node_branches_folded_once_per_graph(monkeypatch):
     # _certify and its Case1 table, and semidef_decompose and its cut,
     # each folded the same graph's node branches
     folded = []
-    fold = surgery.branch_counts
+    fold = surgery._node_counts
 
-    def counted(g, marked):
-        folded.append(g)  # kept alive, so no id is reused
-        return fold(g, marked)
+    def counted(g):
+        if g._branches is None:  # the fold runs
+            folded.append(g)  # kept alive, so no id is reused
+        return fold(g)
 
-    monkeypatch.setattr(surgery, "branch_counts", counted)
+    monkeypatch.setattr(surgery, "_node_counts", counted)
     for g in [two_star_chain(), *certify_inputs(0)[:20]]:
         folded.clear()
         certs = [lo_certificate(g)]
@@ -221,16 +224,23 @@ def test_certificate_pass_counts(monkeypatch):
 
 def test_cut_builds_only_its_filled_graphs(monkeypatch):
     # the sides, side_w - w and the decorated v-side were built to read a
-    # determinant from each: 5 builds and 2 (D, P) passes per cut
+    # determinant from each: 5 builds and 2 (D, P) passes per cut.
+    # cut_and_fill built and passed both decorated graphs as well: 4 builds
+    # and 4 passes, where it now folds each decorated side once
     g = two_star_chain()
     det_g = determinant(g)
     built = _count_builds(monkeypatch)
     count = _count_dp_passes(monkeypatch)
     cut = surgery._cut(g, "m1", "m2")
     assert len(built) == 2 and count["passes"] == 0
-    assert cut.decorated_v_det == det_g / cut.det_w_minus
+    assert cut.decorated_v_verdict[0] == det_g / cut.det_w_minus
     assert len(built) == 2 and count["passes"] == 0
     assert cut.side_v is cut.side_v and len(built) == 3  # built when read
+    built.clear()
+    cut = surgery.cut_and_fill(g, ("m1", "m2"))
+    assert len(built) == 2 and count["passes"] == 2  # filled_v and filled_w
+    assert {"decorated_v_verdict", "decorated_w_verdict"} <= vars(cut).keys()
+    assert not {"decorated_v", "decorated_w", "side_v", "side_w"} & vars(cut).keys()
 
 
 def _count_array_setups(monkeypatch) -> list:

@@ -30,7 +30,7 @@ from plumbcalc.surgery import (
     _cut,
     _cut_vertex,
     _m_le_1,
-    _node_branches,
+    _node_counts,
     _node_separating_edges,
     attach_string,
     certificate_from_json,
@@ -437,9 +437,8 @@ def _assert_prefix_lemma(g) -> int:
     h = PlumbingGraph(g.weights(), g.edges)
     assert _prefix(h) == prefix, g
     assert _m_le_1(h) == reference_m_le_1(g), g
-    branches = _node_branches(h)
     for v in g.vertices:
-        assert _cut_vertex(h, v, branches) == reference_cut_vertex(g, v, branches), (g, v)
+        assert _cut_vertex(h, v) == reference_cut_vertex(g, v), (g, v)
     return len(g) - len(prefix)
 
 
@@ -517,20 +516,31 @@ def test_node_separating_edges_match_deletion(census6, two_star_m2):
     assert _node_separating_edges(forests[1])
 
 
-def test_node_branches_match_deletion(census6):
-    # the table from one rooted pass against the definition: a neighbour u
-    # of v is listed iff the component of g - v holding u holds a node of g;
-    # and the walk from u that never enters v is that component, rooted at u,
-    # each other vertex after its parent, along an edge
-    for g in census6:
+def test_node_branches_match_deletion(census6, two_star_m2):
+    # the counts from one rooted fold against the definition: the component
+    # of g - v holding its neighbour u holds below[u] nodes of g if u is a
+    # child of v and up[v] if u is its parent, so a neighbour's branch holds
+    # a node iff it has a positive count, and a root's below counts its
+    # tree's nodes, in forests too; and the walk from u that never enters v
+    # is that component, rooted at u, each other vertex after its parent,
+    # along an edge
+    star = make_star("z", -2, [-2, -2, -2])
+    forests = [
+        PlumbingGraph({**two_star_m2.weights(), "u": -2}, two_star_m2.edges),
+        PlumbingGraph({**two_star_m2.weights(), **star[0]}, [*two_star_m2.edges, *star[1]]),
+    ]
+    for g in [*census6, *forests]:
         gnodes = set(nodes(g))
-        table = _node_branches(g)
+        below, parent, up = _node_counts(g)
+        assert parent == dict(g._order)
+        for tree in g.component_vertex_sets():
+            (root,) = (v for v in tree if parent[v] is None)
+            assert below[root] == len(tree & gnodes), g
         for v in g.vertices:
             comps = delete(g, [v]).component_vertex_sets()
-            want = tuple(
-                u for u in g.neighbors(v) if next(c for c in comps if u in c) & gnodes
-            )
-            assert table[v] == want, (g, v)
+            for u in g.neighbors(v):
+                want = len(next(c for c in comps if u in c) & gnodes)
+                assert (below[u] if parent[u] == v else up[v]) == want, (g, v, u)
             for u in g.neighbors(v):
                 walk = rooted_preorder(g, u, v)
                 assert {x for x, _ in walk} == next(c for c in comps if u in c)
@@ -552,25 +562,51 @@ def test_cut_sides_match_deletion():
                 ]
 
 
-def test_cut_matches_reference_on_census5():
+def _assert_cut_matches_reference(g, v, w) -> PlumbingGraph:
     # every field, in the reference's types; the sides and decorated graphs
-    # are read last, as they are built when read
-    for g in census_graphs(5, -5):
+    # are read last, as they are built when read.  Each decorated side's
+    # fold equals the determinant and definiteness of the reference's built
+    # graph, and its determinant the generic elimination.  Returns the
+    # reference's decorated v-side
+    cut, ref = _cut(g, v, w), reference_cut(g, v, w)
+    for name in ("edge", "det_w", "det_w_minus", "r"):
+        got, want = getattr(cut, name), getattr(ref, name)
+        assert (got, type(got)) == (want, type(want)), (g, v, w, name)
+    assert type(cut.det_w) is Fraction and type(cut.r) is Fraction
+    assert (cut.filled_v, cut.filled_w) == (ref.filled_v, ref.filled_w)
+    folds = cut.decorated_v_verdict, cut.decorated_w_verdict
+    assert (cut.side_v, cut.side_w) == (ref.side_v, ref.side_w)
+    decorated = ref.decorated_v, ref.decorated_w
+    assert (cut.decorated_v, cut.decorated_w) == decorated
+    for (det, defn), built in zip(folds, decorated):
+        assert type(det) is Fraction
+        assert (det, defn) == (determinant(built), definiteness(built)), (g, v, w)
+        assert det == oracle_det(built), (g, v, w)
+    assert folds[1][0] == 0 and folds[0][1].is_negative_definite
+    return decorated[0]
+
+
+def test_cut_matches_reference_on_census5():
+    # both orientations of every census-5 edge; then each distinct decorated
+    # v-side that carries a Fraction weight (1/r is not an integer) cut
+    # again on both orientations of every edge: the folds of a graph with
+    # a slope vertex, on the v-side or the w-side of the cut
+    decorated = {
+        _assert_cut_matches_reference(g, v, w)
+        for g in census_graphs(5, -5)
+        for a, b in g.edges
+        for v, w in ((a, b), (b, a))
+    }
+    sloped = [g for g in decorated if not g.has_integer_weights()]
+    cuts = in_w = 0
+    for g in sloped:
+        (q,) = (u for u in g.vertices if type(g.weight(u)) is Fraction)
         for a, b in g.edges:
             for v, w in ((a, b), (b, a)):
-                cut, ref = _cut(g, v, w), reference_cut(g, v, w)
-                for name in ("edge", "det_w", "det_w_minus", "r"):
-                    got, want = getattr(cut, name), getattr(ref, name)
-                    assert (got, type(got)) == (want, type(want)), (g, v, w, name)
-                assert type(cut.det_w) is Fraction and type(cut.r) is Fraction
-                assert (cut.filled_v, cut.filled_w) == (ref.filled_v, ref.filled_w)
-                assert (cut.side_v, cut.side_w) == (ref.side_v, ref.side_w)
-                assert cut.decorated_w == ref.decorated_w
-                decorated_v = ref.decorated_v
-                assert cut.decorated_v == decorated_v
-                det = cut.decorated_v_det
-                assert type(det) is Fraction
-                assert det == determinant(decorated_v) == oracle_det(decorated_v)
+                _assert_cut_matches_reference(g, v, w)
+                cuts += 1
+                in_w += q in {u for u, _ in rooted_preorder(g, w, v)}
+    assert (len(decorated), len(sloped), cuts, in_w) == (22785, 12801, 46580, 23290)
 
 
 def test_cut_builds_each_decorated_graph_once(two_star_m2):
