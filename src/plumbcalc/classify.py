@@ -25,7 +25,7 @@ from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
 from .lattice import definiteness, determinant
 from .laufer import is_bad_set, is_rational, min_bad
 
-DEFAULT_BAD_SET_CAP = 14  # vertices up to which the exhaustive min_bad runs
+DEFAULT_BAD_SET_CAP = 14  # vertices up to which classify runs min_bad
 
 
 class ClassificationReport(NamedTuple):
@@ -51,9 +51,12 @@ def classify(
 ) -> ClassificationReport:
     """Full report for a connected tree.
 
-    ``with_bad_set`` adds the minimal bad set; the exact subset search is
-    exponential, so above ``bad_set_cap`` vertices the node-set upper
-    bound is reported instead (flagged via ``m_is_upper_bound``).
+    ``with_bad_set`` adds the least bad set, from ``min_bad``, up to
+    ``bad_set_cap`` vertices; above that the node set, an upper bound, is
+    reported (flagged via ``m_is_upper_bound``).  The cap and its default
+    of 14 stay although ``min_bad`` no longer tries every subset: raising
+    the cap changes the report of a larger graph (an exact m, and
+    ``m_is_upper_bound`` false), and the search's cost has no known bound.
     """
     if len(g) == 0:
         raise GraphStructureError("empty graph")

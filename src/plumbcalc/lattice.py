@@ -100,7 +100,8 @@ def _dp_fold(g: PlumbingGraph, order, acc: dict) -> tuple[list, bool]:
 
 def walk_verdict(g: PlumbingGraph, order, slope=None) -> tuple[Fraction, Definiteness]:
     """(determinant, definiteness) of the forest ``order`` walks (``_dp_fold``),
-    in ``int`` on an integer graph.  ``slope`` = (v, d, c), d, c > 0, hangs a
+    folded in ``int`` on an integer graph; the determinant is returned as a
+    ``Fraction``, the roots' D over c.  ``slope`` = (v, d, c), d, c > 0, hangs a
     vertex of weight -d/c at v: a leaf of (D, P) = (d/c, 1), folded in as
     (d, c).  As ``combine`` is bilinear, this scales the D and P of each
     ancestor of the leaf by c and of no other vertex: every sign and every

@@ -60,13 +60,22 @@ for every other v the run frozen at {v} jumps where the plain run does,
 which ``_vertex_jump`` reads with no run made.  Every stored run keeps its
 prefix beside its jump: ``_run`` reads it, once, from the cycle that the
 jump step reaches, which is the end cycle of a stopped run.
+
+Least bad sets lie on the prefix tree: level 0 is {empty}, and level k+1
+holds every B + {b}, B on level k and b in S(B), so every set of level k
+has size k (a frozen vertex never steps).  Take a bad set B of the least
+size m and B_i in B with |B_i| < m: B_i is not bad, so if B - B_i missed
+S(B_i), B would jump where B_i does.  So B_{i+1} = B_i + {b} with b in
+(B - B_i) & S(B_i) reaches B from B_0 = empty in m steps, and no lower
+level holds a bad set: the first bad set of ``_least_bad``, which tries
+each level in ``min_bad``'s order, is the one an exhaustive search finds.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
@@ -296,13 +305,6 @@ def _verdict(g: PlumbingGraph, bad: frozenset) -> RationalityVerdict:
     return RationalityVerdict(jump is None, jump, (g, bad))
 
 
-def _prefix(g: PlumbingGraph) -> frozenset | None:
-    """S(empty), the prefix of ``g``'s own run (see the prefix lemma of the
-    module docstring), None when ``g`` is rational; read from the store."""
-    _check_laufer_input(g)
-    return _stored(g, _PLAIN)[1]
-
-
 def _vertex_jump(g: PlumbingGraph, v: VertexId) -> JumpWitness | None:
     """The first jump of the run frozen at {v}, None when {v} is bad.  By the
     prefix lemma of the module docstring it is the plain run's first jump
@@ -349,24 +351,26 @@ def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
     return _verdict(g, _checked_bad_set(g, bad)).rational
 
 
-def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
-    """Smallest bad set, by exhaustive size-ascending subset search.
-
-    Subsets of nodes are tried before other subsets of the same size (the
-    node set is always bad, so this usually wins quickly), but the search
-    covers all vertex subsets because bad sets are not restricted to
-    nodes.  The first hit at the smallest size is returned.
-    """
-    verts = list(g.vertices)
+def _least_bad(g: PlumbingGraph, most: int) -> tuple[int, frozenset] | None:
+    """(m, the least bad set of size m) when m <= ``most``, else None: the
+    prefix tree of the module docstring, tried level by level, nodes-only
+    sets first, then by sorted ids.  Each set is tried by ``is_bad_set``,
+    whose stored run holds the prefix that the next level reads."""
     node_set = set(nodes(g))
-    node_list = sorted(node_set)
-    for k in range(len(verts) + 1):
-        for cand in combinations(node_list, k):
-            if is_bad_set(g, cand):
-                return k, frozenset(cand)
-        for cand in combinations(verts, k):
-            if set(cand) <= node_set:
-                continue  # already tried above
-            if is_bad_set(g, cand):
-                return k, frozenset(cand)
-    raise InternalCheckError("no bad set found; the full vertex set must be bad")
+    level = [_PLAIN]
+    for k in range(most + 1):
+        for bad in level:
+            if is_bad_set(g, bad):
+                return k, bad
+        if k < most:
+            sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]}
+            level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
+    return None
+
+
+def min_bad(g: PlumbingGraph) -> tuple[int, frozenset[VertexId]]:
+    """Smallest bad set: the least in size, then subsets of nodes before the
+    others, then by sorted ids.  The search walks the prefix tree of the
+    module docstring: one frozen run per set of the levels below m, and of
+    level m up to the answer."""
+    return _least_bad(g, len(g))

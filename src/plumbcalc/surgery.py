@@ -62,7 +62,7 @@ from .lattice import (
     root_dp,
     walk_verdict,
 )
-from .laufer import _prefix, _vertex_jump, is_bad_set, is_rational, stabilize
+from .laufer import _least_bad, _vertex_jump, is_rational, stabilize
 from .seifert import SeifertData, negative_cf, star_to_seifert
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,8 @@ class CutResult:
     built on first read, from the cut graph and the walk of each side.  A
     decorated side's (det, definiteness) is one ``walk_verdict`` of the
     side with no graph built, 1/r folded in at v as (det_w, det_w_minus)
-    and r at w as (det_w_minus, det_w): ``int`` on an integer graph."""
+    and r at w as (det_w_minus, det_w): folded in ``int`` on an integer
+    graph, with the determinant returned as a ``Fraction``."""
 
     def __init__(self, g, edge, walks, dp_w, r, filled_v, filled_w):
         self._g, (self._walk_v, self._walk_w), self._dp_w = g, walks, dp_w
@@ -278,17 +279,6 @@ def _check_claims(claims) -> None:
             )
 
 
-def _m_le_1(g: PlumbingGraph) -> bool:
-    """``min_bad(g)[0] <= 1``: ``g`` is rational, or a single vertex is bad,
-    and by the prefix lemma of ``laufer`` only one of S(empty), those the
-    plain run steps up to its first jump, can be.  Nodes go first, as they
-    are the likely bad vertices."""
-    prefix = _prefix(g)
-    return prefix is None or any(
-        is_bad_set(g, {v}) for v in sorted(prefix, key=lambda v: (len(g._adj[v]) < 3, v))
-    )
-
-
 def _definite_claims(g: PlumbingGraph) -> list[Claim]:
     """The claims opening every node over a negative definite graph."""
     det, defn = _det_definiteness(g)
@@ -312,8 +302,10 @@ def _semidefinite_claims(g: PlumbingGraph) -> list[Claim]:
 
 
 def _base_m1(g: PlumbingGraph, edge):
-    """Leaf: a non-rational graph with at most one bad vertex."""
-    claims = (*_definite_claims(g), Claim("m_le_1", True, _m_le_1(g)))
+    """Leaf: a non-rational graph with at most one bad vertex, found by the
+    first two levels of ``laufer``'s prefix tree: only a vertex of S(empty),
+    those the plain run steps up to its first jump, can be bad alone."""
+    claims = (*_definite_claims(g), Claim("m_le_1", True, _least_bad(g, 1) is not None))
     return CertificateNode(g, TAG_BASE_M1, claims), ()
 
 

@@ -41,6 +41,8 @@ library reads the leg's (D, P).  The m <= 1 test of a certificate leaf and
 the jump of a Case1 cut vertex have the route that makes the frozen run of
 every vertex, where the library takes the plain run's jump for a vertex
 off its prefix, and the prefix itself the steps of the rescanning run.
+The least bad set has the exhaustive search by size, where the library
+walks the prefix tree.
 """
 
 from __future__ import annotations
@@ -851,10 +853,29 @@ def reference_cut(g: PlumbingGraph, v, w) -> ReferenceCut:
     )
 
 
+def reference_min_bad(g: PlumbingGraph) -> tuple[int, frozenset]:
+    """``min_bad`` by exhaustive size-ascending subset search, subsets of
+    nodes first, where the library walks the prefix tree.  The first hit at
+    the smallest size is returned."""
+    verts = list(g.vertices)
+    node_set = set(nodes(g))
+    node_list = sorted(node_set)
+    for k in range(len(verts) + 1):
+        for cand in combinations(node_list, k):
+            if is_bad_set(g, cand):
+                return k, frozenset(cand)
+        for cand in combinations(verts, k):
+            if set(cand) <= node_set:
+                continue  # already tried above
+            if is_bad_set(g, cand):
+                return k, frozenset(cand)
+    raise InternalCheckError("no bad set found; the full vertex set must be bad")
+
+
 def reference_m_le_1(g: PlumbingGraph) -> bool:
-    """``surgery._m_le_1`` with one frozen run per vertex, nodes first, each
-    made by ``is_bad_set``, where the library makes one only for the
-    vertices of the plain run's prefix."""
+    """The m <= 1 test of a ``BaseM1`` leaf with one frozen run per vertex,
+    nodes first, each made by ``is_bad_set``, where the library makes one
+    only for the vertices of the plain run's prefix."""
     return any(is_bad_set(g, {v}) for v in sorted(g.vertices, key=lambda v: g.degree(v) < 3))
 
 

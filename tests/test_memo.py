@@ -376,9 +376,27 @@ def test_m_le_1_sets_up_the_run_arrays_once(monkeypatch):
     g = two_star_chain()
     setups = _count_array_setups(monkeypatch)
     runs = _count_runs(monkeypatch)
-    assert not surgery._m_le_1(g)
+    assert laufer._least_bad(g, 1) is None
     assert [r[1] for r in runs] == [frozenset(), frozenset({"xc"})] and setups == [10]
     assert is_bad_set(g, nodes(g)) and len(runs) == 3 and setups == [10]
+
+
+def test_least_bad_set_of_a_large_tree(monkeypatch):
+    # the benchmark's classify_large_inputs(3)[94], minimized: an exhaustive
+    # search by size would try every set of at most 5 of its 120 vertices,
+    # about 2e8 of them, before the answer; the prefix tree tries 61
+    t = perfbench_module("inputs").classify_large_inputs(3)[94]
+    g = minimize(PlumbingGraph(t.weight_map(), t.edge_names()))
+    tried = []
+    bad_set = laufer.is_bad_set
+
+    def counted(g, bad):
+        tried.append(bad)
+        return bad_set(g, bad)
+
+    monkeypatch.setattr(laufer, "is_bad_set", counted)
+    witness = frozenset({"v12", "v3", "v4", "v47", "v5", "v9"})
+    assert laufer.min_bad(g) == (6, witness) and len(tried) == 61
 
 
 def test_is_bad_set_builds_no_graph(monkeypatch):

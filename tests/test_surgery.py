@@ -20,7 +20,7 @@ from plumbcalc.graph import (
 )
 from plumbcalc.lattice import definiteness, determinant, is_negative_definite
 from plumbcalc.census import census_graphs
-from plumbcalc.laufer import _prefix, is_rational, min_bad
+from plumbcalc.laufer import _least_bad, _stored, is_rational, min_bad
 from plumbcalc.surgery import (
     TAG_BASE_M1,
     TAG_CASE1,
@@ -29,7 +29,6 @@ from plumbcalc.surgery import (
     TAG_SEMIDEF_LEAF,
     _cut,
     _cut_vertex,
-    _m_le_1,
     _node_counts,
     _node_separating_edges,
     attach_string,
@@ -50,6 +49,7 @@ from oracles import (
     reference_cut,
     reference_cut_vertex,
     reference_m_le_1,
+    reference_min_bad,
     reference_negative_cf,
     reference_prefix,
     reference_verdict,
@@ -407,18 +407,23 @@ def test_checker_rejects_fields_a_tag_does_not_carry(two_star_m2, case2_shallow,
 
 
 def test_m_le_1_matches_min_bad(census6, two_star_m2, case2_deep):
+    # min_bad and the m <= 1 test of a BaseM1 leaf walk laufer's prefix
+    # tree, on a fresh copy that holds no run yet; the reference tries every
+    # vertex subset by size
     graphs = list(census6)  # 25,288 rational (m = 0) and 2,221 not
-    for g in (two_star_m2, case2_deep):
+    for g in (two_star_m2, case2_deep, *certify_inputs(0)):
         graphs += [
             n.graph for n in _walk(lo_certificate(g))
             if n.tag in (TAG_BASE_M1, TAG_CASE1, TAG_CASE2)
         ]
     ms = {}
     for g in graphs:
-        m, _ = min_bad(g)
-        assert _m_le_1(g) == (m <= 1), serialize_graph(g)
+        m, witness = reference_min_bad(g)
+        assert min_bad(PlumbingGraph(g.weights(), g.edges)) == (m, witness), serialize_graph(g)
+        h = PlumbingGraph(g.weights(), g.edges)
+        assert (_least_bad(h, 1) is not None) == (m <= 1), serialize_graph(g)
         ms[m] = ms.get(m, 0) + 1
-    assert ms[0] == 25288 and ms[1] and ms[2]
+    assert ms == {0: 25288, 1: 2423, 2: 92, 3: 32}
 
 
 def _assert_prefix_lemma(g) -> int:
@@ -435,8 +440,8 @@ def _assert_prefix_lemma(g) -> int:
     for v in set(g.vertices) - prefix:
         assert reference_verdict(g, {v}).jump == plain.jump, (g, v)
     h = PlumbingGraph(g.weights(), g.edges)
-    assert _prefix(h) == prefix, g
-    assert _m_le_1(h) == reference_m_le_1(g), g
+    assert _stored(h, frozenset())[1] == prefix, g
+    assert (_least_bad(h, 1) is not None) == reference_m_le_1(g), g
     for v in g.vertices:
         assert _cut_vertex(h, v) == reference_cut_vertex(g, v), (g, v)
     return len(g) - len(prefix)
