@@ -96,9 +96,9 @@ class PlumbingGraph:
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
     (D, P) pass, ``_stabilized`` the least-id Laufer runs, keyed by frozen
-    set, in the layout that ``laufer._stored`` documents and alone reads
-    and writes, ``_arrays`` the arrays every Laufer run on the graph
-    starts from (``laufer._run_arrays``), set up by the first run,
+    set, in the layout that ``laufer._stored`` documents (only ``laufer``
+    reads and writes it), ``_arrays`` the start record of every Laufer run
+    on the graph (``laufer._run_arrays``), set up by the first run,
     ``_nodes`` the tuple ``nodes`` returns, and ``_branches`` the node
     counts of ``surgery._node_counts``, by vertex.
     """

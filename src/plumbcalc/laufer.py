@@ -11,17 +11,22 @@ The end cycle is Z_min regardless of the choices of v(i), and the graph
 is Artin-rational iff every step has pairing value exactly 1 (a step with
 value >= 2 is a "jump").  The run here always steps the least vertex id
 with positive pairing, which fixes its steps and its first jump.  Every
-l_i stays <= Z_min, so a full run takes sum_v Z_min_v - n steps, each
-O(deg log n) with the worklist of ``_run``; no step count is capped.  A
-verdict needs no more than the first jump: on a tree chi(l_0) = 1 and
-chi(l + E_v) = chi(l) + 1 - (l, E_v), so the cycle just after a first jump
-of value k has chi = 2 - k <= 0, and by Artin's criterion (rational iff
-chi(l) >= 1 for every l > 0) the graph is not rational.  So a run for a
-verdict stops there, and costs O(n) plus the steps up to its first jump; a
-rational graph's run still goes on to Z_min.  Every verdict is
-cross-checked against Artin: chi, computed from scratch, is <= 0 on the
-cycle after the jump, or >= 1 on Z_min when no step jumps; a disagreement
-is an internal error.
+l_i stays <= Z_min, so a full run takes sum_v Z_min_v - n steps; no step
+count is capped.  A verdict needs no more than the first jump: on a tree
+chi(l_0) = 1 and chi(l + E_v) = chi(l) + 1 - (l, E_v), so the cycle just
+after a first jump of value k has chi = 2 - k <= 0, and by Artin's
+criterion (rational iff chi(l) >= 1 for every l > 0) the graph is not
+rational.  So a run for a verdict stops there; a rational graph's run
+still goes on to Z_min.  A run keeps only x = l - l_0 and the pairings its
+steps change, so past one O(n) start record per graph it costs
+O(p + steps * deg log n), p the vertices positive on l_0.  Every verdict
+is cross-checked against Artin: chi, computed from scratch, is <= 0 on
+the cycle after the jump, or >= 1 on Z_min when no step jumps; a
+disagreement is an internal error.  As chi(a + b) = chi(a) + chi(b) -
+(a, b), chi(l_0 + x) = |V| - |E| + chi(x) - sum_v x_v (e_v + deg v): by
+adjunction the weights cancel in (K, l_0) + (l_0, l_0) = -2|V| + 2|E|.
+Each term reads the graph's weights and edges and x alone, never the
+run's pairings, in O(steps * deg).
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
 down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
@@ -41,9 +46,8 @@ at every step, and end together, at Z_min(g') = Y with the same first
 jump.  Hence one frozen run gives the verdict of g', and with B empty the
 frozen run is the plain run: ``_stored`` runs, cross-checks and stores
 every run, once per (graph, frozen set), and the empty set holds the
-graph's own verdict.  A run made for the verdict alone stops at its first
-jump; a caller that needs the end cycle Y (``stabilize``, Z_min, chi)
-runs it once more to the end.
+graph's own verdict.  A caller that needs the end cycle Y (``stabilize``,
+Z_min, chi) of a stopped run runs it once more to the end.
 
 Prefix lemma: let S(B), the prefix of a run frozen at B that jumps, be
 the set of vertices it picks at steps 0 to J, where J is the step of its
@@ -58,8 +62,7 @@ the B-run picks, with the same value.  So the runs agree through step J.
 With B0 empty: a single vertex v can be bad only if v is in S(empty), and
 for every other v the run frozen at {v} jumps where the plain run does,
 which ``_vertex_jump`` reads with no run made.  Every stored run keeps its
-prefix beside its jump: ``_run`` reads it, once, from the cycle that the
-jump step reaches, which is the end cycle of a stopped run.
+prefix, supp x at the jump step, beside its jump.
 
 Least bad sets lie on the prefix tree: level 0 is {empty}, and level k+1
 holds every B + {b}, B on level k and b in S(B), so every set of level k
@@ -75,7 +78,6 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
@@ -155,60 +157,54 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
 
 
 def _run_arrays(g: PlumbingGraph) -> tuple:
-    """What every run on ``g`` starts from, by rank (position in
-    ``g.vertices``): the rank map, the weights, the neighbours' ranks and
-    the pairings (l_0, E_v) of l_0 = sum_v E_v.  ``_run`` stores them on
-    ``g`` and changes none of them: a run copies the pairings."""
-    vs, ws, adj = g.vertices, g._weights, g._adj
-    rank = {v: i for i, v in enumerate(vs)}
-    weights = [ws[v] for v in vs]
-    nbrs = [[rank[n] for n in adj[v]] for v in vs]
-    pair = [w + len(ns) for w, ns in zip(weights, nbrs)]
-    return rank, weights, nbrs, pair
+    """Every run's start record, stored on ``g`` by ``_run`` and changed by
+    no run: the pairings (l_0, E_v) by id, and the sorted ids positive on l_0."""
+    ws, adj = g._weights, g._adj
+    pair = {v: ws[v] + len(adj[v]) for v in g.vertices}
+    return pair, [v for v, p in pair.items() if p > 0]
 
 
-def _run(g: PlumbingGraph, record: bool, frozen=(), stop: bool = False):
-    """The computation sequence from l_0 = sum_v E_v: (end cycle, recorded
-    steps, first jump, prefix), the prefix being the vertices stepped up to
-    the first jump, included (None when no step jumps).  ``pos`` holds the
-    sorted ranks of the vertices with positive pairing, and ``pos[0]``
-    steps; a step updates only the stepped vertex and its neighbours.
-    ``frozen`` vertices never step.  With ``stop`` the run ends just after
-    its first jump, and the cycle returned is the one that step reached.
-    The arrays of ``_run_arrays`` are set up on the first run and stored on
-    ``g``; a run copies only the pairings."""
+def _run(g: PlumbingGraph, record: bool, frozen=_PLAIN, stop: bool = False):
+    """The computation sequence from l_0 = sum_v E_v: (x = l - l_0 for the
+    end cycle l, recorded steps, first jump, prefix), the prefix being the
+    vertices stepped up to the first jump, included (None when no step
+    jumps).  ``pos`` holds the sorted ids with positive pairing, and
+    ``pos[0]``, the least, steps; a step updates the stepped vertex and its
+    neighbours in ``pair``, which holds only the pairings that differ from
+    the start record's.  ``frozen`` vertices never step.  With ``stop`` the
+    run ends just after its first jump, at the cycle that step reached."""
     if g._arrays is None:
         g._arrays = _run_arrays(g)
-    rank, weights, nbrs, pair = g._arrays
-    vs = g.vertices
-    fixed = set(map(rank.__getitem__, frozen))
-    mult = [1] * len(vs)
-    pair = list(pair)
-    pos = [i for i, x in enumerate(pair) if x > 0 and i not in fixed]
+    pair0, pos0 = g._arrays
+    weights, adj = g._weights, g._adj
+    pos = [v for v in pos0 if v not in frozen]
+    x, pair = {}, {}  # l - l_0 and the changed pairings, by vertex id
     steps: list[LauferStep] = []
-    first_jump: JumpWitness | None = None
-    prefix = None
-    count = 0
+    first_jump = prefix = None
     while pos:
-        i = pos[0]
-        val = pair[i]
+        v = pos[0]
+        val = pair[v] if v in pair else pair0[v]
         if record:
-            steps.append(LauferStep(dict(zip(vs, mult)), vs[i], val))
-        mult[i] += 1
+            steps.append(LauferStep(_cycle(g, x), v, val))
+        x[v] = x.get(v, 0) + 1
         if first_jump is None and val >= 2:
-            first_jump = JumpWitness(count, vs[i], val)
-            prefix = frozenset(compress(vs, map((1).__lt__, mult)))
+            first_jump = JumpWitness(sum(x.values()) - 1, v, val)
+            prefix = frozenset(x)
             if stop:
                 break
-        pair[i] += weights[i]
-        if pair[i] <= 0:
+        pair[v] = val = val + weights[v]
+        if val <= 0:
             del pos[0]
-        for n in nbrs[i]:
-            pair[n] += 1
-            if pair[n] == 1 and n not in fixed:
+        for n in adj[v]:
+            pair[n] = p = (pair[n] if n in pair else pair0[n]) + 1
+            if p == 1 and n not in frozen:
                 insort(pos, n)
-        count += 1
-    return dict(zip(vs, mult)), steps, first_jump, prefix
+    return x, steps, first_jump, prefix
+
+
+def _cycle(g: PlumbingGraph, x) -> dict[VertexId, int]:
+    """The cycle l_0 + x, on every vertex in ``g.vertices`` order."""
+    return {v: x.get(v, 0) + 1 for v in g.vertices}
 
 
 def z_min(g: PlumbingGraph) -> tuple[dict[VertexId, int], ComputationSequence]:
@@ -216,9 +212,9 @@ def z_min(g: PlumbingGraph) -> tuple[dict[VertexId, int], ComputationSequence]:
     the least vertex id with positive pairing.  The run is cross-checked
     and stored on ``g`` like ``is_rational``'s."""
     _check_laufer_input(g)
-    mult, steps, jump, prefix = _run(g, record=True)
-    _stored(g, _PLAIN, run=(dict(mult), jump, prefix))
-    return mult, ComputationSequence(tuple(steps), dict(mult))
+    x, steps, jump, prefix = _run(g, record=True)
+    mult = _stored(g, _PLAIN, run=(x, jump, prefix))[2][0]
+    return dict(mult), ComputationSequence(tuple(steps), dict(mult))
 
 
 def zmin_multiplicities(g: PlumbingGraph) -> dict[VertexId, int]:
@@ -237,11 +233,12 @@ def is_rational(g: PlumbingGraph) -> RationalityVerdict:
     return _verdict(g, _PLAIN)
 
 
-def _artin(g, cyc, jump, stopped: bool) -> Fraction:
-    """chi(cyc) on ``g``, checked against the Laufer verdict of a run that
-    reached ``cyc``: <= 0 just after the first jump of a stopped run, and
-    >= 1 iff no step jumped at the end of a full run."""
-    chi_l = chi(g, cyc)
+def _artin(g, x, jump, stopped: bool) -> Fraction:
+    """chi(l_0 + x) on ``g`` (module docstring), checked against the verdict
+    of a run that reached l_0 + x: <= 0 just after the first jump of a
+    stopped run, and >= 1 iff no step jumped at the end of a full run."""
+    l0_x = sum(k * (g._weights[v] + len(g._adj[v])) for v, k in x.items())
+    chi_l = chi(g, x) + (len(g) - len(g._edges) - l0_x)
     if not (chi_l <= 0 if stopped else (jump is None) == (chi_l >= 1)):
         raise InternalCheckError(
             f"Laufer ({jump}) and Artin (chi={chi_l}) criteria disagree"
@@ -273,28 +270,28 @@ def _stored(g: PlumbingGraph, bad: frozenset, full: bool = False, run=None):
 
     Runs are stored on ``g`` by ``bad`` and cross-checked against Artin when
     made.  A run stops at its first jump unless ``full`` asks for Y, which
-    runs a stopped entry again to the end.  ``run``, the (Y, first jump,
-    prefix) of a full run the caller has already made, is stored in place
-    of a new run.  Callers must not change what is returned."""
+    runs a stopped entry again to the end and alone builds Y.  ``run``, the
+    (Y - l_0, first jump, prefix) of a full run the caller has made, is
+    stored in place of a new run.  Callers must not change what is returned."""
     if g._stabilized is None:
         g._stabilized = {}
     hit = g._stabilized.get(bad)
     full = full or run is not None
     if hit is None or full and hit[2] is None:
         if run is None:
-            y, _, jump, prefix = _run(g, record=False, frozen=bad, stop=not full)
+            x, _, jump, prefix = _run(g, record=False, frozen=bad, stop=not full)
         else:
-            y, jump, prefix = run
+            x, jump, prefix = run
         if hit is not None and hit[:2] != (jump, prefix):
             raise InternalCheckError(
                 f"full run jumps at {jump} after {prefix}, stopped run at {hit[:2]}"
             )
-        # chi(l) on g is chi(l) on the lowered graph: l is 1 on bad, and a
-        # vertex at multiplicity 1 adds -2 to (K, l) + (l, l) whatever its
-        # weight
+        # chi(l) on g is chi(l) on the lowered graph: x is 0 on bad, and
+        # no term of the check reads a weight off supp x
         stopped = not full and jump is not None
-        chi_y = _artin(g, y, jump, stopped)
-        hit = g._stabilized[bad] = (jump, prefix, None if stopped else (y, chi_y))
+        chi_y = _artin(g, x, jump, stopped)
+        end = None if stopped else (_cycle(g, x), chi_y)
+        hit = g._stabilized[bad] = (jump, prefix, end)
     return hit
 
 
@@ -336,7 +333,7 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
     drop = {v: w for v, w in low.items() if w < ws[v]}
     down = PlumbingGraph({**ws, **drop}, g.edges) if drop else g
-    _stored(down, _PLAIN, run=(y, jump, prefix))
+    _stored(down, _PLAIN, run=({v: k - 1 for v, k in y.items() if k > 1}, jump, prefix))
     return down
 
 
@@ -355,15 +352,21 @@ def _least_bad(g: PlumbingGraph, most: int) -> tuple[int, frozenset] | None:
     """(m, the least bad set of size m) when m <= ``most``, else None: the
     prefix tree of the module docstring, tried level by level, nodes-only
     sets first, then by sorted ids.  Each set is tried by ``is_bad_set``,
-    whose stored run holds the prefix that the next level reads."""
+    whose stored run holds the prefix that the next level reads.  The runs
+    that a level k >= 2 filed leave the store once level k + 1 is built;
+    levels 0 and 1, the verdicts ``_vertex_jump`` reads, stay."""
     node_set = set(nodes(g))
     level = [_PLAIN]
     for k in range(most + 1):
+        store = g._stabilized or {}
+        filed = [bad for bad in level if bad not in store] if k >= 2 else ()
         for bad in level:
             if is_bad_set(g, bad):
                 return k, bad
         if k < most:
             sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]}
+            for bad in filed:
+                store.pop(bad, None)
             level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
     return None
 

@@ -51,6 +51,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import ceil, gcd
 from typing import NamedTuple
@@ -256,7 +257,7 @@ def pairing(g: PlumbingGraph, a, b) -> Fraction:
     """Exact value of a^T I b."""
     _check_support(g, a)
     _check_support(g, b)
-    total = Fraction(0)
+    total = 0  # exact either way; int while both cycles are
     for v, av in a.items():
         if av:
             bv = b.get(v, 0)
@@ -659,9 +660,15 @@ def reference_bad_verdict(g: PlumbingGraph, bad) -> ReferenceVerdict:
 
 def reference_chi(g: PlumbingGraph, cyc) -> Fraction:
     """chi(l) = -((K + l), l) / 2 with K the canonical cycle, the rational
-    solution of (K + E_v, E_v) = -2, so only invertible forms qualify."""
-    k = canonical_cycle(g)
+    solution of (K + E_v, E_v) = -2, so only invertible forms qualify.  K
+    of the last graph asked is kept for the next call."""
+    k = _last_canonical_cycle(g)
     return -(pairing(g, k, cyc) + pairing(g, cyc, cyc)) / 2
+
+
+@lru_cache(maxsize=1)
+def _last_canonical_cycle(g: PlumbingGraph) -> dict:
+    return canonical_cycle(g)
 
 
 def reference_realizable(x: Fraction, y: Fraction, z: Fraction):

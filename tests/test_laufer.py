@@ -6,7 +6,7 @@ import pytest
 
 from plumbcalc import laufer
 from plumbcalc.census import census_graphs
-from plumbcalc.errors import GraphStructureError
+from plumbcalc.errors import GraphStructureError, InternalCheckError
 from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph
 from plumbcalc.laufer import (
     is_bad_set,
@@ -18,6 +18,7 @@ from plumbcalc.laufer import (
 )
 from plumbcalc.seifert import brieskorn_seifert, seifert_to_graph
 
+from conftest import certify_inputs
 from oracles import (
     monotonicity_report,
     oracle_zmin,
@@ -183,11 +184,44 @@ def test_rational_iff_chi_at_least_one(census6):
 # -- verdicts stopped at the first jump ------------------------------------
 
 
-def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
+@pytest.fixture
+def artin_checks(monkeypatch):
+    """Every Artin check of a run, as (graph, x = l - l_0, stopped, chi)."""
+    checks = []
+    artin = laufer._artin
+
+    def recorded(g, x, jump, stopped):
+        chi_l = artin(g, x, jump, stopped)
+        checks.append((g, dict(x), stopped, chi_l))
+        return chi_l
+
+    monkeypatch.setattr(laufer, "_artin", recorded)
+    return checks
+
+
+def _assert_artin_reads_chi_of_the_cycle(g, checks):
+    # chi(l_0) is |V| - |E|, and the chi that each check read from the
+    # run's x alone is the oracle's chi, through the canonical cycle, of
+    # the whole cycle l_0 + x (once per distinct cycle); returns the kinds
+    # of run checked, stopped and full, and empties ``checks``
+    seen = {frozenset(): reference_chi(g, dict.fromkeys(g.vertices, 1))}
+    assert seen[frozenset()] == len(g) - len(g.edges), g
+    for h, x, _, chi_l in checks:
+        key = frozenset(x.items())
+        if key not in seen:
+            seen[key] = reference_chi(g, {v: x.get(v, 0) + 1 for v in g.vertices})
+        assert h == g and chi_l == seen[key], (g, x)
+    kinds = {stopped for _, _, stopped, _ in checks}
+    checks.clear()
+    return kinds
+
+
+def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets, checks):
     # on a copy with nothing stored, each verdict comes from a run stopped at
     # its first jump and stored as that jump and the run's prefix, the
     # vertices the rescanning run steps up to the jump; reading Z_min and
-    # chi runs it once more, to its end, and keeps the prefix
+    # chi runs it once more, to its end, and keeps the prefix; every run,
+    # stopped and full, passes the Artin check of the cycle it reached
     h = PlumbingGraph(g.weights(), g.edges)
     for bad in frozen_sets:
         ref = reference_verdict(g, bad)
@@ -200,12 +234,23 @@ def _assert_stopped_verdicts_are_the_full_runs(g, frozen_sets):
         assert h._stabilized[bad] == (ref.jump, prefix, None if ref.jump else end), (g, bad)
         assert verdict_fields(verdict) == ref, (g, bad)
         assert h._stabilized[bad] == (ref.jump, prefix, end), (g, bad)
+    return _assert_artin_reads_chi_of_the_cycle(g, checks)
 
 
-def test_stopped_verdicts_match_full_runs_on_census6(census6):
+def test_stopped_verdicts_match_full_runs_on_census6(census6, artin_checks):
+    kinds = set()
     for g in census6:
         sets = [frozenset()] + [frozenset({v}) for v in g.vertices]
-        _assert_stopped_verdicts_are_the_full_runs(g, sets)
+        kinds |= _assert_stopped_verdicts_are_the_full_runs(g, sets, artin_checks)
+    assert kinds == {False, True}
+
+
+def test_stopped_verdicts_match_full_runs_on_certify_inputs(artin_checks):
+    kinds = set()
+    for g in certify_inputs(0):
+        sets = [frozenset()] + [frozenset({v}) for v in g.vertices]
+        kinds |= _assert_stopped_verdicts_are_the_full_runs(g, sets, artin_checks)
+    assert kinds == {False, True}
 
 
 def _long_runs():
@@ -215,8 +260,24 @@ def _long_runs():
 
 
 @pytest.mark.parametrize("g", _long_runs(), ids=["long_run", "237", "97_101_103", "199_201_203"])
-def test_stopped_verdicts_match_full_runs_on_long_runs(g):
-    _assert_stopped_verdicts_are_the_full_runs(g, [frozenset()])
+def test_stopped_verdicts_match_full_runs_on_long_runs(g, artin_checks):
+    # each jumps, so its verdict's run stops and reading Z_min runs it again
+    kinds = _assert_stopped_verdicts_are_the_full_runs(g, [frozenset()], artin_checks)
+    assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_run_with_a_corrupted_x_fails_the_artin_check(monkeypatch, full):
+    # the 76-vertex tree jumps at its second step; a run whose x misses that
+    # step reaches a cycle of chi 1, where the jump it reports needs chi <= 0
+    g = next(_long_runs())
+    x, _, jump, prefix = laufer._run(g, False, stop=True)
+    x[jump.vertex] -= 1
+    x = {v: k for v, k in x.items() if k}
+    monkeypatch.setattr(laufer, "_run", lambda *args, **kwargs: (x, [], jump, prefix))
+    with pytest.raises(InternalCheckError, match="criteria disagree"):
+        laufer._stored(g, frozenset(), full=full)
+    assert g._stabilized == {}
 
 
 def test_recorded_and_stabilized_runs_keep_their_prefix(census6):

@@ -263,7 +263,7 @@ def _count_runs(monkeypatch) -> list:
 
     def counted(g, record, frozen=(), stop=False):
         out = run(g, record, frozen, stop)
-        runs.append((len(g), frozenset(frozen), stop, sum(out[0].values()) - len(g)))
+        runs.append((len(g), frozenset(frozen), stop, sum(out[0].values())))
         return out
 
     monkeypatch.setattr(laufer, "_run", counted)
