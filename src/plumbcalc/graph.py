@@ -44,7 +44,11 @@ VertexId = str
 _ID_RE = re.compile(r"[A-Za-z0-9_]+")
 _IDS_RE = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*")  # ids joined by spaces
 _FRACTION_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?", re.ASCII)
-_INTS_RE = re.compile(r"[+-]?\d+(?: [+-]?\d+)*", re.ASCII)  # integers joined by spaces
+# the text ``serialize_graph`` writes: vertex lines with integer weights,
+# then edge lines, single spaces, every line ended by "\n"
+_GRAMMAR_RE = re.compile(
+    r"(?:vertex [A-Za-z0-9_]+ -?\d+\n)*(?:edge [A-Za-z0-9_]+ [A-Za-z0-9_]+\n)*", re.ASCII
+)
 
 
 def _ids_valid(ids: Mapping) -> bool:
@@ -80,18 +84,22 @@ class PlumbingGraph:
     checks ids, weights and the forest; ``parse_graph`` leaves all three to
     it.  When every weight is an ``int``, all ids are checked by one match
     over the joined ids; otherwise each vertex is checked in turn, its id
-    and then its weight.  Construction validates the forest invariants (no
-    self-loops, no multi-edges, no cycles) in one pass: the component
-    search counts the trees into ``_tree_count``, and a graph is a forest
-    iff it has |V| - #trees distinct edges.  The same search leaves
-    ``_order``, the (vertex, parent) pairs of each tree rooted at its least
-    vertex, parents first: the one tree structure the graph keeps, which
-    the tree passes, the component sets and the canonical codes read.
-    Only a faulty edge list is checked again, edge by edge, to report its
-    first fault.  A weight is a ``numbers.Rational`` (``int``, ``bool``,
-    ``Fraction``) or a string of the file format (an integer or ``p/q``);
-    anything else is a ``GraphStructureError``.  A weight with denominator
-    1 is stored as an ``int``, any other as a ``Fraction``.
+    and then its weight.  The edges, loops and repeats included, go into
+    the adjacency ``_adj``, the one record of the edges, and the component
+    search over it counts the trees into ``_tree_count``.  A multigraph
+    with c components has |E| >= |V| - c, as each component holds a
+    spanning tree, with equality iff no edge closes a cycle, and a loop or
+    a repeated edge is a cycle: so the graph is a forest (no loop, repeat
+    or cycle) iff ``len(edges) == |V| - _tree_count``, and then |V| - |E|
+    is ``_tree_count``.  The same search leaves ``_order``, the (vertex,
+    parent) pairs of each tree rooted at its least vertex, parents first:
+    the one tree structure the graph keeps, which the tree passes, the
+    component sets and the canonical codes read.  Only a faulty edge list
+    is checked again, edge by edge, to report its first fault.  A weight is
+    a ``numbers.Rational`` (``int``, ``bool``, ``Fraction``) or a string of
+    the file format (an integer or ``p/q``); anything else is a
+    ``GraphStructureError``.  A weight with denominator 1 is stored as an
+    ``int``, any other as a ``Fraction``.
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
@@ -104,7 +112,7 @@ class PlumbingGraph:
     """
 
     __slots__ = (
-        "_weights", "_edges", "_adj", "_vertices", "_integral", "_hash",
+        "_weights", "_adj", "_vertices", "_integral", "_hash",
         "_dp", "_tree_count", "_order", "_stabilized", "_arrays", "_nodes", "_branches",
     )
 
@@ -138,11 +146,10 @@ class PlumbingGraph:
             _raise_edge_fault(ws, edges)
             raise
         self._weights = ws
-        self._edges = frozenset((a, b) if a < b else (b, a) for a, b in edges)
         self._adj = {v: tuple(sorted(ns) if len(ns) > 1 else ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(ws))
         self._tree_count, self._order = _components(self)
-        if not len(self._edges) == len(edges) == len(ws) - self._tree_count:
+        if len(edges) != len(ws) - self._tree_count:
             _raise_edge_fault(ws, edges)
         self._integral = integral
         self._hash: int | None = None
@@ -156,7 +163,8 @@ class PlumbingGraph:
 
     @property
     def edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
-        return tuple(sorted(self._edges))
+        """Sorted pairs (a, b), a < b, read off the sorted adjacency."""
+        return tuple([(a, b) for a in self._vertices for b in self._adj[a] if a < b])
 
     def weight(self, v: VertexId) -> Fraction | int:
         try:
@@ -180,7 +188,7 @@ class PlumbingGraph:
         return v in self._weights
 
     def has_edge(self, a: VertexId, b: VertexId) -> bool:
-        return _normalize_edge(a, b) in self._edges
+        return b in self._adj.get(a, ())
 
     def __contains__(self, v: object) -> bool:
         return v in self._weights
@@ -194,15 +202,15 @@ class PlumbingGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlumbingGraph):
             return NotImplemented
-        return self._weights == other._weights and self._edges == other._edges
+        return self._weights == other._weights and self._adj == other._adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((tuple(sorted(self._weights.items())), self._edges))
+            self._hash = hash((tuple(sorted(self._weights.items())), self.edges))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PlumbingGraph({len(self)} vertices, {len(self._edges)} edges)"
+        return f"PlumbingGraph({len(self)} vertices, {len(self) - self._tree_count} edges)"
 
     # -- derived structure -------------------------------------------------
 
@@ -262,38 +270,25 @@ def _edge_fault(ws: Mapping, edges: Sequence) -> tuple[int, str] | None:
 def parse_graph(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format; all errors carry line numbers.
 
-    Valid text is read in one pass over its lines.  A line must be
-    ``vertex <id> <w>`` or ``edge <a> <b>``, a vertex new, and an edge no
-    loop, between vertices declared on earlier lines.  All-integer weight
-    tokens become ``int`` in one batch; otherwise the tokens go on as
-    strings, which the constructor reads as the file format does.
-    ``PlumbingGraph`` is the one place where ids, weights and the forest
-    are checked.  Text turned down anywhere is read again by
-    ``_parse_lines``, which checks each line as it reads it and so reports
-    the first fault with its line.
+    Text of the form ``serialize_graph`` writes, ``vertex <id> <integer>``
+    lines and then ``edge <id> <id>`` lines, single spaces and every line
+    ended by a newline, is matched by one regex and split once: ids, weights
+    and edge ends are slices of the token list.  ``PlumbingGraph`` checks
+    ids and the forest, as it is the one place that does; a repeated id
+    shows as fewer weights than vertex lines.  Every other text, and
+    grammar text turned down, is read by ``_parse_lines``, which checks
+    each line as it reads it and so reports the first fault with its line.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    weights: dict[VertexId, int | str] = {}
-    edges: list[tuple[VertexId, VertexId]] = []
-    for parts in map(str.split, lines):
-        if len(parts) == 3:
-            kind, a, b = parts
-            if kind == "vertex" and a not in weights:
-                weights[a] = b
-                continue
-            if kind == "edge" and a != b and a in weights and b in weights:
-                edges.append((a, b))
-                continue
-        if parts:
-            return _parse_lines(text)
-    try:
-        if _INTS_RE.fullmatch(" ".join(weights.values())):
-            weights = dict(zip(weights, map(int, weights.values())))
-        return PlumbingGraph(weights, edges)
-    except ValueError:  # a GraphStructureError, or an int past the digit limit
-        pass
+    if _GRAMMAR_RE.fullmatch(text):
+        tokens = text.split()
+        n = len(tokens) - 3 * tokens[::3].count("edge")  # the vertex lines' tokens
+        ids = tokens[1:n:3]
+        try:
+            weights = dict(zip(ids, map(int, tokens[2:n:3])))
+            if len(weights) == len(ids):
+                return PlumbingGraph(weights, list(zip(tokens[n + 1::3], tokens[n + 2::3])))
+        except ValueError:  # a GraphStructureError, or an int past the digit limit
+            pass
     return _parse_lines(text)  # outside the handler: its error chains to none
 
 

@@ -238,7 +238,7 @@ def _artin(g, x, jump, stopped: bool) -> Fraction:
     of a run that reached l_0 + x: <= 0 just after the first jump of a
     stopped run, and >= 1 iff no step jumped at the end of a full run."""
     l0_x = sum(k * (g._weights[v] + len(g._adj[v])) for v, k in x.items())
-    chi_l = chi(g, x) + (len(g) - len(g._edges) - l0_x)
+    chi_l = chi(g, x) + (g._tree_count - l0_x)  # |V| - |E| of a forest
     if not (chi_l <= 0 if stopped else (jump is None) == (chi_l >= 1)):
         raise InternalCheckError(
             f"Laufer ({jump}) and Artin (chi={chi_l}) criteria disagree"
@@ -353,21 +353,22 @@ def _least_bad(g: PlumbingGraph, most: int) -> tuple[int, frozenset] | None:
     prefix tree of the module docstring, tried level by level, nodes-only
     sets first, then by sorted ids.  Each set is tried by ``is_bad_set``,
     whose stored run holds the prefix that the next level reads.  The runs
-    that a level k >= 2 filed leave the store once level k + 1 is built;
-    levels 0 and 1, the verdicts ``_vertex_jump`` reads, stay."""
+    that a level k >= 2 filed leave the store once level k + 1 is built, or
+    the search ends on level k; levels 0 and 1, the verdicts
+    ``_vertex_jump`` reads, stay."""
     node_set = set(nodes(g))
     level = [_PLAIN]
     for k in range(most + 1):
         store = g._stabilized or {}
         filed = [bad for bad in level if bad not in store] if k >= 2 else ()
-        for bad in level:
-            if is_bad_set(g, bad):
-                return k, bad
-        if k < most:
-            sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]}
-            for bad in filed:
-                store.pop(bad, None)
-            level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
+        least = next((bad for bad in level if is_bad_set(g, bad)), None)
+        grow = least is None and k < most
+        sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]} if grow else ()
+        for bad in filed:  # before the sort, whose keys take memory too
+            store.pop(bad, None)
+        if least is not None:
+            return k, least
+        level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
     return None
 
 

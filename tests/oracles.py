@@ -1,14 +1,15 @@
 """Independent oracles used to freeze expected values.
 
 Everything here deliberately avoids the implementation's code paths:
-determinants come from generic Gaussian elimination (and cofactor
-expansion for tiny matrices) instead of the tree recursion, definiteness
-from Sylvester minor signs and the all-principal-minors PSD test,
-Z_min from brute-force search over an integer box, tree enumeration from
-Pruefer sequences, and continued fractions from the convergent
-recurrence.  The Laufer run, the realizability search and the Brieskorn
-Seifert data also have plain reference versions that rescan everything,
-the Laufer run a second one with a last-in-first-out worklist, and
+determinants come from dense fraction-free (Bareiss) elimination over
+the rows scaled to integers (and cofactor expansion for tiny matrices)
+instead of the tree recursion, definiteness from Sylvester minor signs
+and the all-principal-minors PSD test, Z_min from brute-force search
+over an integer box, tree enumeration from Pruefer sequences, and
+continued fractions from the convergent recurrence.  The Laufer run,
+the realizability search and the Brieskorn Seifert data also have
+plain reference versions that rescan everything, the Laufer run a
+second one with a last-in-first-out worklist, and
 ``minimize`` has its blow-down loop that builds a graph per step, and
 ``fresh_ids`` its loop that scans the ids it has found.  The rescanning
 Laufer run can also step in a random order: the library always steps the
@@ -29,7 +30,7 @@ rooted order at the roots, and the canonical code its route that builds
 each component as a graph and finds its centroids by deletion, where the
 library reads every tree's centroids off one fold over the forest, and
 the parser its line-by-line loop, which checks each line as it reads it,
-where the library reads valid text in one pass and leaves every check
+where the library tokenizes serialized text once and leaves every check
 to the constructor.  A cut
 has the route that builds both sides as subgraphs and reads det_w and
 det_w_minus from the graphs side_w and side_w - w, and the negative
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from typing import NamedTuple
 
 from plumbcalc.classify import DEFAULT_BAD_SET_CAP
@@ -277,25 +278,31 @@ def matrix_of(g: PlumbingGraph, sign: int = -1) -> list[list[Fraction]]:
 
 
 def det_gauss(rows: list[list[Fraction]]) -> Fraction:
-    """Generic fraction Gaussian elimination with row pivoting."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Dense fraction-free (Bareiss) elimination with row swaps, over
+    integers: each row is first scaled by the lcm of its denominators, and
+    the product of those factors is divided back out exactly at the end.
+    Every division of the elimination is exact, as each entry it leaves is
+    a minor of the scaled matrix."""
+    m, scale = [], 1
+    for row in rows:  # of ints and Fractions, which both have these fields
+        f = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (f // x.denominator) for x in row])
+        scale *= f
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for r in range(k + 1, n):
+            row, a = m[r], m[r][k]
+            for c in range(k + 1, n):
+                row[c] = (p * row[c] - a * top[c]) // prev
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
@@ -314,7 +321,7 @@ def det_cofactor(rows: list[list[Fraction]]) -> Fraction:
 
 
 def oracle_det(g: PlumbingGraph) -> Fraction:
-    """det(-I) via generic elimination."""
+    """det(-I) via dense fraction-free elimination."""
     return det_gauss(matrix_of(g))
 
 

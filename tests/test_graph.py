@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from plumbcalc.errors import GraphStructureError, ParseError
 from plumbcalc.graph import (
+    _GRAMMAR_RE,
     PlumbingGraph,
+    _parse_lines,
     blow_down,
     blow_up_edge,
     branch_counts,
@@ -28,8 +30,9 @@ from plumbcalc.graph import (
 )
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
+from plumbcalc.surgery import lo_certificate
 
-from conftest import perfbench_module
+from conftest import certify_inputs, perfbench_module
 from oracles import (
     pruefer_trees,
     reference_build,
@@ -93,6 +96,15 @@ def test_parse_fractional_weight():
         ("flurb a b", "unknown directive"),
         ("vertex a", "expected"),
         ("vertex a* -1", "invalid vertex id"),
+        # the serialized form, which the tokenizer reads: each fault is
+        # named by the line parser, with its line
+        ("vertex a -1\nedge a a\n", "line 2: loop"),
+        ("vertex a -1\nvertex a -2\n", "line 2: duplicate"),
+        ("vertex a -1\nedge a b\n", "line 2: edge to undeclared vertex 'b'"),
+        ("vertex a -1\nvertex b -1\nedge a b\nedge b a\n", "line 4: multi-edge"),
+        ("vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge c a\n", "line 6: cycle"),
+        ("vertex a " + "9" * 5000 + "\n", "line 1: invalid weight"),
+        ("vertex a -1\nedge a b\nvertex b -1\n", "line 2: edge to undeclared vertex 'b'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -140,20 +152,27 @@ def test_parse_graph_raises_only_parse_error(text):
 
 
 def _parsed(parse, text):
-    """The graph's weights with their types, edges and adjacency, or the
-    ``ParseError``'s message and line."""
+    """The graph's weights with their types, edges, adjacency and text
+    form, or the ``ParseError``'s message and line."""
     try:
         g = parse(text)
     except ParseError as exc:
         return str(exc), exc.line
     weights = [(v, w, type(w)) for v, w in g.weights().items()]
-    return weights, g.edges, {v: g.neighbors(v) for v in g.vertices}
+    return weights, g.edges, {v: g.neighbors(v) for v in g.vertices}, serialize_graph(g)
+
+
+def _assert_parsers_agree(text):
+    """``parse_graph`` (the tokenizer on serialized text), ``_parse_lines``
+    and the reference parser give the same graph or the same error."""
+    parsed = _parsed(parse_graph, text)
+    assert parsed == _parsed(_parse_lines, text) == _parsed(reference_parse_graph, text)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_GRAPH_LINES | st.text())
+@given(_GRAPH_LINES | _GRAPH_LINES.map(lambda text: text + "\n") | st.text())
 def test_parse_graph_matches_reference(text):
-    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+    _assert_parsers_agree(text)
 
 
 _BAD_WEIGHTS = ["1/0", "x", "1.5", "1_000", "\u0663", "9" * 5000, "-", "2/-3"]
@@ -161,23 +180,28 @@ _BAD_WEIGHTS = ["1/0", "x", "1.5", "1_000", "\u0663", "9" * 5000, "-", "2/-3"]
 
 @st.composite
 def _faulty_files(draw):
-    """A valid graph file, with comments and blank lines, each edge on a
-    random line after its ends' lines, and one line of a random kind of
-    fault, or none, put in at a random line."""
+    """A valid graph file, each edge on a random line after its ends'
+    lines, and one line of a random kind of fault, or none, put in at a
+    random line.  The file has comments and blank lines, or is in the
+    serialized form (vertex lines first, integer weights, each line ended
+    by a newline), which the tokenizer reads."""
     n = draw(st.integers(1, 7))
     ids = [f"v{i}" for i in range(n)]
-    forms = st.sampled_from(["-2", "-1", "+3", "007", "-0", "-7/2", "4/2", "9" * 40])
+    serialized = draw(st.booleans())
+    forms = ["-2", "-1", "007", "-0", "9" * 40] + ([] if serialized else ["+3", "-7/2", "4/2"])
+    forms = st.sampled_from(forms)
     lines = [f"vertex {v} {draw(forms)}" for v in ids]
     edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
     for v, p in edges:  # p comes before v
         after = next(i for i, x in enumerate(lines) if x.startswith(f"vertex {v} "))
         at = draw(st.integers(after + 1, len(lines)))
         lines.insert(at, f"edge {v} {p}" if draw(st.booleans()) else f"edge {p} {v}")
-    for extra in draw(st.lists(st.sampled_from(["", "# note", "  \t", "#"]), max_size=3)):
-        lines.insert(draw(st.integers(0, len(lines))), extra)
-    if draw(st.booleans()):
-        at = draw(st.integers(0, len(lines) - 1))
-        lines[at] += " # trailing"
+    if not serialized:
+        for extra in draw(st.lists(st.sampled_from(["", "# note", "  \t", "#"]), max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at] += " # trailing"
     v, w = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
     chords = [
         (a, b) for a in ids for b in ids if a < b and (a, b) not in edges and (b, a) not in edges
@@ -201,21 +225,72 @@ def _faulty_files(draw):
         lines.append("vertex zz -2")  # declared, but mostly after its edge
     if faults[kind] is not None:
         lines.insert(draw(st.integers(0, len(lines))), faults[kind])
-    return "\n".join(lines)
+    if not serialized:
+        return "\n".join(lines)
+    lines.sort(key=lambda line: line.startswith("edge"))  # stable: edges keep their order
+    return "".join(line + "\n" for line in lines)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_faulty_files())
 def test_parse_graph_matches_reference_on_one_fault(text):
-    assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+    _assert_parsers_agree(text)
 
 
 def test_parse_graph_matches_reference_on_benchmark_texts(census6):
+    # the serialized census, every graph of the certificates of the certify
+    # inputs and the classify-large files: all in the form the tokenizer reads
     inputs = perfbench_module("inputs")
-    texts = [serialize_graph(g) for g in census6]
-    texts += [t.text() for t in inputs.classify_large_inputs(0)]
+    graphs = list(census6)
+    for g in certify_inputs(0):
+        stack = [lo_certificate(g)]
+        while stack:
+            node = stack.pop()
+            graphs.append(node.graph)
+            stack.extend(node.children)
+    texts = [serialize_graph(g) for g in graphs]
+    texts += [t.text() for t in inputs.classify_large_inputs(0) + inputs.classify_large_inputs(1)]
     for text in texts:
-        assert _parsed(parse_graph, text) == _parsed(reference_parse_graph, text)
+        _assert_parsers_agree(text)
+    tokenized = sum(1 for text in texts if _GRAMMAR_RE.fullmatch(text))
+    assert (len(texts), tokenized) == (28419, 28419)
+
+
+_SERIALIZED = "vertex a -2\nvertex b -3\nvertex c -1\nedge a b\nedge b c\n"
+
+
+@pytest.mark.parametrize(
+    "text, tokenized",
+    [
+        (_SERIALIZED, True),
+        ("", True),
+        (_SERIALIZED.replace("edge a b", "vertex b -4\nedge a b"), True),  # duplicate id
+        (_SERIALIZED + "edge c c\n", True),  # loop
+        (_SERIALIZED + "edge b a\n", True),  # repeated edge
+        (_SERIALIZED + "edge c a\n", True),  # cycle
+        (_SERIALIZED + "edge c d\n", True),  # undeclared end
+        (_SERIALIZED + "edge c d\nvertex d -2\n", False),  # end declared later
+        (_SERIALIZED.replace("-3", "-" + "9" * 5000), True),  # past the digit limit
+        (_SERIALIZED.replace("-3", "+7"), False),
+        (_SERIALIZED.replace("-3", "007"), True),
+        (_SERIALIZED.replace("-3", "-7/2"), False),
+        (_SERIALIZED + "vertex d -2\n", False),  # vertex line after an edge line
+        (_SERIALIZED.replace("vertex b", "vertex\tb"), False),
+        (_SERIALIZED.replace("\n", "\r\n"), False),
+        (_SERIALIZED.replace("edge a b", "edge a b  # first edge"), False),
+        (_SERIALIZED[:-1], False),  # no final newline
+    ],
+    ids=[
+        "serialized", "empty", "duplicate", "loop", "repeat", "cycle", "undeclared",
+        "declared-later", "5000-digits", "plus", "leading-zeros", "slope",
+        "vertex-after-edge", "tab", "crlf", "comment", "no-final-newline",
+    ],
+)
+def test_tokenizer_matches_line_parser_on_one_edit(text, tokenized):
+    # one-edit mutations of a serialized text: those left in the form the
+    # tokenizer reads, and those sent to the line parser
+    assert bool(_GRAMMAR_RE.fullmatch(text)) == tokenized
+    _assert_parsers_agree(text)
 
 
 def test_parse_cycle_error_names_its_line():

@@ -20,6 +20,7 @@ from plumbcalc.lattice import (
 from oracles import (
     det_cofactor,
     det_edge_identity_check,
+    det_gauss,
     matrix_of,
     oracle_det,
     oracle_is_negative_definite,
@@ -98,6 +99,20 @@ def test_det_matches_oracles():
         assert determinant(g) == oracle_det(g)
     small = random_tree(rng, 5)
     assert determinant(small) == det_cofactor(matrix_of(small))
+
+
+def test_det_gauss_matches_cofactor_expansion():
+    # the dense elimination oracle against the cofactor expansion, on every
+    # census-5 matrix, and on each again with its first weight made 0 (a
+    # zero pivot, so a row swap) or a slope (a row scaled by 3)
+    graphs = 0
+    for g in census_graphs(5, -5):
+        v = g.vertices[0]
+        for h in (g, with_weight(g, v, 0), with_weight(g, v, Fraction(-7, 3))):
+            rows = matrix_of(h)
+            assert det_gauss(rows) == det_cofactor(rows), h
+        graphs += 1
+    assert graphs == 3533
 
 
 # -- definiteness --------------------------------------------------------

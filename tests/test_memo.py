@@ -141,10 +141,15 @@ def _count_builds(monkeypatch) -> list:
 
 
 def test_valid_text_is_read_in_one_pass(monkeypatch, census6):
-    # the line-by-line read only reports faults: valid text never reaches
-    # it, and each parse builds one graph
-    def refused(text):
-        raise AssertionError("valid text read line by line")
+    # text of the serialized form is tokenized once and never read line by
+    # line; any other valid text is read line by line, once; each parse
+    # builds one graph
+    lines_read = []
+    parse_lines = graph._parse_lines
+
+    def counted(text):
+        lines_read.append(text)
+        return parse_lines(text)
 
     rng = random.Random(17)
     tree = PlumbingGraph(
@@ -152,12 +157,13 @@ def test_valid_text_is_read_in_one_pass(monkeypatch, census6):
         [(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, 1000)],
     )
     texts = [serialize_graph(g) for g in [*census6, tree]]
-    texts.append("# slopes\nvertex a -7/2\nvertex b -4/2  # int\nedge b a\n")
-    monkeypatch.setattr(graph, "_parse_lines", refused)
+    other = "# slopes\nvertex a -7/2\nvertex b -4/2  # int\nedge b a\n"
+    monkeypatch.setattr(graph, "_parse_lines", counted)
     built = _count_builds(monkeypatch)
-    for i, text in enumerate(texts, start=1):
+    for i, text in enumerate([*texts, other], start=1):
         parse_graph(text)
         assert len(built) == i
+    assert lines_read == [other]
 
 
 def test_node_branches_folded_once_per_graph(monkeypatch):
@@ -397,6 +403,9 @@ def test_least_bad_set_of_a_large_tree(monkeypatch):
     monkeypatch.setattr(laufer, "is_bad_set", counted)
     witness = frozenset({"v12", "v3", "v4", "v47", "v5", "v9"})
     assert laufer.min_bad(g) == (6, witness) and len(tried) == 61
+    # the store keeps levels 0 and 1, the plain run and the one set of its
+    # prefix: none of the 16 runs that level 6 filed stays
+    assert sorted(map(len, g._stabilized)) == [0, 1]
 
 
 def test_is_bad_set_builds_no_graph(monkeypatch):
