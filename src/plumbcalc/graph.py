@@ -85,21 +85,24 @@ class PlumbingGraph:
     it.  When every weight is an ``int``, all ids are checked by one match
     over the joined ids; otherwise each vertex is checked in turn, its id
     and then its weight.  The edges, loops and repeats included, go into
-    the adjacency ``_adj``, the one record of the edges, and the component
-    search over it counts the trees into ``_tree_count``.  A multigraph
-    with c components has |E| >= |V| - c, as each component holds a
-    spanning tree, with equality iff no edge closes a cycle, and a loop or
-    a repeated edge is a cycle: so the graph is a forest (no loop, repeat
-    or cycle) iff ``len(edges) == |V| - _tree_count``, and then |V| - |E|
-    is ``_tree_count``.  The same search leaves ``_order``, the (vertex,
-    parent) pairs of each tree rooted at its least vertex, parents first:
-    the one tree structure the graph keeps, which the tree passes, the
-    component sets and the canonical codes read.  Only a faulty edge list
-    is checked again, edge by edge, to report its first fault.  A weight is
-    a ``numbers.Rational`` (``int``, ``bool``, ``Fraction``) or a string of
-    the file format (an integer or ``p/q``); anything else is a
-    ``GraphStructureError``.  A weight with denominator 1 is stored as an
-    ``int``, any other as a ``Fraction``.
+    the adjacency ``_adj``, the one record of the edges: each vertex's
+    neighbour list, sorted in place (``neighbors`` hands out a tuple, and
+    nothing changes a list after the constructor).  The breadth-first
+    component search over it counts the trees into ``_tree_count``.  A
+    multigraph with c components has |E| >= |V| - c, as each component
+    holds a spanning tree, with equality iff no edge closes a cycle, and a
+    loop or a repeated edge is a cycle: so the graph is a forest (no loop,
+    repeat or cycle) iff ``len(edges) == |V| - _tree_count``, and then
+    |V| - |E| is ``_tree_count``.  The same search leaves ``_parent``, each
+    vertex's parent in its tree rooted at its least vertex (None at a
+    root), whose insertion order is the rooted order, parents first: the
+    one tree structure the graph keeps, which the tree passes, the node
+    counts, the component sets and the canonical codes read.  Only a
+    faulty edge list is checked again, edge by edge, to report its first
+    fault.  A weight is a ``numbers.Rational`` (``int``, ``bool``,
+    ``Fraction``) or a string of the file format (an integer or ``p/q``);
+    anything else is a ``GraphStructureError``.  A weight with denominator
+    1 is stored as an ``int``, any other as a ``Fraction``.
 
     As the graph never changes, facts computed about it are stored on it
     on first use: ``_dp`` holds (determinant, definiteness) of the lattice
@@ -113,7 +116,7 @@ class PlumbingGraph:
 
     __slots__ = (
         "_weights", "_adj", "_vertices", "_integral", "_hash",
-        "_dp", "_tree_count", "_order", "_stabilized", "_arrays", "_nodes", "_branches",
+        "_dp", "_tree_count", "_parent", "_stabilized", "_arrays", "_nodes", "_branches",
     )
 
     def __init__(
@@ -145,10 +148,11 @@ class PlumbingGraph:
         except (KeyError, TypeError, ValueError):  # an undeclared or malformed end
             _raise_edge_fault(ws, edges)
             raise
-        self._weights = ws
-        self._adj = {v: tuple(sorted(ns) if len(ns) > 1 else ns) for v, ns in adj.items()}
+        for ns in adj.values():
+            ns.sort()
+        self._weights, self._adj = ws, adj
         self._vertices = tuple(sorted(ws))
-        self._tree_count, self._order = _components(self)
+        self._tree_count, self._parent = _components(self)
         if len(edges) != len(ws) - self._tree_count:
             _raise_edge_fault(ws, edges)
         self._integral = integral
@@ -177,7 +181,7 @@ class PlumbingGraph:
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
         try:
-            return self._adj[v]
+            return tuple(self._adj[v])
         except KeyError:
             raise GraphStructureError(f"unknown vertex {v!r}") from None
 
@@ -494,37 +498,36 @@ def delete(
     return PlumbingGraph(ws, kept)
 
 
-def _components(g: PlumbingGraph) -> tuple[int, list]:
-    """The number of trees of ``g`` and its rooted order.  Each search
-    starts at the least vertex not yet reached, so the trees come sorted by
-    least vertex; the order gets the (vertex, parent) pair of each vertex
-    as it is reached, so parents come first and each tree's pairs are
-    contiguous, led by its root's."""
-    seen: set[VertexId] = set()
-    order: list[tuple[VertexId, VertexId | None]] = []
-    trees = 0
-    for start in g.vertices:
-        if start in seen:
+def _components(g: PlumbingGraph) -> tuple[int, dict]:
+    """The number of trees of ``g`` and its parent map, vertex to parent,
+    None at a root.  Each search starts at the least vertex not yet reached
+    and walks breadth first, so the map's order is the rooted order:
+    parents come first, each tree is contiguous and led by its root, and
+    the trees come sorted by least vertex."""
+    adj, parent, trees = g._adj, {}, 0
+    for start in g._vertices:
+        if start in parent:
             continue
-        seen.add(start)
         trees += 1
-        stack = [start]
-        order.append((start, None))
-        while stack:
-            u = stack.pop()
-            for w in g._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-                    order.append((w, u))
-    return trees, order
+        parent[start] = None
+        queue = [start]
+        for u in queue:  # the list grows as it is read
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+    return trees, parent
 
 
 def _trees(g: PlumbingGraph) -> list[list[VertexId]]:
     """The vertices of each tree of ``g``: the rooted order split at its
     roots, so the trees come sorted by least vertex."""
-    roots = [i for i, (_, p) in enumerate(g._order) if p is None]
-    return [[v for v, _ in g._order[i:j]] for i, j in zip(roots, roots[1:] + [None])]
+    trees: list[list[VertexId]] = []
+    for v, p in g._parent.items():
+        if p is None:
+            trees.append([])
+        trees[-1].append(v)
+    return trees
 
 
 def subgraph(g: PlumbingGraph, vertices: Iterable[VertexId]) -> PlumbingGraph:
@@ -551,9 +554,11 @@ def rooted_preorder(
     None.  The walk never enters ``avoid``: with it, the walk covers the
     component of g - avoid that holds ``root``, the root's side of a cut
     at (avoid, root) when the two are adjacent."""
-    walk = [(root, None)]
+    adj, walk = g._adj, [(root, None)]
+    if root not in adj:
+        raise GraphStructureError(f"unknown vertex {root!r}")
     for u, p in walk:  # the list grows as it is read
-        walk += [(c, u) for c in g.neighbors(u) if c != p and c != avoid]
+        walk += [(c, u) for c in adj[u] if c != p and c != avoid]
     return walk
 
 
@@ -566,11 +571,11 @@ def branch_counts(
     vertex: the branch of a child holds those below the child, and the
     branch of the parent the rest of the tree's marked vertices."""
     below = {v: int(v in marked) for v in g._weights}
-    for v, p in reversed(g._order):
+    for v, p in reversed(g._parent.items()):
         if p is not None:
             below[p] += below[v]
     counts = {}
-    for v, p in g._order:  # a tree's pairs follow its root's
+    for v, p in g._parent.items():  # a tree's vertices follow its root
         if p is None:
             total = below[v]
         counts[v] = {u: below[u] if u != p else total - below[v] for u in g._adj[v]}
@@ -610,7 +615,7 @@ def _subtree_codes(g: PlumbingGraph, root: VertexId) -> dict[VertexId, Code]:
     before parents; a code is (weight, sorted child codes)."""
     codes: dict[VertexId, Code] = {}
     for v, p in reversed(rooted_preorder(g, root)):
-        kids = [codes[c] for c in g.neighbors(v) if c != p]
+        kids = [codes[c] for c in g._adj[v] if c != p]
         if len(kids) > 1:
             kids.sort(key=_code_key)
         codes[v] = (g.weight(v), tuple(kids))
@@ -622,16 +627,6 @@ def _is_centroid(sizes: Mapping[VertexId, int]) -> bool:
     of its tree: no branch holds more than half the tree, which makes its
     heaviest branch the least of the tree's."""
     return 2 * max(sizes.values(), default=0) <= sum(sizes.values()) + 1
-
-
-def tree_centroids(g: PlumbingGraph) -> tuple[VertexId, ...]:
-    """The 1 or 2 centroid vertices of each tree of ``g``, in id order: the
-    vertices whose largest branch is least in their tree (ties give the two
-    endpoints of the central edge)."""
-    if len(g) == 0:
-        raise GraphStructureError("empty graph has no centroid")
-    counts = branch_counts(g, g._weights)
-    return tuple(v for v in g.vertices if _is_centroid(counts[v]))
 
 
 def _rooted_trees(g: PlumbingGraph) -> list[tuple[VertexId, dict[VertexId, Code]]]:

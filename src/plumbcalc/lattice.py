@@ -76,15 +76,16 @@ def _det_definiteness(g: PlumbingGraph) -> tuple[Fraction, Definiteness]:
     """``determinant`` and ``definiteness``, from one ``walk_verdict`` of
     the whole forest per graph: the result is stored on ``g``."""
     if g._dp is None:
-        g._dp = walk_verdict(g, g._order)
+        g._dp = walk_verdict(g, g._parent.items())
     return g._dp
 
 
 def _dp_fold(g: PlumbingGraph, order, acc: dict) -> tuple[list, bool]:
     """The (D, P) recurrence up a rooted ``order`` of (vertex, parent)
-    pairs, parents first, a root's parent None: the (D, P) of each root, in
-    reverse order, and whether D <= 0 at some other vertex.  ``acc`` holds
-    the (s, prod) sums of the children folded into a vertex so far with
+    pairs, parents first, a root's parent None (a graph's ``_parent.items()``
+    or a ``rooted_preorder`` walk): the (D, P) of each root, in reverse
+    order, and whether D <= 0 at some other vertex.  ``acc`` holds the
+    (s, prod) sums of the children folded into a vertex so far with
     ``combine``; it may start with extra leaves folded in."""
     weight, roots, low = g._weights, [], False
     for v, p in reversed(order):
@@ -94,7 +95,8 @@ def _dp_fold(g: PlumbingGraph, order, acc: dict) -> tuple[list, bool]:
             roots.append((d, prod))
         else:
             low = low or d <= 0
-            acc[p] = combine(*acc.get(p, (0, 1)), d, prod)
+            p_s, p_prod = acc.get(p, (0, 1))
+            acc[p] = combine(p_s, p_prod, d, prod)
     return roots, low
 
 
@@ -158,17 +160,17 @@ def solve_intersection_form(
     graphs always qualify (all pivots are negative).  A zero pivot raises
     SingularFormError.
     """
-    order = g._order[::-1]  # children before parents
+    order = g._parent.items()  # parents first
     diag = {v: g.weight(v) for v in g.vertices}
     b = {v: Fraction(rhs.get(v, 0)) for v in g.vertices}
-    for v, p in order:
+    for v, p in reversed(order):
         if diag[v] == 0:
             raise SingularFormError("intersection form is singular")
         if p is not None:
             diag[p] -= Fraction(1) / diag[v]
             b[p] -= b[v] / diag[v]
     x: dict[VertexId, Fraction] = {}
-    for v, p in reversed(order):
+    for v, p in order:
         acc = b[v]
         if p is not None:
             acc -= x[p]
@@ -186,7 +188,7 @@ def canonical_cycle(g: PlumbingGraph) -> dict[VertexId, Fraction]:
     rhs = {v: Fraction(-2) - g.weight(v) for v in g.vertices}
     k = solve_intersection_form(g, rhs)
     for v in g.vertices:
-        lhs = g.weight(v) * k[v] + sum(k[n] for n in g.neighbors(v))
+        lhs = g.weight(v) * k[v] + sum(k[n] for n in g._adj[v])
         if lhs != rhs[v]:
             raise InternalCheckError("canonical cycle failed adjunction re-check")
     return k

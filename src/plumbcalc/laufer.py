@@ -330,7 +330,7 @@ def stabilize(g: PlumbingGraph, bad: Iterable[VertexId]) -> PlumbingGraph:
     bad = _checked_bad_set(g, bad)
     jump, prefix, (y, _) = _stored(g, bad, full=True)
     ws = g.weights()
-    low = {v: -sum(map(y.__getitem__, g.neighbors(v))) for v in bad}
+    low = {v: -sum(map(y.__getitem__, g._adj[v])) for v in bad}
     drop = {v: w for v, w in low.items() if w < ws[v]}
     down = PlumbingGraph({**ws, **drop}, g.edges) if drop else g
     _stored(down, _PLAIN, run=({v: k - 1 for v, k in y.items() if k > 1}, jump, prefix))
@@ -351,17 +351,18 @@ def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
 def _least_bad(g: PlumbingGraph, most: int) -> tuple[int, frozenset] | None:
     """(m, the least bad set of size m) when m <= ``most``, else None: the
     prefix tree of the module docstring, tried level by level, nodes-only
-    sets first, then by sorted ids.  Each set is tried by ``is_bad_set``,
-    whose stored run holds the prefix that the next level reads.  The runs
-    that a level k >= 2 filed leave the store once level k + 1 is built, or
-    the search ends on level k; levels 0 and 1, the verdicts
-    ``_vertex_jump`` reads, stay."""
+    sets first, then by sorted ids.  The input is checked once, and each
+    set, of the graph's own ids, is tried by its stored run, whose prefix
+    the next level reads.  The runs that a level k >= 2 filed leave the
+    store once level k + 1 is built, or the search ends on level k; levels
+    0 and 1, the verdicts ``_vertex_jump`` reads, stay."""
+    _check_laufer_input(g)
     node_set = set(nodes(g))
     level = [_PLAIN]
     for k in range(most + 1):
         store = g._stabilized or {}
         filed = [bad for bad in level if bad not in store] if k >= 2 else ()
-        least = next((bad for bad in level if is_bad_set(g, bad)), None)
+        least = next((bad for bad in level if _stored(g, bad)[0] is None), None)
         grow = least is None and k < most
         sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]} if grow else ()
         for bad in filed:  # before the sort, whose keys take memory too

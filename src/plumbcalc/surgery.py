@@ -310,16 +310,18 @@ def _base_m1(g: PlumbingGraph, edge):
 
 
 def _node_counts(g: PlumbingGraph) -> tuple[dict, dict, dict]:
-    """(below, parent, up) by vertex: the nodes in its subtree of ``g._order``,
-    its parent and its tree's other nodes, from one fold stored on the graph."""
+    """(below, parent, up) by vertex: the nodes in its subtree of the rooted
+    order, its parent (``g._parent``) and its tree's other nodes, from one
+    fold stored on the graph."""
     if g._branches is None:
         below, up = {v: int(len(ns) >= 3) for v, ns in g._adj.items()}, {}
-        for v, p in reversed(g._order):
+        parent = g._parent
+        for v, p in reversed(parent.items()):
             if p is not None:
                 below[p] += below[v]
-        for v, p in g._order:
+        for v, p in parent.items():
             up[v] = 0 if p is None else up[p] + below[p] - below[v]
-        g._branches = below, dict(g._order), up
+        g._branches = below, parent, up
     return g._branches
 
 

@@ -9,6 +9,7 @@ from plumbcalc.errors import GraphStructureError, ParseError
 from plumbcalc.graph import (
     _GRAMMAR_RE,
     PlumbingGraph,
+    _is_centroid,
     _parse_lines,
     blow_down,
     blow_up_edge,
@@ -26,7 +27,6 @@ from plumbcalc.graph import (
     rooted_preorder,
     serialize_graph,
     subgraph,
-    tree_centroids,
 )
 from plumbcalc.census import census_graphs
 from plumbcalc.lattice import determinant
@@ -641,6 +641,13 @@ def test_rooted_preorder_covers_the_component_parents_first():
             for x, p in walk[1:]:
                 assert p in seen and g.has_edge(x, p), (g, r)
                 seen.add(x)
+
+
+def tree_centroids(g: PlumbingGraph) -> tuple:
+    """The 1 or 2 centroid vertices of each tree of ``g``, in id order, as
+    ``canonical_code`` finds them: from one ``branch_counts`` fold."""
+    counts = branch_counts(g, g.vertices)
+    return tuple(v for v in g.vertices if _is_centroid(counts[v]))
 
 
 def test_tree_centroids_and_branch_counts_match_deletion():

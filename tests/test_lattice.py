@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.errors import GraphStructureError, SingularFormError
@@ -27,6 +27,7 @@ from oracles import (
     oracle_is_negative_semidefinite,
     pairing,
     reference_chi,
+    reference_components,
     with_weight,
 )
 from plumbcalc.census import census_graphs
@@ -195,6 +196,44 @@ def _rank(rows) -> int:
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+@st.composite
+def forests(draw):
+    """(weights, edges) of 2 to 3 random trees of 1 to 4 vertices each, ids
+    shuffled over the forest, so a tree's least vertex, its root, is often
+    a leaf and a lone vertex is a tree."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    names = draw(st.permutations([f"v{i}" for i in range(sum(sizes))]))
+    weights = {v: draw(st.integers(-4, 0)) for v in names}
+    edges, start = [], 0
+    for size in sizes:
+        for j in range(1, size):
+            edges.append((names[start + j], names[start + draw(st.integers(0, j - 1))]))
+        start += size
+    return weights, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(forests())
+@example(({"a": -2, "b": -2, "c": -1, "d": -3, "e": 0}, [("c", "b"), ("b", "a")]))
+def test_parent_map_and_fold_match_oracles_on_forests(forest):
+    # the parent map, read parents first, splits the forest into the trees
+    # of a union-find, each rooted at its least vertex and walked along its
+    # edges; the (D, P) fold over it gives the dense determinant and the
+    # minor oracles' definiteness
+    g = PlumbingGraph(*forest)
+    root = {}
+    for v, p in g._parent.items():
+        root[v] = v if p is None else root[p]
+        assert p is None or g.has_edge(v, p)
+    trees = {}
+    for v, r in root.items():
+        trees.setdefault(r, set()).add(v)
+    assert [frozenset(t) for t in trees.values()] == reference_components(g)
+    assert all(r == min(t) for r, t in trees.items())
+    assert determinant(g) == det_gauss(matrix_of(g))
+    _assert_definiteness_matches_oracles(g)
 
 
 def test_definiteness_pass_matches_minor_oracles_on_census(census6):

@@ -417,10 +417,10 @@ def test_min_bad_returns_the_least_bad_set_in_its_order(monkeypatch, two_star_m2
         return len(bad), not bad <= node_set, sorted(bad)
 
     def least(family):
-        monkeypatch.setattr(laufer, "is_bad_set", lambda g, bad: frozenset(bad) in family)
-        monkeypatch.setattr(
-            laufer, "_stored", lambda g, bad: (None, frozenset(g.vertices) - bad, None)
-        )
+        def stored(g, bad):  # (first jump, prefix, end): no jump iff B is bad
+            return (None if bad in family else "jump"), frozenset(g.vertices) - bad, None
+
+        monkeypatch.setattr(laufer, "_stored", stored)
         return min_bad(g)
 
     families = [

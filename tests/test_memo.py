@@ -56,13 +56,15 @@ def _facts(g: PlumbingGraph) -> list:
 
 
 def _assert_facts_match_fresh_copy(g: PlumbingGraph) -> None:
-    # the tree count and the rooted order are stored at construction: the
-    # search run afresh.  The order is every tree in one run from the least
-    # vertex not yet reached, each other vertex after its parent in the same
-    # run, along an edge; with |V| - #trees edges, no edge joins two runs
-    assert _components(g) == (g._tree_count, g._order)
+    # the tree count and the parent map are stored at construction: the
+    # search run afresh, the map in the same order.  The order is every tree
+    # in one run from the least vertex not yet reached, each other vertex
+    # after its parent in the same run, along an edge; with |V| - #trees
+    # edges, no edge joins two runs
+    trees, parent = _components(g)
+    assert (trees, list(parent.items())) == (g._tree_count, list(g._parent.items()))
     rest, seen, roots = iter(g.vertices), set(), 0
-    for v, p in g._order:
+    for v, p in g._parent.items():
         if p is None:
             roots, tree = roots + 1, set()
             assert v == next(u for u in rest if u not in seen)
@@ -115,13 +117,14 @@ def test_returned_values_do_not_alias_the_store(s237):
 
 
 def _count_dp_passes(monkeypatch) -> dict:
-    # whole-graph (D, P) passes: the walks of g._order.  A cut folds each
-    # decorated side by a walk of that side, which is not counted
+    # whole-graph (D, P) passes: the walks of g._parent.items(), a dict
+    # view.  A cut folds each decorated side by a walk of that side, a list,
+    # which is not counted
     count = {"passes": 0}
     walk = lattice.walk_verdict
 
     def counted(g, order, *slope):
-        count["passes"] += order is g._order
+        count["passes"] += order == g._parent.items()
         return walk(g, order, *slope)
 
     monkeypatch.setattr(lattice, "walk_verdict", counted)
@@ -390,19 +393,21 @@ def test_m_le_1_sets_up_the_run_arrays_once(monkeypatch):
 def test_least_bad_set_of_a_large_tree(monkeypatch):
     # the benchmark's classify_large_inputs(3)[94], minimized: an exhaustive
     # search by size would try every set of at most 5 of its 120 vertices,
-    # about 2e8 of them, before the answer; the prefix tree tries 61
+    # about 2e8 of them, before the answer; the prefix tree tries 61, each
+    # read from its stored run, and checks the graph once
     t = perfbench_module("inputs").classify_large_inputs(3)[94]
     g = minimize(PlumbingGraph(t.weight_map(), t.edge_names()))
-    tried = []
-    bad_set = laufer.is_bad_set
+    tried, checked = {}, []
+    stored, check = laufer._stored, laufer._check_laufer_input
 
-    def counted(g, bad):
-        tried.append(bad)
-        return bad_set(g, bad)
+    def counted(g, bad, *args, **kwargs):
+        tried[bad] = None
+        return stored(g, bad, *args, **kwargs)
 
-    monkeypatch.setattr(laufer, "is_bad_set", counted)
+    monkeypatch.setattr(laufer, "_stored", counted)
+    monkeypatch.setattr(laufer, "_check_laufer_input", lambda g: checked.append(g) or check(g))
     witness = frozenset({"v12", "v3", "v4", "v47", "v5", "v9"})
-    assert laufer.min_bad(g) == (6, witness) and len(tried) == 61
+    assert laufer.min_bad(g) == (6, witness) and len(tried) == 61 and checked == [g]
     # the store keeps levels 0 and 1, the plain run and the one set of its
     # prefix: none of the 16 runs that level 6 filed stays
     assert sorted(map(len, g._stabilized)) == [0, 1]

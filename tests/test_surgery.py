@@ -537,7 +537,7 @@ def test_node_branches_match_deletion(census6, two_star_m2):
     for g in [*census6, *forests]:
         gnodes = set(nodes(g))
         below, parent, up = _node_counts(g)
-        assert parent == dict(g._order)
+        assert parent is g._parent
         for tree in g.component_vertex_sets():
             (root,) = (v for v in tree if parent[v] is None)
             assert below[root] == len(tree & gnodes), g
