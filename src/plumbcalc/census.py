@@ -12,7 +12,8 @@ trees are therefore generated exactly once as
 
 with rooted trees themselves enumerated once per rooted-isomorphism
 class (children kept in sorted canonical order).  Each vertex count is
-sorted into ``canonical_code`` order from these codes, then built.
+sorted into ``canonical_code`` order from these codes, one root weight at
+a time, as every code starts with its root's weight, then built.
 
 Every rooted tree carries exact determinant bookkeeping:
 
@@ -123,7 +124,8 @@ def _graph_from_codes(roots: tuple) -> PlumbingGraph:
             tops.append(vid)
         else:
             edges.append((parent, vid))
-        stack.extend((kid, vid) for kid in reversed(kids))
+        for kid in reversed(kids):
+            stack.append((kid, vid))
     edges.extend(zip(tops, tops[1:]))
     return PlumbingGraph(weights, edges)
 
@@ -152,18 +154,30 @@ def _tree_code(roots: tuple) -> tuple:
 
 def _census_roots(max_vertices: int, weight_min: int) -> Iterator[tuple]:
     """The roots of each census tree, for ``_graph_from_codes``, in census
-    order: vertex count, then ``_tree_code``."""
+    order: vertex count, then ``_tree_code``.  Each vertex count is sorted
+    one root weight w at a time: its centroid roots of weight w, and its
+    bicentral pairs whose first end, the lesser in level order, has weight
+    w.  Every key of that group starts with w (a pair's lesser code is at
+    its first end, whose weight is the lesser), so the groups, in ascending
+    w, are the order of one sort of the whole vertex count, and only one
+    group is held at a time."""
     _validate_limits(max_vertices, weight_min)
     rooted = _RootedTrees(weight_min)
     for n in range(1, max_vertices + 1):
-        batch = [(code,) for code, _, _ in rooted.trees(n - 1, (n - 1) // 2)]
-        if n % 2 == 0:
-            half_entries = rooted.level(n // 2)
-            for i, (c1, d1, p1) in enumerate(half_entries):
-                for c2, d2, p2 in half_entries[i:]:
-                    if d1 * d2 - p1 * p2 > 0:
-                        batch.append((c1, c2))
-        yield from sorted(batch, key=_tree_code)
+        kids = [
+            (tuple(sorted(c[0] for c in children)), s, p)
+            for children, s, p in rooted.child_multisets(n - 1, (n - 1) // 2)
+        ]
+        half = rooted.level(n // 2) if n % 2 == 0 else []
+        for w in range(weight_min, 0):
+            group = [((w, codes),) for codes, s, p in kids if -w * p - s > 0]
+            for i, (c1, d1, p1) in enumerate(half):
+                if c1[0] == w:
+                    for c2, d2, p2 in half[i:]:
+                        if d1 * d2 - p1 * p2 > 0:
+                            group.append((c1, c2))
+            group.sort(key=_tree_code)
+            yield from group
 
 
 def census_graphs(

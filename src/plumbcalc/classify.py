@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
-from .lattice import definiteness, determinant
+from .lattice import _det_definiteness
 from .laufer import is_bad_set, is_rational, min_bad
 
 DEFAULT_BAD_SET_CAP = 14  # vertices up to which classify runs min_bad
@@ -62,7 +62,7 @@ def classify(
         raise GraphStructureError("empty graph")
     if not g.is_connected():
         raise GraphStructureError("classification requires a connected graph")
-    det, verdict_def = determinant(g), definiteness(g)
+    det, verdict_def = _det_definiteness(g)
     nd = verdict_def.is_negative_definite
     rational = l_space = lo = taut = None
     if nd and g.has_integer_weights():
@@ -105,25 +105,26 @@ def report_to_json(rep: ClassificationReport) -> dict:
     rational) are asserted here so that no report can serialize with
     inconsistent fields.
     """
-    if rep.rational is not None:
-        if rep.l_space != rep.rational:
+    text, nd, _, det, zhs, rational, l_space, lo, taut, m, upper, bad_set, path = rep
+    if rational is not None:
+        if l_space != rational:
             raise InternalCheckError("report violates l_space = rational")
-        if rep.lo != (not rep.rational) or rep.taut_foliation != (not rep.rational):
+        if lo != (not rational) or taut != (not rational):
             raise InternalCheckError("report violates lo = taut = not rational")
     out = {
-        "negative_definite": rep.negative_definite,
-        "det": str(rep.det),
-        "zhs": rep.zhs,
-        "rational": rep.rational,
-        "l_space": rep.l_space,
-        "lo": rep.lo,
-        "taut_foliation": rep.taut_foliation,
-        "m": rep.m,
-        "bad_set": list(rep.bad_set) if rep.bad_set is not None else None,
-        "input": rep.graph_text,
+        "negative_definite": nd,
+        "det": str(det),
+        "zhs": zhs,
+        "rational": rational,
+        "l_space": l_space,
+        "lo": lo,
+        "taut_foliation": taut,
+        "m": m,
+        "bad_set": list(bad_set) if bad_set is not None else None,
+        "input": text,
     }
-    if rep.m is not None:
-        out["m_is_upper_bound"] = rep.m_is_upper_bound
-    if rep.certificate_path is not None:
-        out["certificate_path"] = rep.certificate_path
+    if m is not None:
+        out["m_is_upper_bound"] = upper
+    if path is not None:
+        out["certificate_path"] = path
     return out

@@ -58,6 +58,10 @@ class Definiteness(NamedTuple):
         return self.kind is DefinitenessKind.NEGATIVE_SEMIDEFINITE
 
 
+_DEFINITE = Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
+_OTHER = Definiteness(DefinitenessKind.OTHER)
+
+
 def _check_support(g: PlumbingGraph, cyc: Mapping) -> None:
     if not cyc.keys() <= g._weights.keys():
         v = next(v for v in cyc if v not in g._weights)
@@ -115,12 +119,12 @@ def walk_verdict(g: PlumbingGraph, order, slope=None) -> tuple[Fraction, Definit
         det *= d
         corank += d == 0
         other = other or d < 0
-    det = Fraction(det, c)
+    det = Fraction(det) if c == 1 else Fraction(det, c)
     if other:
-        return det, Definiteness(DefinitenessKind.OTHER)
+        return det, _OTHER
     if corank:
         return det, Definiteness(DefinitenessKind.NEGATIVE_SEMIDEFINITE, corank)
-    return det, Definiteness(DefinitenessKind.NEGATIVE_DEFINITE)
+    return det, _DEFINITE
 
 
 def root_dp(g: PlumbingGraph, order) -> tuple:
@@ -195,17 +199,24 @@ def canonical_cycle(g: PlumbingGraph) -> dict[VertexId, Fraction]:
 
 
 def chi(g: PlumbingGraph, cyc: Mapping) -> Fraction:
-    """Riemann-Roch expression chi(l) = -((K + l), l) / 2.  By adjunction
-    (K, l) = sum_v l_v (-2 - e_v), so the canonical cycle is not needed."""
+    """Riemann-Roch expression chi(l) = -((K + l), l) / 2."""
     _check_support(g, cyc)
+    return Fraction(-_k_plus_l_l(g, cyc), 2)
+
+
+def _k_plus_l_l(g: PlumbingGraph, cyc: Mapping):
+    """((K + l), l), with no support check.  By adjunction (K, l) =
+    sum_v l_v (-2 - e_v), so the canonical cycle is not needed; on an
+    integer cycle of an integer graph it is an even int, as
+    l_v (-2 - e_v + e_v l_v) = -2 l_v + e_v l_v (l_v - 1)."""
     weight, adj = g._weights, g._adj
-    total = 0  # (K, l) + (l, l); the neighbour terms count each edge twice
+    total = 0  # the neighbour terms count each edge twice
     for v, lv in cyc.items():
         e = weight[v]
         total += lv * (-2 - e + e * lv)
         for n in adj[v]:
             total += lv * cyc.get(n, 0)
-    return Fraction(-total, 2)
+    return total
 
 
 def intersection_form(

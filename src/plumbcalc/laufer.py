@@ -22,11 +22,14 @@ steps change, so past one O(n) start record per graph it costs
 O(p + steps * deg log n), p the vertices positive on l_0.  Every verdict
 is cross-checked against Artin: chi, computed from scratch, is <= 0 on
 the cycle after the jump, or >= 1 on Z_min when no step jumps; a
-disagreement is an internal error.  As chi(a + b) = chi(a) + chi(b) -
-(a, b), chi(l_0 + x) = |V| - |E| + chi(x) - sum_v x_v (e_v + deg v): by
-adjunction the weights cancel in (K, l_0) + (l_0, l_0) = -2|V| + 2|E|.
+disagreement is an internal error.  The check runs in integers, as 2 chi:
+2 chi(l) = -((K + l), l) is an even int on an integer cycle (adjunction,
+``lattice._k_plus_l_l``).  As chi(a + b) = chi(a) + chi(b) - (a, b),
+2 chi(l_0 + x) = 2(|V| - |E|) - ((K + x), x) - 2 sum_v x_v (e_v + deg v):
+by adjunction the weights cancel in (K, l_0) + (l_0, l_0) = -2|V| + 2|E|.
 Each term reads the graph's weights and edges and x alone, never the
-run's pairings, in O(steps * deg).
+run's pairings, in O(steps * deg).  Only a full run keeps its chi, as a
+``Fraction``.
 
 A vertex set B is "bad" when pushing its decorations sufficiently far
 down makes the graph rational.  Holding B at multiplicity 1, a Laufer run
@@ -82,7 +85,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
-from .lattice import chi, is_negative_definite
+from .lattice import _k_plus_l_l, is_negative_definite
 
 _PLAIN = frozenset()  # no vertex frozen: the key of the graph's own run
 
@@ -233,12 +236,13 @@ def is_rational(g: PlumbingGraph) -> RationalityVerdict:
     return _verdict(g, _PLAIN)
 
 
-def _artin(g, x, jump, stopped: bool) -> Fraction:
-    """chi(l_0 + x) on ``g`` (module docstring), checked against the verdict
-    of a run that reached l_0 + x: <= 0 just after the first jump of a
-    stopped run, and >= 1 iff no step jumped at the end of a full run."""
+def _artin(g, x, jump, stopped: bool) -> int:
+    """chi(l_0 + x) on ``g``, an int (module docstring), checked against the
+    verdict of a run that reached l_0 + x: <= 0 just after the first jump of
+    a stopped run, and >= 1 iff no step jumped at the end of a full run."""
     l0_x = sum(k * (g._weights[v] + len(g._adj[v])) for v, k in x.items())
-    chi_l = chi(g, x) + (g._tree_count - l0_x)  # |V| - |E| of a forest
+    # |V| - |E| of a forest; ((K + x), x) is even
+    chi_l = g._tree_count - l0_x - _k_plus_l_l(g, x) // 2
     if not (chi_l <= 0 if stopped else (jump is None) == (chi_l >= 1)):
         raise InternalCheckError(
             f"Laufer ({jump}) and Artin (chi={chi_l}) criteria disagree"
@@ -290,7 +294,7 @@ def _stored(g: PlumbingGraph, bad: frozenset, full: bool = False, run=None):
         # no term of the check reads a weight off supp x
         stopped = not full and jump is not None
         chi_y = _artin(g, x, jump, stopped)
-        end = None if stopped else (_cycle(g, x), chi_y)
+        end = None if stopped else (_cycle(g, x), Fraction(chi_y))
         hit = g._stabilized[bad] = (jump, prefix, end)
     return hit
 

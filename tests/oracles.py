@@ -43,7 +43,8 @@ the jump of a Case1 cut vertex have the route that makes the frozen run of
 every vertex, where the library takes the plain run's jump for a vertex
 off its prefix, and the prefix itself the steps of the rescanning run.
 The least bad set has the exhaustive search by size, where the library
-walks the prefix tree.
+walks the prefix tree.  The census order has the route that sorts each
+vertex count whole, where the library sorts it one root weight at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from itertools import combinations, permutations, product
 from math import ceil, gcd, lcm
 from typing import NamedTuple
 
+from plumbcalc.census import _RootedTrees, _tree_code, _validate_limits
 from plumbcalc.classify import DEFAULT_BAD_SET_CAP
 from plumbcalc.errors import GraphStructureError, InternalCheckError, ParseError
 from plumbcalc.graph import (
@@ -438,6 +440,23 @@ def oracle_census(max_vertices: int, weight_min: int, keep=None):
                     seen.add(code)
                     out.append(g)
     return out
+
+
+def reference_census_roots(max_vertices: int, weight_min: int):
+    """The roots of each census tree with every vertex count listed whole,
+    centroid roots then bicentral pairs, and sorted by ``_tree_code`` in one
+    sort, where ``census._census_roots`` sorts one root weight at a time."""
+    _validate_limits(max_vertices, weight_min)
+    rooted = _RootedTrees(weight_min)
+    for n in range(1, max_vertices + 1):
+        batch = [(code,) for code, _, _ in rooted.trees(n - 1, (n - 1) // 2)]
+        if n % 2 == 0:
+            half_entries = rooted.level(n // 2)
+            for i, (c1, d1, p1) in enumerate(half_entries):
+                for c2, d2, p2 in half_entries[i:]:
+                    if d1 * d2 - p1 * p2 > 0:
+                        batch.append((c1, c2))
+        yield from sorted(batch, key=_tree_code)
 
 
 def cf_eval(terms) -> Fraction:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 from itertools import zip_longest
 
 import pytest
@@ -14,7 +16,7 @@ from plumbcalc.census import (
     minimal_det_one,
 )
 from plumbcalc.classify import classify, report_to_json
-from plumbcalc.errors import GraphStructureError
+from plumbcalc.errors import GraphStructureError, InternalCheckError
 from plumbcalc.graph import (
     PlumbingGraph,
     canonical_code,
@@ -26,7 +28,7 @@ from plumbcalc.graph import (
 from plumbcalc.lattice import determinant, is_negative_definite
 
 from conftest import two_star_chain
-from oracles import oracle_census
+from oracles import oracle_census, reference_census_roots
 
 
 # -- classify ------------------------------------------------------------
@@ -95,6 +97,28 @@ def test_report_json_schema(s237):
     json.dumps(data)  # serializable
 
 
+def test_report_json_key_order_and_consistency_checks(s237):
+    rep = classify(s237, with_bad_set=True)._replace(certificate_path="c.json")
+    data = report_to_json(rep)
+    assert list(data) == [
+        "negative_definite", "det", "zhs", "rational", "l_space", "lo",
+        "taut_foliation", "m", "bad_set", "input", "m_is_upper_bound",
+        "certificate_path",
+    ]
+    assert data["input"] == rep.graph_text and data["bad_set"] == list(rep.bad_set)
+    assert (data["m"], data["m_is_upper_bound"], data["certificate_path"]) == (1, False, "c.json")
+    assert list(report_to_json(classify(s237))) == list(data)[:10]
+    for bad, match in (
+        ({"l_space": True}, "l_space = rational"),
+        ({"lo": False}, "lo = taut"),
+        ({"taut_foliation": False}, "lo = taut"),
+    ):
+        with pytest.raises(InternalCheckError, match=match):
+            report_to_json(rep._replace(**bad))
+    # with no verdict (an indefinite graph) nothing is checked
+    assert report_to_json(rep._replace(rational=None, l_space=True))["l_space"] is True
+
+
 # -- census enumeration ---------------------------------------------------
 
 
@@ -141,6 +165,26 @@ def test_census_order_is_canonical_code_order(census6):
             assert _tree_code(roots) == code
             assert prev is None or prev < (len(g), code)
             prev = (len(g), code)
+
+
+@pytest.mark.parametrize("limits", [(6, -5), (7, -3), (5, -9), (4, -9), (8, -1)])
+def test_census_roots_match_one_sort_per_vertex_count(limits):
+    # sorted one root weight at a time, the roots come in the order that one
+    # sort of each whole vertex count gives
+    assert list(_census_roots(*limits)) == list(reference_census_roots(*limits))
+
+
+def test_census_roots_hold_one_root_weight_at_a_time():
+    # one sort of the whole 6-vertex batch peaked at 5.0 MB under
+    # tracemalloc; one root weight of it at a time, at 1.9 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _census_roots(6, -5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 27509
+    assert peak < 3.5e6, peak
 
 
 def test_census_limit_validation():
@@ -230,6 +274,14 @@ def test_minimal_det_one_cross_validated(census6):
 
     for g in slow:
         assert verdicts[canonical_code(g)] == is_rational(g).rational
+
+
+def test_minimal_det_one_is_unchanged():
+    # the graphs, their ids and order and their verdicts, pinned
+    recs = minimal_det_one(6, -5)
+    text = "".join(f"{serialize_graph(r.graph)}{r.rational}\n" for r in recs)
+    assert (len(recs), sum(r.rational for r in recs)) == (11, 1)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "eed0919618f795d8"
 
 
 def test_minimal_det_one_members_are_valid():

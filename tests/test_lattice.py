@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from plumbcalc.errors import GraphStructureError, SingularFormError
 from plumbcalc.graph import PlumbingGraph, parse_graph
 from plumbcalc.lattice import (
     DefinitenessKind,
+    _k_plus_l_l,
     canonical_cycle,
     chi,
     definiteness,
@@ -370,6 +372,40 @@ def test_chi_matches_canonical_cycle_route_on_slope_graphs(census6):
                 assert chi(side, cyc) == reference_chi(side, cyc), (side, cyc)
             checked += not side.has_integer_weights()
     assert checked >= 100  # 120 Fraction-weighted definite sides
+
+
+@lru_cache(maxsize=1)
+def _census5() -> tuple:
+    return tuple(census_graphs(5, -5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(forests(), st.integers(0, 3532)), st.data())
+def test_integer_chi_matches_canonical_cycle_route(source, data):
+    # a negative-definite forest (one that is not has each weight lowered to
+    # at most -(deg + 1)) or a census-5 graph, and an integer cycle on it,
+    # zero, negative and missing entries too: ((K + l), l) is an even int,
+    # -2 chi by the canonical cycle; chi wraps it as a Fraction, and a
+    # verdict's chi(Z_min) is still a Fraction
+    if isinstance(source, int):
+        g = _census5()[source]
+    else:
+        g = PlumbingGraph(*source)
+        if not definiteness(g).is_negative_definite:
+            ws = {v: min(w, -1 - len(g._adj[v])) for v, w in g._weights.items()}
+            g = PlumbingGraph(ws, g.edges)
+    entries = st.one_of(st.none(), st.integers(-3, 4))
+    values = data.draw(st.lists(entries, min_size=len(g), max_size=len(g)))
+    cyc = {v: k for v, k in zip(g.vertices, values) if k is not None}
+    total = _k_plus_l_l(g, cyc)
+    assert type(total) is int and total % 2 == 0
+    assert -total == 2 * reference_chi(g, cyc)
+    value = chi(g, cyc)
+    assert type(value) is Fraction and value == reference_chi(g, cyc)
+    if g.is_connected():
+        verdict = is_rational(PlumbingGraph(g.weights(), g.edges))
+        assert type(verdict.chi_zmin) is Fraction
+        assert verdict.chi_zmin == reference_chi(g, verdict.z_min)
 
 
 def test_chi_rejects_foreign_vertex(s237):
