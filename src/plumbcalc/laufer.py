@@ -48,7 +48,7 @@ see the same positive vertices off B and none on B, pick the same vertex
 at every step, and end together, at Z_min(g') = Y with the same first
 jump.  Hence one frozen run gives the verdict of g', and with B empty the
 frozen run is the plain run: ``_stored`` runs, cross-checks and stores
-every run, once per (graph, frozen set), and the empty set holds the
+a run once per (graph, frozen set), and the empty set holds the
 graph's own verdict.  A caller that needs the end cycle Y (``stabilize``,
 Z_min, chi) of a stopped run runs it once more to the end.
 
@@ -352,28 +352,34 @@ def is_bad_set(g: PlumbingGraph, bad: Iterable[VertexId]) -> bool:
     return _verdict(g, _checked_bad_set(g, bad)).rational
 
 
+def _tried(g: PlumbingGraph, ids: tuple) -> tuple:
+    """(first jump, prefix) of the run frozen at sorted ``ids``: stored for at
+    most one vertex, as ``_vertex_jump`` reads it again, else run and checked."""
+    if len(ids) <= 1:
+        return _stored(g, frozenset(ids))[:2]
+    x, _, jump, prefix = _run(g, record=False, frozen=frozenset(ids), stop=True)
+    _artin(g, x, jump, jump is not None)
+    return jump, prefix
+
+
 def _least_bad(g: PlumbingGraph, most: int) -> tuple[int, frozenset] | None:
     """(m, the least bad set of size m) when m <= ``most``, else None: the
-    prefix tree of the module docstring, tried level by level, nodes-only
-    sets first, then by sorted ids.  The input is checked once, and each
-    set, of the graph's own ids, is tried by its stored run, whose prefix
-    the next level reads.  The runs that a level k >= 2 filed leave the
-    store once level k + 1 is built, or the search ends on level k; levels
-    0 and 1, the verdicts ``_vertex_jump`` reads, stay."""
+    prefix tree of the module docstring, level by level, nodes-only sets
+    first, then by sorted ids, the order of sorted id tuples.  The input is
+    checked once; each set is tried once, by ``_tried``, and adds its children
+    to the next level: the search files no run of a set of two or more vertices."""
     _check_laufer_input(g)
     node_set = set(nodes(g))
-    level = [_PLAIN]
+    level = [()]
     for k in range(most + 1):
-        store = g._stabilized or {}
-        filed = [bad for bad in level if bad not in store] if k >= 2 else ()
-        least = next((bad for bad in level if _stored(g, bad)[0] is None), None)
-        grow = least is None and k < most
-        sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]} if grow else ()
-        for bad in filed:  # before the sort, whose keys take memory too
-            store.pop(bad, None)
-        if least is not None:
-            return k, least
-        level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
+        sets = set()
+        for ids in level:
+            jump, prefix = _tried(g, ids)
+            if jump is None:
+                return k, frozenset(ids)
+            if k < most:
+                sets.update(tuple(sorted((*ids, v))) for v in prefix)
+        level = sorted(sets, key=lambda ids: (not node_set.issuperset(ids), ids))
     return None
 
 

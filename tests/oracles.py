@@ -43,7 +43,9 @@ the jump of a Case1 cut vertex have the route that makes the frozen run of
 every vertex, where the library takes the plain run's jump for a vertex
 off its prefix, and the prefix itself the steps of the rescanning run.
 The least bad set has the exhaustive search by size, where the library
-walks the prefix tree.  The census order has the route that sorts each
+walks the prefix tree, and that walk its route with frozenset levels and
+every run filed in the graph's store, where the library files none of two
+or more vertices.  The census order has the route that sorts each
 vertex count whole, where the library sorts it one root weight at a time.
 """
 
@@ -81,6 +83,8 @@ from plumbcalc.lattice import (
 )
 from plumbcalc.laufer import (
     JumpWitness,
+    _check_laufer_input,
+    _stored,
     is_bad_set,
     is_rational,
     min_bad,
@@ -903,6 +907,28 @@ def reference_min_bad(g: PlumbingGraph) -> tuple[int, frozenset]:
             if is_bad_set(g, cand):
                 return k, frozenset(cand)
     raise InternalCheckError("no bad set found; the full vertex set must be bad")
+
+
+def reference_least_bad(g: PlumbingGraph, most: int) -> tuple:
+    """``laufer._least_bad`` with frozenset levels, each set tried by its
+    run filed in the graph's store by ``_stored``, and a level's prefixes
+    read back from the store once it holds no bad set, where the library
+    tries each set by a run it files only for sets of at most one vertex and
+    grows the next level as it goes.  Returns (m, the least bad set) or None,
+    and the sets tried, in order."""
+    _check_laufer_input(g)
+    node_set = set(nodes(g))
+    level, tried = [frozenset()], []
+    for k in range(most + 1):
+        for bad in level:
+            tried.append(bad)
+            if _stored(g, bad)[0] is None:
+                return (k, bad), tried
+        if k == most:
+            break
+        sets = {bad | {v} for bad in level for v in _stored(g, bad)[1]}
+        level = sorted(sets, key=lambda bad: (not bad <= node_set, sorted(bad)))
+    return None, tried
 
 
 def reference_m_le_1(g: PlumbingGraph) -> bool:

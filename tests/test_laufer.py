@@ -7,7 +7,14 @@ import pytest
 from plumbcalc import laufer
 from plumbcalc.census import census_graphs
 from plumbcalc.errors import GraphStructureError, InternalCheckError
-from plumbcalc.graph import PlumbingGraph, nodes, parse_graph, subgraph
+from plumbcalc.graph import (
+    PlumbingGraph,
+    minimize,
+    nodes,
+    parse_graph,
+    serialize_graph,
+    subgraph,
+)
 from plumbcalc.laufer import (
     is_bad_set,
     is_rational,
@@ -18,7 +25,7 @@ from plumbcalc.laufer import (
 )
 from plumbcalc.seifert import brieskorn_seifert, seifert_to_graph
 
-from conftest import certify_inputs
+from conftest import certify_inputs, perfbench_module
 from oracles import (
     monotonicity_report,
     oracle_zmin,
@@ -26,6 +33,7 @@ from oracles import (
     reference_bad_verdict,
     reference_chi,
     reference_laufer_run,
+    reference_least_bad,
     reference_prefix,
     reference_stabilize,
     reference_verdict,
@@ -410,17 +418,20 @@ def test_min_bad_returns_the_least_bad_set_in_its_order(monkeypatch, two_star_m2
     # nodes before the others, then lexicographically by sorted ids.  The
     # prefix of each set B tried is read as V - B, which holds every prefix
     # S(B), so the prefix tree reaches every set of each size, and no chosen
-    # family needs real prefixes that reach it
+    # family needs real prefixes that reach it.  ``_tried`` is called once
+    # per set, with its ids sorted
     g, node_set = two_star_m2, set(nodes(two_star_m2))  # nodes xc and yc
 
     def order(bad):
         return len(bad), not bad <= node_set, sorted(bad)
 
     def least(family):
-        def stored(g, bad):  # (first jump, prefix, end): no jump iff B is bad
-            return (None if bad in family else "jump"), frozenset(g.vertices) - bad, None
+        def tried(g, ids):  # (first jump, prefix): no jump iff B is bad
+            assert list(ids) == sorted(ids), ids
+            bad = frozenset(ids)
+            return (None if bad in family else "jump"), frozenset(g.vertices) - bad
 
-        monkeypatch.setattr(laufer, "_stored", stored)
+        monkeypatch.setattr(laufer, "_tried", tried)
         return min_bad(g)
 
     families = [
@@ -439,6 +450,34 @@ def test_min_bad_returns_the_least_bad_set_in_its_order(monkeypatch, two_star_m2
         family = {frozenset(bad) for bad in family}
         want = min(family, key=order)
         assert least(family) == (len(want), want), family
+
+
+def test_least_bad_tries_the_sets_of_the_filing_search(monkeypatch):
+    # the walk of the prefix tree that files every run it makes tries the
+    # same sets in the same order, on the benchmark's minimized
+    # classify_large_inputs(3)[94] and on every non-rational census-5 graph,
+    # with no bound on m and for the m <= 1 test; the library reads no run of
+    # two or more vertices from the store and leaves none there
+    t = perfbench_module("inputs").classify_large_inputs(3)[94]
+    graphs = [minimize(PlumbingGraph(t.weight_map(), t.edge_names()))]
+    graphs += [g for g in census_graphs(5, -5) if not is_rational(g).rational]
+    tried, read = [], set()
+    run_set, stored = laufer._tried, laufer._stored
+
+    def reading(g, bad, *args, **kwargs):
+        read.add(len(bad))
+        return stored(g, bad, *args, **kwargs)
+
+    monkeypatch.setattr(laufer, "_tried", lambda g, ids: tried.append(set(ids)) or run_set(g, ids))
+    monkeypatch.setattr(laufer, "_stored", reading)
+    for g in graphs:
+        for most in (1, len(g)):
+            tried.clear()
+            got = laufer._least_bad(g, most) if most == 1 else min_bad(g)
+            want = reference_least_bad(PlumbingGraph(g.weights(), g.edges), most)
+            assert (got, tried) == want, (serialize_graph(g), most)
+            assert max(map(len, g._stabilized)) <= 1, serialize_graph(g)
+    assert len(graphs) > 1 and read == {0, 1}
 
 
 # -- monotonicity -----------------------------------------------------------

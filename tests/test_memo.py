@@ -394,22 +394,18 @@ def test_least_bad_set_of_a_large_tree(monkeypatch):
     # the benchmark's classify_large_inputs(3)[94], minimized: an exhaustive
     # search by size would try every set of at most 5 of its 120 vertices,
     # about 2e8 of them, before the answer; the prefix tree tries 61, each
-    # read from its stored run, and checks the graph once
+    # once, and checks the graph once
     t = perfbench_module("inputs").classify_large_inputs(3)[94]
     g = minimize(PlumbingGraph(t.weight_map(), t.edge_names()))
-    tried, checked = {}, []
-    stored, check = laufer._stored, laufer._check_laufer_input
-
-    def counted(g, bad, *args, **kwargs):
-        tried[bad] = None
-        return stored(g, bad, *args, **kwargs)
-
-    monkeypatch.setattr(laufer, "_stored", counted)
+    tried, checked = [], []
+    run_set, check = laufer._tried, laufer._check_laufer_input
+    monkeypatch.setattr(laufer, "_tried", lambda g, ids: tried.append(ids) or run_set(g, ids))
     monkeypatch.setattr(laufer, "_check_laufer_input", lambda g: checked.append(g) or check(g))
     witness = frozenset({"v12", "v3", "v4", "v47", "v5", "v9"})
-    assert laufer.min_bad(g) == (6, witness) and len(tried) == 61 and checked == [g]
+    assert laufer.min_bad(g) == (6, witness) and checked == [g]
+    assert len(tried) == len(set(tried)) == 61
     # the store keeps levels 0 and 1, the plain run and the one set of its
-    # prefix: none of the 16 runs that level 6 filed stays
+    # prefix: the search files no run of levels 2 to 6
     assert sorted(map(len, g._stabilized)) == [0, 1]
 
 
