@@ -109,7 +109,8 @@ class PlumbingGraph:
     (D, P) pass, ``_stabilized`` the least-id Laufer runs, keyed by frozen
     set, in the layout that ``laufer._stored`` documents (only ``laufer``
     reads and writes it), ``_arrays`` the start record of every Laufer run
-    on the graph (``laufer._run_arrays``), set up by the first run,
+    on the graph (``laufer._run_arrays``: the sorted ids positive on l_0),
+    set up by the first run,
     ``_nodes`` the tuple ``nodes`` returns, and ``_branches`` the node
     counts of ``surgery._node_counts``, by vertex.
     """

@@ -159,34 +159,33 @@ def _check_laufer_input(g: PlumbingGraph) -> None:
         )
 
 
-def _run_arrays(g: PlumbingGraph) -> tuple:
+def _run_arrays(g: PlumbingGraph) -> list:
     """Every run's start record, stored on ``g`` by ``_run`` and changed by
-    no run: the pairings (l_0, E_v) by id, and the sorted ids positive on l_0."""
+    no run: the sorted ids positive on l_0, where (l_0, E_v) = e_v + deg v."""
     ws, adj = g._weights, g._adj
-    pair = {v: ws[v] + len(adj[v]) for v in g.vertices}
-    return pair, [v for v, p in pair.items() if p > 0]
+    return [v for v in g.vertices if ws[v] + len(adj[v]) > 0]
 
 
 def _run(g: PlumbingGraph, record: bool, frozen=_PLAIN, stop: bool = False):
     """The computation sequence from l_0 = sum_v E_v: (x = l - l_0 for the
     end cycle l, recorded steps, first jump, prefix), the prefix being the
     vertices stepped up to the first jump, included (None when no step
-    jumps).  ``pos`` holds the sorted ids with positive pairing, and
-    ``pos[0]``, the least, steps; a step updates the stepped vertex and its
-    neighbours in ``pair``, which holds only the pairings that differ from
-    the start record's.  ``frozen`` vertices never step.  With ``stop`` the
-    run ends just after its first jump, at the cycle that step reached."""
+    jumps).  ``pos`` holds the sorted ids with positive pairing, starting
+    from the start record ``g._arrays``, and ``pos[0]``, the least, steps; a
+    step updates the stepped vertex and its neighbours in ``pair``, which
+    holds only the pairings that changed: an untouched vertex pairs
+    e_v + deg v with l_0.  ``frozen`` vertices never step.  With ``stop``
+    the run ends just after its first jump, at the cycle that step reached."""
     if g._arrays is None:
         g._arrays = _run_arrays(g)
-    pair0, pos0 = g._arrays
     weights, adj = g._weights, g._adj
-    pos = [v for v in pos0 if v not in frozen]
+    pos = [v for v in g._arrays if v not in frozen]
     x, pair = {}, {}  # l - l_0 and the changed pairings, by vertex id
     steps: list[LauferStep] = []
     first_jump = prefix = None
     while pos:
         v = pos[0]
-        val = pair[v] if v in pair else pair0[v]
+        val = pair[v] if v in pair else weights[v] + len(adj[v])
         if record:
             steps.append(LauferStep(_cycle(g, x), v, val))
         x[v] = x.get(v, 0) + 1
@@ -199,7 +198,7 @@ def _run(g: PlumbingGraph, record: bool, frozen=_PLAIN, stop: bool = False):
         if val <= 0:
             del pos[0]
         for n in adj[v]:
-            pair[n] = p = (pair[n] if n in pair else pair0[n]) + 1
+            pair[n] = p = (pair[n] if n in pair else weights[n] + len(adj[n])) + 1
             if p == 1 and n not in frozen:
                 insort(pos, n)
     return x, steps, first_jump, prefix

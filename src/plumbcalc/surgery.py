@@ -555,6 +555,10 @@ def check_certificate(cert: CertificateNode) -> CheckResult:
     tag does not match.  The first failing node's path is reported.  Jump
     witnesses come from the canonical (smallest-id tie-break) Laufer run,
     which is the run this certificate format prescribes.
+
+    A stored claim matches a recomputed one when the two are equal and each
+    value is a ``bool`` in both or in neither (see ``_check_node``), which
+    is what equal JSON forms would say, with no value written out as text.
     """
     try:
         return _check_node(cert, "root")
@@ -570,7 +574,16 @@ def _check_node(
     node: CertificateNode, path: str, graph: PlumbingGraph | None = None
 ) -> CheckResult:
     """Check ``node``; ``graph`` is the parent's recomputed child graph, equal
-    to ``node.graph``, whose facts the parent's table has computed already."""
+    to ``node.graph``, whose facts the parent's table has computed already.
+
+    Claim values are ``bool``s and numbers (``int`` or ``Fraction``), as
+    the tables compute them and ``certificate_from_json`` reads them.  Two
+    such values have equal JSON forms (``_value_to_json``) exactly when they
+    are equal and both or neither is a ``bool``, as a number is written as
+    the canonical ``str`` of its value and ``==`` alone takes ``True`` for
+    ``1`` (True == 1 == Fraction(1)).  So claims are compared that way, and
+    no number is written out as text, which ``str`` of an ``int`` refuses
+    past its digit limit."""
     table_of = _TABLES.get(node.tag) if isinstance(node.tag, str) else None
     if table_of is None:
         return _fail(path, f"unknown tag {node.tag!r}")
@@ -582,8 +595,10 @@ def _check_node(
     except Exception as exc:
         return _fail(path, f"exception: {exc}")
     for stored, claim in zip_longest(node.claims, fresh.claims):
-        # the JSON forms tell a bool from a number, == does not (True == 1)
-        if stored != claim or _claim_to_json(stored) != _claim_to_json(claim):
+        if stored != claim or (
+            (type(stored.expected) is bool) is not (type(claim.expected) is bool)
+            or (type(stored.got) is bool) is not (type(claim.got) is bool)
+        ):
             return _fail(path, f"stored claim {stored} != recomputed {claim}")
     # the fields after graph, tag, claims and children: edge, r, jump, seifert
     for name, stored, value in zip(node._fields[4:], node[4:], fresh[4:]):
@@ -609,7 +624,7 @@ def _check_node(
 
 
 def _value_to_json(v):
-    return v if isinstance(v, bool) else str(Fraction(v))
+    return v if isinstance(v, bool) else str(v)
 
 
 def _claim_to_json(c: Claim) -> dict:

@@ -47,6 +47,8 @@ walks the prefix tree, and that walk its route with frozenset levels and
 every run filed in the graph's store, where the library files none of two
 or more vertices.  The census order has the route that sorts each
 vertex count whole, where the library sorts it one root weight at a time.
+The checker's claim comparison has the route that compares the claims'
+JSON forms, where the library compares the bool-ness of their values.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ from plumbcalc.seifert import (
     brieskorn_seifert,
     seifert_to_graph,
 )
-from plumbcalc.surgery import attach_string
+from plumbcalc.surgery import _claim_to_json, attach_string
 
 
 def with_weight(g: PlumbingGraph, v, w) -> PlumbingGraph:
@@ -951,3 +953,10 @@ def reference_cut_vertex(g: PlumbingGraph, v):
     jump = is_rational(stabilize(g, [v])).jump
     jumped = _reference_branch(g, jump.vertex, v) if jump else set()
     return jump, jumped, tuple(w for w in branches if w not in jumped)
+
+
+def reference_claims_match(stored, fresh) -> bool:
+    """Whether ``check_certificate`` accepts the stored claim ``stored``
+    for the recomputed ``fresh``: equal tuples and equal JSON forms, which
+    tell a bool from a number where ``==`` does not (True == 1)."""
+    return stored == fresh and _claim_to_json(stored) == _claim_to_json(fresh)

@@ -6,7 +6,6 @@ asserted here is exact rational arithmetic; the only inequalities are the
 wall-clock budgets.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -46,7 +45,7 @@ from plumbcalc.surgery import (
 )
 
 from oracles import reference_chi, reference_laufer_run, with_weight
-from test_surgery import _mutate, _walk
+from test_surgery import _walk, seeded_mutations
 
 
 def _report(number: int, description: str, failures: list, elapsed: float,
@@ -206,12 +205,8 @@ def test_criterion_07_certificate_round_trip(census6, two_star_m2, case2_shallow
         pool.append(certificate_to_json(cert))
     if case1_chain_checks == 0:
         failures.append("no Case-1 links exercised")
-    rng = random.Random(4096)
-    mutation_pool = [p for p in pool[-3:]] + rng.sample(pool, 20)
     survived = 0
-    for i in range(100):
-        data = json.loads(json.dumps(rng.choice(mutation_pool)))
-        _mutate(data, rng)
+    for data in seeded_mutations(pool):
         if check_certificate(certificate_from_json(data)).ok:
             survived += 1
     if survived:

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,12 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumbcalc.cli import main
+from plumbcalc.errors import PlumbingError
 from plumbcalc.graph import parse_graph
 from plumbcalc.laufer import zmin_multiplicities
-from plumbcalc.surgery import certificate_from_json, certificate_to_json, lo_certificate
+from plumbcalc.surgery import (
+    certificate_from_json,
+    certificate_to_json,
+    check_certificate,
+    lo_certificate,
+)
 
 from conftest import two_star_chain
 from oracles import reference_zmin_lifo
+from test_surgery import acceptance07_pool
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -412,6 +421,12 @@ def _paths(value, prefix=()):
 _CERT_PATHS = list(_paths(_TWO_STAR_CERT))[1:]
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_check_certificate_fuzz(tmp_path_factory, data):
@@ -432,6 +447,52 @@ def test_check_certificate_fuzz(tmp_path_factory, data):
         assert certificate_to_json(certificate_from_json(forged)) == _TWO_STAR_CERT
     else:
         assert code == 1 and (err.startswith("error:") or "INVALID" in out)
+
+
+# values a mutation writes in place of another: every JSON kind, the claim
+# forms true/false and "1"/"0", and ids, tags and kinds of the certificates
+_CORPUS_VALUES = [
+    True, False, None, 0, 1, -1, 2, "0", "1", "-1", "1/2", "-7/2", "", "c", "xc",
+    "m1", "v0", "BaseM1", "Case1", "SemidefLeaf", "det", [], ["xc", "m1"], {},
+]
+
+
+def _mutated(data, rng: random.Random):
+    """A copy of ``data`` with one value that is not a list or an object
+    replaced by one of ``_CORPUS_VALUES``, or, one time in four, removed."""
+    forged = json.loads(json.dumps(data))
+    leaves = [p for p in _paths(forged) if not isinstance(_at(forged, p), (dict, list))]
+    where = rng.choice(leaves)
+    target = _at(forged, where[:-1])
+    if rng.randrange(4):
+        target[where[-1]] = rng.choice(_CORPUS_VALUES)
+    else:
+        del target[where[-1]]
+    return forged
+
+
+def test_checker_results_on_a_seeded_corpus(census6, two_star_m2, case2_shallow,
+                                            case2_deep):
+    # unlike the fuzz above, these inputs do not depend on the source, so
+    # the checker's (ok, path, reason) list compares across commits; a
+    # certificate that does not decode gives None, as the wording of some
+    # decoding errors is the interpreter's
+    rng = random.Random(2929)
+    pool = acceptance07_pool(census6, [two_star_m2, case2_shallow, case2_deep])
+    corpus = [_mutated(_TWO_STAR_CERT, rng) for _ in range(200)]
+    corpus += [_mutated(rng.choice(pool), rng) for _ in range(200)]
+    results = []
+    for data in corpus:
+        try:
+            cert = certificate_from_json(data)
+        except PlumbingError:
+            results.append(None)
+        else:
+            results.append(tuple(check_certificate(cert)))
+    checked = [res for res in results if res is not None]
+    assert len(checked) > 150 and sum(ok for ok, _, _ in checked) < 30
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest[:12] == "3fb6488efa73", digest
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -2,16 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumbcalc import surgery
 from plumbcalc.errors import GraphStructureError, PlumbingError
 from plumbcalc.graph import (
     PlumbingGraph,
     delete,
+    is_minimal,
     minimize,
     nodes,
     parse_graph,
@@ -46,6 +49,7 @@ from oracles import (
     cf_eval,
     cf_eval_convergents,
     oracle_det,
+    reference_claims_match,
     reference_cut,
     reference_cut_vertex,
     reference_m_le_1,
@@ -342,26 +346,93 @@ def test_checker_rejects_false_claims(two_star_m2):
         assert not res.ok and res.path == "root"
 
 
-def test_checker_tells_bools_from_numbers(two_star_m2):
-    # True == 1 == Fraction(1) in Python: a number stored for a boolean
-    # claim, or a boolean for a numeric one, must still be rejected
-    data = certificate_to_json(lo_certificate(two_star_m2))
-    connected, leaf_det = data["claims"][0], data["children"][0]["claims"][1]
-    assert (connected["kind"], leaf_det["kind"], leaf_det["expected"]) == (
-        "connected", "det", "1"
-    )
-    for claim, value in ((connected, "1"), (leaf_det, True)):
-        original = claim["expected"]
-        claim["expected"] = value
-        assert not check_certificate(certificate_from_json(data)).ok
-        claim["expected"] = original
-    assert check_certificate(certificate_from_json(data)).ok
-
-
 def _walk_json(data):
     yield data
     for child in data["children"]:
         yield from _walk_json(child)
+
+
+@pytest.fixture
+def compared_claims(monkeypatch) -> list:
+    """Every (stored, recomputed) claim pair that ``_check_node`` compares,
+    as [stored, recomputed, accepted]: the checker accepted a pair when its
+    loop asked for the next one."""
+    pairs = []
+
+    def recording(stored, fresh):
+        for pair in zip_longest(stored, fresh):
+            record = [*pair, False]
+            pairs.append(record)
+            yield pair
+            record[2] = True
+
+    monkeypatch.setattr(surgery, "zip_longest", recording)
+    return pairs
+
+
+def _assert_oracle_agrees(compared: list) -> tuple[int, int]:
+    """(accepted, rejected) pairs, each as ``reference_claims_match`` says."""
+    for stored, fresh, accepted in compared:
+        assert reference_claims_match(stored, fresh) == accepted, (stored, fresh)
+    accepted = sum(record[2] for record in compared)
+    return accepted, len(compared) - accepted
+
+
+def test_claim_comparison_matches_reference(compared_claims, census6, two_star_m2,
+                                            case2_shallow, case2_deep):
+    # acceptance 07's certificates and its seeded mutations, and the certify
+    # workload's seed-0 certificates, in memory (int claims) and read back
+    # from JSON (Fraction claims)
+    pool = acceptance07_pool(census6, [two_star_m2, case2_shallow, case2_deep])
+    for data in pool:
+        assert check_certificate(certificate_from_json(data)).ok
+    assert sum(not check_certificate(certificate_from_json(data)).ok
+               for data in seeded_mutations(pool)) == 100
+    for g in certify_inputs(0):
+        cert = lo_certificate(g)
+        assert check_certificate(cert).ok
+        assert check_certificate(certificate_from_json(certificate_to_json(cert))).ok
+    accepted, rejected = _assert_oracle_agrees(compared_claims)
+    assert accepted > 10_000 and rejected > 0
+
+
+def _swapped(value):
+    """A claim value of the other JSON kind: true and false as "1" and "0",
+    a number as true when it is not 0."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return Fraction(value) != 0
+
+
+def test_checker_tells_bools_from_numbers(compared_claims, two_star_m2):
+    # True == 1 == Fraction(1) in Python: each claim's expected, then got,
+    # written in the other JSON kind must still be rejected
+    data = certificate_to_json(lo_certificate(two_star_m2))
+    assert check_certificate(certificate_from_json(data)).ok
+    forged_count = 0
+    for i, node in enumerate(_walk_json(data)):
+        for j in range(len(node["claims"])):
+            for key in ("expected", "got"):
+                forged = json.loads(json.dumps(data))
+                claim = list(_walk_json(forged))[i]["claims"][j]
+                claim[key] = _swapped(claim[key])
+                res = check_certificate(certificate_from_json(forged))
+                assert not res.ok and res.reason.startswith("stored claim"), res
+                forged_count += 1
+    accepted, rejected = _assert_oracle_agrees(compared_claims)
+    assert rejected == forged_count == 48 and accepted > rejected
+
+
+def test_checker_accepts_a_value_too_long_for_str():
+    # a non-rational star whose determinant has 14,617 bits, more digits
+    # than str() of an int writes by default (4,300): the claims are
+    # compared without their text, so its in-memory certificate checks
+    g = PlumbingGraph(
+        {"c": -1, "a": -2, "b": -3, "d": -10**4400}, [("c", "a"), ("c", "b"), ("c", "d")]
+    )
+    cert = lo_certificate(g)
+    assert cert.tag == TAG_BASE_M1 and determinant(g).numerator.bit_length() == 14617
+    assert check_certificate(cert).ok
 
 
 def test_checker_verifies_seifert_data(two_star_m2):
@@ -649,6 +720,26 @@ def test_random_certificate_mutations(two_star_m2, case2_deep, s237):
         caught += not res.ok
     assert caught == trials
     assert kinds == {"claim", "r", "jump", "drop_claim", "seifert", "weight"}
+
+
+def acceptance07_pool(census6, fixtures) -> list[dict]:
+    """The certificate JSON of acceptance 07: every minimal non-rational
+    census-6 graph, then the fixtures."""
+    targets = [g for g in census6 if is_minimal(g) and not is_rational(g).rational]
+    return [certificate_to_json(lo_certificate(g)) for g in targets + fixtures]
+
+
+def seeded_mutations(pool: list[dict]) -> list[dict]:
+    """Acceptance 07's 100 mutated certificates, drawn from the last three
+    certificates of ``pool`` and 20 others."""
+    rng = random.Random(4096)
+    mutation_pool = pool[-3:] + rng.sample(pool, 20)
+    mutated = []
+    for _ in range(100):
+        data = json.loads(json.dumps(rng.choice(mutation_pool)))
+        _mutate(data, rng)
+        mutated.append(data)
+    return mutated
 
 
 def _json_nodes(data):
