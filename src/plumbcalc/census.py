@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, product
-from typing import Iterator, NamedTuple
 
 from .errors import GraphStructureError
-from .classify import ClassificationReport, classify
+from .classify import classify
 from .graph import PlumbingGraph, is_minimal, parse_graph, serialize_graph
 from .lattice import combine
 from .laufer import is_rational
@@ -190,11 +190,7 @@ def census_graphs(
     yield from map(_graph_from_codes, _census_roots(max_vertices, weight_min))
 
 
-class CensusRecord(NamedTuple):
-    graph_text: str
-    vertex_count: int
-    report: ClassificationReport
-    seconds: float
+CensusRecord = namedtuple("CensusRecord", "graph_text vertex_count report seconds")
 
 
 def _record(g: PlumbingGraph) -> CensusRecord:
@@ -228,9 +224,7 @@ def census(
         yield from pool.imap(_record_for_text, texts, chunksize=64)
 
 
-class DetOneRecord(NamedTuple):
-    graph: PlumbingGraph
-    rational: bool
+DetOneRecord = namedtuple("DetOneRecord", "graph rational")
 
 
 def minimal_det_one(

@@ -17,31 +17,22 @@ the equivalences above assume negative definiteness.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import GraphStructureError, InternalCheckError
-from .graph import PlumbingGraph, VertexId, nodes, serialize_graph
+from .graph import PlumbingGraph, nodes, serialize_graph
 from .lattice import _det_definiteness
 from .laufer import is_bad_set, is_rational, min_bad
 
 DEFAULT_BAD_SET_CAP = 14  # vertices up to which classify runs min_bad
 
 
-class ClassificationReport(NamedTuple):
-    graph_text: str
-    negative_definite: bool
-    definiteness_kind: str
-    det: Fraction
-    zhs: bool
-    rational: bool | None
-    l_space: bool | None
-    lo: bool | None
-    taut_foliation: bool | None
-    m: int | None = None
-    m_is_upper_bound: bool = False
-    bad_set: tuple[VertexId, ...] | None = None
-    certificate_path: str | None = None
+ClassificationReport = namedtuple(
+    "ClassificationReport",
+    "graph_text negative_definite definiteness_kind det zhs rational l_space lo"
+    " taut_foliation m m_is_upper_bound bad_set certificate_path",
+    defaults=(None, False, None, None),
+)
 
 
 def classify(

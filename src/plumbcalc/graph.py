@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import re
 from bisect import insort
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cmp_to_key
 from numbers import Rational
-from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphStructureError, ParseError
 

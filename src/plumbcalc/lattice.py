@@ -28,9 +28,10 @@ run it on a cut's side: its slope, and its verdict with the slope hung.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError, SingularFormError
 from .graph import PlumbingGraph, VertexId
@@ -42,12 +43,12 @@ class DefinitenessKind(Enum):
     OTHER = "other"
 
 
-class Definiteness(NamedTuple):
-    """Verdict of the symmetric elimination; ``corank`` counts the zero
-    rows eliminated (only meaningful for the semidefinite verdict)."""
+class Definiteness(namedtuple("Definiteness", "kind corank", defaults=(0,))):
+    """Verdict of the symmetric elimination: ``kind``, a ``DefinitenessKind``,
+    and ``corank``, the number of zero rows eliminated (only meaningful for
+    the semidefinite verdict)."""
 
-    kind: DefinitenessKind
-    corank: int = 0
+    __slots__ = ()
 
     @property
     def is_negative_definite(self) -> bool:

@@ -80,8 +80,9 @@ each level in ``min_bad``'s order, is the one an exhaustive search finds.
 from __future__ import annotations
 
 from bisect import insort
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes
@@ -90,21 +91,10 @@ from .lattice import _k_plus_l_l, is_negative_definite
 _PLAIN = frozenset()  # no vertex frozen: the key of the graph's own run
 
 
-class LauferStep(NamedTuple):
-    cycle_before: dict[VertexId, int]
-    vertex: VertexId
-    pairing_value: int
-
-
-class ComputationSequence(NamedTuple):
-    steps: tuple[LauferStep, ...]
-    final: dict[VertexId, int]
-
-
-class JumpWitness(NamedTuple):
-    step: int
-    vertex: VertexId
-    value: int
+# a step: the cycle l_i as {vertex: multiplicity}, v(i) and (l_i, E_v(i))
+LauferStep = namedtuple("LauferStep", "cycle_before vertex pairing_value")
+ComputationSequence = namedtuple("ComputationSequence", "steps final")
+JumpWitness = namedtuple("JumpWitness", "step vertex value")
 
 
 class RationalityVerdict:

@@ -38,22 +38,17 @@ Two numeric criteria are implemented for these spaces:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError
 from .graph import PlumbingGraph, VertexId, nodes, rooted_preorder
 from .lattice import determinant, root_dp
 
 
-class _SeifertFields(NamedTuple):
-    e0: int
-    legs: tuple[tuple[int, int], ...]
-
-
-class SeifertData(_SeifertFields):
+class SeifertData(namedtuple("SeifertData", "e0 legs")):
     """Central weight plus legs (alpha_i, omega_i), stored sorted.
 
     Requires 0 < omega < alpha, gcd(alpha, omega) = 1, and at least three
@@ -83,9 +78,7 @@ class SeifertData(_SeifertFields):
         return len(self.legs)
 
 
-class ContinuedFraction(NamedTuple):
-    value: Fraction
-    terms: tuple[int, ...]
+ContinuedFraction = namedtuple("ContinuedFraction", "value terms")
 
 
 def negative_cf(r: Fraction | int) -> ContinuedFraction:
@@ -192,10 +185,8 @@ def pinkham_nonrational(sd: SeifertData) -> tuple[bool, int | None]:
     return False, None
 
 
-class RealizabilityWitness(NamedTuple):
-    m: int
-    a: int
-    assignment: tuple[Fraction, Fraction, Fraction]  # values in (x, y, z) roles
+# assignment: the three values in (x, y, z) roles
+RealizabilityWitness = namedtuple("RealizabilityWitness", "m a assignment")
 
 
 def realizable(

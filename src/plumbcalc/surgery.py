@@ -33,11 +33,11 @@ primitives only and trusts nothing the builder wrote.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd
-from typing import NamedTuple
 
 from .errors import GraphStructureError, InternalCheckError, PlumbingError
 from .graph import (
@@ -140,10 +140,7 @@ class CutResult:
         return walk_verdict(self._g, self._walk_w, (self.edge[1], *self._dp_w[::-1]))
 
 
-class Claim(NamedTuple):
-    kind: str
-    expected: object
-    got: object
+Claim = namedtuple("Claim", "kind expected got")
 
 
 def _cut(g: PlumbingGraph, v: VertexId, w: VertexId) -> CutResult:
@@ -222,33 +219,24 @@ TAG_SEMIDEF_CUT = "SemidefCut"
 TAG_SEMIDEF_LEAF = "SemidefLeaf"
 
 
-class JumpInfo(NamedTuple):
+class JumpInfo(namedtuple("JumpInfo", "stabilized_weight step vertex value component")):
     """Witness of the jump localization used to pick the cut edge: after
     stabilizing the cut vertex, the canonical Laufer run jumps at the
     recorded step inside the recorded component of g - v."""
 
-    stabilized_weight: Fraction
-    step: int
-    vertex: VertexId
-    value: int
-    component: tuple[VertexId, ...]
+    __slots__ = ()
 
 
-class CertificateNode(NamedTuple):
-    graph: PlumbingGraph
-    tag: str
-    claims: tuple[Claim, ...]
-    children: tuple["CertificateNode", ...] = ()
-    edge: tuple[VertexId, VertexId] | None = None
-    r: Fraction | None = None
-    jump: JumpInfo | None = None
-    seifert: object | None = None  # SeifertData when the leaf is a true star
+# edge (v, w), r and jump as in a cut; seifert is the SeifertData of a true star
+CertificateNode = namedtuple(
+    "CertificateNode",
+    "graph tag claims children edge r jump seifert",
+    defaults=((), None, None, None, None),
+)
 
 
-class CheckResult(NamedTuple):
-    ok: bool
-    path: str | None = None
-    reason: str | None = None
+class CheckResult(namedtuple("CheckResult", "ok path reason", defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -635,17 +623,6 @@ def _claim_to_json(c: Claim) -> dict:
     }
 
 
-def _value_from_json(v):
-    return v if isinstance(v, bool) else parse_fraction(v)
-
-
-def _checked(v, kind: type):
-    """``v`` if its JSON type is ``kind``: true is not an int here."""
-    if type(v) is not kind:
-        raise PlumbingError(f"expected a JSON {kind.__name__}, got {v!r}")
-    return v
-
-
 def certificate_to_json(node: CertificateNode) -> dict:
     out: dict = {
         "graph": serialize_graph(node.graph),
@@ -675,55 +652,99 @@ def certificate_to_json(node: CertificateNode) -> dict:
 
 def certificate_from_json(data) -> CertificateNode:
     """Rebuild a certificate from its JSON form.  A missing key or a value
-    of the wrong shape raises ``PlumbingError``: numbers must be written as
-    ``certificate_to_json`` writes them, integers as JSON integers and
-    rationals as "p/q" strings."""
+    of the wrong JSON type raises ``PlumbingError``, which names the field
+    and what it must be: numbers must be written as ``certificate_to_json``
+    writes them, integers as JSON integers and rationals as "p/q" strings.
+    A certificate nested past the interpreter's recursion limit raises it
+    too."""
     try:
         return _node_from_json(data)
-    except PlumbingError:
-        raise
+    except RecursionError:
+        raise PlumbingError("certificate nests too deeply to decode") from None
+
+
+_JSON_TYPES = {
+    dict: "a JSON object", list: "a JSON array", str: "a JSON string",
+    int: "a JSON integer", float: "a JSON number", bool: "a JSON boolean",
+    type(None): "null",
+}
+_RATIONAL = "an integer or 'p/q' string"
+_CLAIM_VALUE = f"true, false or {_RATIONAL}"
+_NODE = "certificate node"
+
+
+def _what(v) -> str:
+    return _JSON_TYPES.get(type(v), f"a {type(v).__name__}")
+
+
+def _field(obj: dict, owner: str, key: str, kind: type | None = None):
+    """``obj[key]``, of the JSON type ``kind`` if one is given: true is not
+    an integer here."""
+    try:
+        v = obj[key]
+    except KeyError:
+        raise PlumbingError(f"{owner} lacks the key {key!r}") from None
+    if kind is None or type(v) is kind:
+        return v
+    raise PlumbingError(f"{owner} field {key!r} must be {_JSON_TYPES[kind]}, not {_what(v)}")
+
+
+def _rational(v, owner: str, key: str, need: str = _RATIONAL) -> Fraction:
+    """``parse_fraction`` of the value ``v`` of the field ``key``."""
+    try:
+        return parse_fraction(v)
+    except ValueError as exc:
+        if "integer string conversion" in str(exc):  # past the digit limit
+            got = "a number of more digits than the interpreter reads"
+        else:
+            got = repr(v) if type(v) is str and len(v) <= 40 else _what(v)
+    raise PlumbingError(f"{owner} field {key!r} must be {need}, not {got}")
+
+
+def _claim_from_json(c) -> Claim:
+    if type(c) is not dict:
+        raise PlumbingError(f"claim must be a JSON object, not {_what(c)}")
+    try:
+        kind, expected, got = c["kind"], c["expected"], c["got"]
     except KeyError as exc:
-        raise PlumbingError(f"certificate node lacks the key {exc}") from None
-    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
-        raise PlumbingError(f"malformed certificate: {exc}") from None
+        raise PlumbingError(f"claim lacks the key {exc}") from None
+    if type(expected) is not bool:
+        expected = _rational(expected, "claim", "expected", _CLAIM_VALUE)
+    if type(got) is not bool:
+        got = _rational(got, "claim", "got", _CLAIM_VALUE)
+    return Claim(kind, expected, got)
+
+
+def _leg_from_json(leg) -> tuple[int, int]:
+    if type(leg) is not list or len(leg) != 2 or any(type(x) is not int for x in leg):
+        raise PlumbingError("seifert leg must be a JSON array of two JSON integers")
+    return tuple(leg)
 
 
 def _node_from_json(data) -> CertificateNode:
-    if not isinstance(data, dict):
-        raise PlumbingError("certificate node must be a JSON object")
-    jump = None
+    if type(data) is not dict:
+        raise PlumbingError(f"{_NODE} must be a JSON object, not {_what(data)}")
+    jump = seifert = None
     if "jump" in data:
-        j = data["jump"]
+        j = _field(data, _NODE, "jump", dict)
         jump = JumpInfo(
-            parse_fraction(j["stabilized_weight"]),
-            _checked(j["step"], int),
-            j["vertex"],
-            _checked(j["value"], int),
-            tuple(_checked(j["component"], list)),
+            _rational(_field(j, "jump", "stabilized_weight"), "jump", "stabilized_weight"),
+            _field(j, "jump", "step", int),
+            _field(j, "jump", "vertex"),
+            _field(j, "jump", "value", int),
+            tuple(_field(j, "jump", "component", list)),
         )
-    seifert = None
     if "seifert" in data:
-        s = data["seifert"]
-        seifert = SeifertData(
-            _checked(s["e0"], int),
-            tuple(
-                tuple(_checked(x, int) for x in _checked(leg, list)) for leg in s["legs"]
-            ),
-        )
+        s = _field(data, _NODE, "seifert", dict)
+        e0 = _field(s, "seifert", "e0", int)
+        seifert = SeifertData(e0, tuple(map(_leg_from_json, _field(s, "seifert", "legs", list))))
     return CertificateNode(
-        graph=parse_graph(data["graph"]),
-        tag=data["tag"],
-        claims=tuple(
-            Claim(
-                c["kind"],
-                _value_from_json(c["expected"]),
-                _value_from_json(c["got"]),
-            )
-            for c in data["claims"]
-        ),
-        children=tuple(_node_from_json(c) for c in data["children"]),
-        edge=tuple(_checked(data["edge"], list)) if "edge" in data else None,
-        r=parse_fraction(data["r"]) if "r" in data else None,
+        graph=parse_graph(_field(data, _NODE, "graph", str)),
+        tag=_field(data, _NODE, "tag"),
+        claims=tuple(map(_claim_from_json, _field(data, _NODE, "claims", list))),
+        children=tuple(map(_node_from_json, _field(data, _NODE, "children", list))),
+        edge=tuple(_field(data, _NODE, "edge", list)) if "edge" in data else None,
+        r=_rational(data["r"], _NODE, "r") if "r" in data else None,
         jump=jump,
         seifert=seifert,
     )

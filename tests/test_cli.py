@@ -497,9 +497,13 @@ def test_checker_results_on_a_seeded_corpus(census6, two_star_m2, case2_shallow,
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # the first five cost a cold call about two thirds of its import time,
-    # and pathlib pulls in urllib, ipaddress and fnmatch; -S keeps site
-    # hooks (.pth files) from adding or hiding modules
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "random")
+    # pathlib pulls in urllib, ipaddress and fnmatch, and typing comes with
+    # typing.NamedTuple records, which cost three times as much to build as
+    # collections.namedtuple ones; -S keeps site hooks (.pth files) from
+    # adding or hiding modules
+    heavy = (
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "random", "typing",
+    )
     code = f"import plumbcalc.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(

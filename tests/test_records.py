@@ -4,11 +4,14 @@ repr, tuple equality and hash, and a pickle round trip (``census`` with
 ``jobs > 1`` sends records between processes).  ``CutResult`` is a plain
 class whose decorated graphs are built on first read."""
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import plumbcalc
 from plumbcalc.census import CensusRecord, DetOneRecord
 from plumbcalc.classify import ClassificationReport, classify
 from plumbcalc.errors import GraphStructureError
@@ -142,6 +145,36 @@ def test_fields_cannot_be_assigned(samples):
         for name in rec._fields:
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+
+def _record_classes():
+    """Every record class of the package: each tuple subclass with ``_fields``
+    that a module of ``plumbcalc`` defines."""
+    found = set()
+    for info in pkgutil.iter_modules(plumbcalc.__path__, "plumbcalc."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+                and obj.__module__ == module.__name__
+            ):
+                found.add(obj)
+    return found
+
+
+def test_every_record_class_is_covered_and_closed(samples):
+    # a record is a collections.namedtuple class, or a subclass of one with
+    # __slots__ = (): no instance dict, and no annotations, so a record
+    # written as a typing.NamedTuple shows here
+    classes = _record_classes()
+    assert classes == set(FIELDS), classes ^ set(FIELDS)
+    by_type = {type(rec): rec for rec in samples}
+    for cls in classes:
+        assert not any("__annotations__" in vars(k) for k in cls.__mro__), cls.__name__
+        rec = by_type[cls]
+        assert not hasattr(rec, "__dict__"), cls.__name__
         with pytest.raises(AttributeError):
             rec.extra = 1
 

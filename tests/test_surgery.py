@@ -319,6 +319,81 @@ def test_checker_survives_garbage():
     assert not res.ok  # rational graph, missing claims
 
 
+_DELETE = object()
+# words of the interpreter's own TypeError, ValueError, KeyError and
+# RecursionError messages, which a decoding error must not pass on
+_INTERPRETER_WORDING = (
+    "indices", "bytes-like", "subscriptable", "iterable", "unpack", "Exceeds",
+    "recursion", "'str'", "'int'", "'list'", "'dict'", "attribute",
+)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("claims",), "abc",
+         "certificate node field 'claims' must be a JSON array, not a JSON string"),
+        (("graph",), 5,
+         "certificate node field 'graph' must be a JSON string, not a JSON integer"),
+        (("claims", 0), ["connected", True, True],
+         "claim must be a JSON object, not a JSON array"),
+        (("jump",), [1, "c", 2],
+         "certificate node field 'jump' must be a JSON object, not a JSON array"),
+        (("children",), {"0": {}, "1": {}},
+         "certificate node field 'children' must be a JSON array, not a JSON object"),
+        (("claims", 0, "kind"), _DELETE, "claim lacks the key 'kind'"),
+        (("children", 0), "BaseM1",
+         "certificate node must be a JSON object, not a JSON string"),
+        (("children", 1, "graph"), _DELETE, "certificate node lacks the key 'graph'"),
+        (("edge",), None, "certificate node field 'edge' must be a JSON array, not null"),
+        (("r",), 0.5,
+         "certificate node field 'r' must be an integer or 'p/q' string, not a JSON number"),
+        (("r",), "-1/2.0",
+         "certificate node field 'r' must be an integer or 'p/q' string, not '-1/2.0'"),
+        (("r",), "-" + "1" * 5000,
+         "certificate node field 'r' must be an integer or 'p/q' string, not a number"
+         " of more digits than the interpreter reads"),
+        (("claims", 1, "got"), 1,
+         "claim field 'got' must be true, false or an integer or 'p/q' string,"
+         " not a JSON integer"),
+        (("jump", "step"), True, "jump field 'step' must be a JSON integer, not a JSON boolean"),
+        (("jump", "component"), _DELETE, "jump lacks the key 'component'"),
+        (("children", 1, "seifert"), "star",
+         "certificate node field 'seifert' must be a JSON object, not a JSON string"),
+        (("children", 1, "seifert", "legs", 0), [2],
+         "seifert leg must be a JSON array of two JSON integers"),
+    ],
+    ids=[
+        "claims-string", "graph-number", "claim-list", "jump-list", "children-object",
+        "claim-without-kind", "child-string", "node-without-graph", "edge-null",
+        "r-float", "r-decimal", "r-too-long", "got-int", "step-bool",
+        "jump-without-component", "seifert-string", "leg-short",
+    ],
+)
+def test_decoding_errors_name_the_field_and_its_type(two_star_m2, where, value, message):
+    data = certificate_to_json(lo_certificate(two_star_m2))
+    target = data
+    for key in where[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    with pytest.raises(PlumbingError) as exc:
+        certificate_from_json(data)
+    assert str(exc.value) == message
+    assert not any(word in message for word in _INTERPRETER_WORDING), message
+
+
+def test_decoding_a_certificate_past_the_recursion_limit():
+    data = {"graph": "vertex a -2\n", "tag": "BaseM1", "claims": [], "children": []}
+    for _ in range(5000):
+        data = {"graph": "vertex a -2\n", "tag": "Case2", "claims": [], "children": [data]}
+    with pytest.raises(PlumbingError) as exc:
+        certificate_from_json(data)
+    assert str(exc.value) == "certificate nests too deeply to decode"
+
+
 def _base_leaf_json(g, not_rational, m_le_1):
     """A hand-written one-node BaseM1 certificate whose boolean claims are
     stored as given, expected and got alike."""
