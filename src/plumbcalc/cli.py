@@ -7,14 +7,20 @@ internal consistency failures (these indicate a bug in the calculator,
 never a property of the input).  A command whose result can hold such a
 number composes its output before it writes any of it, so a failure
 writes nothing to stdout.
+
+One table, ``_COMMANDS``, states every command's arguments.  ``main``
+reads an exact argv from it directly; argparse is imported only for
+help, for usage errors, and for argv the reader declines (abbreviated
+options, ``--opt=value``, ``--``, a value that starts with ``-``), and
+argparse alone writes help and usage-error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .classify import DEFAULT_BAD_SET_CAP, classify, report_to_json
 from .census import census
@@ -304,87 +310,112 @@ def _cmd_brieskorn(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # a usage error is an input error: exit 1, not 2
-        raise PlumbingError(f"{self.prog}: {message}")
+_FLAG = {"action": "store_true"}
+
+# name: (handler, help, arguments), where each argument is an
+# ``add_argument`` name and its keywords, in the order the help lists them
+_COMMANDS = {
+    "classify": (_cmd_classify, "full classification report", (
+        ("file", {}),
+        ("--json", _FLAG),
+        ("--with-badset", _FLAG),
+        ("--badset-cap", {"type": int, "default": DEFAULT_BAD_SET_CAP}),
+        ("--with-certificate", {"metavar": "OUT_JSON"}),
+        ("--with-matrix", {**_FLAG, "help": "include the intersection form as p/q strings"}),
+    )),
+    "census": (_cmd_census, "enumerate and classify small graphs", (
+        ("--max-vertices", {"type": int, "default": 6}),
+        ("--min-weight", {"type": int, "default": -5}),
+        ("--out", {"required": True}),
+        ("--jobs", {"type": int, "default": 1}),
+    )),
+    "zmin": (_cmd_zmin, "fundamental cycle and rationality", (("file", {}), ("--json", _FLAG))),
+    "sequence": (_cmd_sequence, "full Laufer computation sequence", (("file", {}), ("--json", _FLAG))),
+    "bad": (_cmd_bad, "minimal bad set", (("file", {}), ("--json", _FLAG))),
+    "cut": (_cmd_cut, "cut an edge and fill with dual slopes", (
+        ("file", {}),
+        ("--edge", {"required": True, "metavar": "V,W"}),
+        ("--json", _FLAG),
+    )),
+    "certificate": (_cmd_certificate, "build a decomposition certificate", (("file", {}), ("--out", {}))),
+    "check-certificate": (_cmd_check_certificate, "verify a certificate", (("file", {}),)),
+    "seifert": (_cmd_seifert, "Seifert data and star criteria", (("file", {}), ("--json", _FLAG))),
+    "brieskorn": (_cmd_brieskorn, "Brieskorn sphere graph + report", (
+        ("p", {"type": int}),
+        ("q", {"type": int}),
+        ("r", {"type": int}),
+        ("--json", _FLAG),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, the author of help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # a usage error is an input error: exit 1, not 2
+            raise PlumbingError(f"{self.prog}: {message}")
+
+    parser = Parser(
         prog="plumbcalc",
         description="Exact calculus for negative-definite plumbing trees: "
         "rationality, L-space status, orderability, taut foliations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="full classification report")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--with-badset", action="store_true")
-    p.add_argument("--badset-cap", type=int, default=DEFAULT_BAD_SET_CAP)
-    p.add_argument("--with-certificate", metavar="OUT_JSON")
-    p.add_argument("--with-matrix", action="store_true",
-                   help="include the intersection form as p/q strings")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("census", help="enumerate and classify small graphs")
-    p.add_argument("--max-vertices", type=int, default=6)
-    p.add_argument("--min-weight", type=int, default=-5)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("zmin", help="fundamental cycle and rationality")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_zmin)
-
-    p = sub.add_parser("sequence", help="full Laufer computation sequence")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sequence)
-
-    p = sub.add_parser("bad", help="minimal bad set")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bad)
-
-    p = sub.add_parser("cut", help="cut an edge and fill with dual slopes")
-    p.add_argument("file")
-    p.add_argument("--edge", required=True, metavar="V,W")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cut)
-
-    p = sub.add_parser("certificate", help="build a decomposition certificate")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_certificate)
-
-    p = sub.add_parser("check-certificate", help="verify a certificate")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_certificate)
-
-    p = sub.add_parser("seifert", help="Seifert data and star criteria")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_seifert)
-
-    p = sub.add_parser("brieskorn", help="Brieskorn sphere graph + report")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_brieskorn)
-
+    for command, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 _main_parser = cache(build_parser)  # one per process, built on first use
 
 
+def _read_argv(argv: list):
+    """The namespace argparse makes of an exact ``argv``, or None for argparse.
+
+    Exact means a command name, then in any order only that command's
+    options spelled in full, each one that takes a value followed by a
+    value that does not start with ``-``, and exactly its positionals; its
+    required options present; and ``int()`` taking every value of an
+    integer argument.  A repeated option keeps its last value, as in
+    argparse.
+    """
+    if not (argv and all(isinstance(tok, str) for tok in argv) and argv[0] in _COMMANDS):
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    kws = dict(arguments)
+    given, loose, toks = {}, [], iter(argv[1:])
+    for tok in toks:
+        if tok[:1] == "-" and tok in kws:
+            given[tok] = True if "action" in kws[tok] else next(toks, "-")  # "-": none left
+        else:
+            loose.append(tok)
+    positionals = [name for name in kws if name[0] != "-"]
+    if len(loose) != len(positionals):
+        return None
+    given.update(zip(positionals, loose))
+    values = {"command": argv[0], "func": func}
+    for name, kw in arguments:
+        value = given.get(name, kw.get("default", False if "action" in kw else None))
+        if name not in given and kw.get("required") or isinstance(value, str) and value[:1] == "-":
+            return None
+        if kw.get("type") is int and isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _main_parser().parse_args(argv)
+        args = _read_argv(argv) or _main_parser().parse_args(argv)
         return args.func(args)
     except (PlumbingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -431,27 +431,31 @@ def blow_down(g: PlumbingGraph, v: VertexId) -> PlumbingGraph:
     return PlumbingGraph(ws, edges)
 
 
+def _blowable(ws: dict, adj: dict, v: VertexId) -> bool:
+    """Whether ``v`` is a (-1)-vertex of valency <= 2, the blow-down test."""
+    return ws[v] == -1 and len(adj[v]) <= 2
+
+
 def minimize(g: PlumbingGraph) -> PlumbingGraph:
     """Blow down until no (-1)-vertex of valency <= 2 remains.
 
     The last remaining vertex is never deleted, so the single (-1) vertex
     is the canonical representative of S^3 rather than an empty graph.
-    The result is independent of blow-down order (property-tested).  Each
-    step blows down the least qualifying id, on a copy of the weights and
-    adjacency, and one graph is built at the end.
+    The result is independent of blow-down order (property-tested).  A
+    minimal graph is returned as it is.  Otherwise each step blows down the
+    least qualifying id, on a copy of the weights and adjacency, and one
+    graph is built at the end.
     """
     if not g.is_connected():
         raise GraphStructureError("minimize requires a connected graph")
+    cands = [v for v in g._vertices if _blowable(g._weights, g._adj, v)]  # kept sorted
+    if not cands or len(g) == 1:
+        return g
     ws = g.weights()
     adj = {v: set(ns) for v, ns in g._adj.items()}
-
-    def blowable(v: VertexId) -> bool:
-        return ws[v] == -1 and len(adj[v]) <= 2
-
-    cands = [v for v in g.vertices if blowable(v)]  # kept sorted
     while cands and len(ws) > 1:
         v = cands.pop(0)
-        if v not in ws or not blowable(v):
+        if v not in ws or not _blowable(ws, adj, v):
             continue  # stale: weights only rise, so it cannot qualify again
         nbrs = adj.pop(v)
         del ws[v]
@@ -463,18 +467,14 @@ def minimize(g: PlumbingGraph) -> PlumbingGraph:
             adj[a].add(b)
             adj[b].add(a)
         for n in nbrs:
-            if blowable(n):
+            if _blowable(ws, adj, n):
                 insort(cands, n)
-    if len(ws) == len(g):
-        return g
     return PlumbingGraph(ws, [(a, b) for a in ws for b in adj[a] if a < b])
 
 
 def is_minimal(g: PlumbingGraph) -> bool:
     """True when ``minimize`` would leave ``g`` unchanged."""
-    if len(g) == 1:
-        return True
-    return not any(g.weight(v) == -1 and g.degree(v) <= 2 for v in g.vertices)
+    return len(g) == 1 or not any(_blowable(g._weights, g._adj, v) for v in g._vertices)
 
 
 def delete(

@@ -49,10 +49,14 @@ or more vertices.  The census order has the route that sorts each
 vertex count whole, where the library sorts it one root weight at a time.
 The checker's claim comparison has the route that compares the claims'
 JSON forms, where the library compares the bool-ness of their values.
+The command line has its hand-written argparse builder, where the library
+builds its parser from one table of the commands and reads exact argv
+without argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -64,7 +68,19 @@ from typing import NamedTuple
 
 from plumbcalc.census import _RootedTrees, _tree_code, _validate_limits
 from plumbcalc.classify import DEFAULT_BAD_SET_CAP
-from plumbcalc.errors import GraphStructureError, InternalCheckError, ParseError
+from plumbcalc.cli import (
+    _cmd_bad,
+    _cmd_brieskorn,
+    _cmd_census,
+    _cmd_certificate,
+    _cmd_check_certificate,
+    _cmd_classify,
+    _cmd_cut,
+    _cmd_seifert,
+    _cmd_sequence,
+    _cmd_zmin,
+)
+from plumbcalc.errors import GraphStructureError, InternalCheckError, ParseError, PlumbingError
 from plumbcalc.graph import (
     _ID_RE,
     PlumbingGraph,
@@ -960,3 +976,78 @@ def reference_claims_match(stored, fresh) -> bool:
     for the recomputed ``fresh``: equal tuples and equal JSON forms, which
     tell a bool from a number where ``==`` does not (True == 1)."""
     return stored == fresh and _claim_to_json(stored) == _claim_to_json(fresh)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is an input error: exit 1, not 2
+        raise PlumbingError(f"{self.prog}: {message}")
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="plumbcalc",
+        description="Exact calculus for negative-definite plumbing trees: "
+        "rationality, L-space status, orderability, taut foliations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="full classification report")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--with-badset", action="store_true")
+    p.add_argument("--badset-cap", type=int, default=DEFAULT_BAD_SET_CAP)
+    p.add_argument("--with-certificate", metavar="OUT_JSON")
+    p.add_argument("--with-matrix", action="store_true",
+                   help="include the intersection form as p/q strings")
+    p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("census", help="enumerate and classify small graphs")
+    p.add_argument("--max-vertices", type=int, default=6)
+    p.add_argument("--min-weight", type=int, default=-5)
+    p.add_argument("--out", required=True)
+    p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(func=_cmd_census)
+
+    p = sub.add_parser("zmin", help="fundamental cycle and rationality")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_zmin)
+
+    p = sub.add_parser("sequence", help="full Laufer computation sequence")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_sequence)
+
+    p = sub.add_parser("bad", help="minimal bad set")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_bad)
+
+    p = sub.add_parser("cut", help="cut an edge and fill with dual slopes")
+    p.add_argument("file")
+    p.add_argument("--edge", required=True, metavar="V,W")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_cut)
+
+    p = sub.add_parser("certificate", help="build a decomposition certificate")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_certificate)
+
+    p = sub.add_parser("check-certificate", help="verify a certificate")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_check_certificate)
+
+    p = sub.add_parser("seifert", help="Seifert data and star criteria")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_seifert)
+
+    p = sub.add_parser("brieskorn", help="Brieskorn sphere graph + report")
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.add_argument("r", type=int)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_brieskorn)
+
+    return parser

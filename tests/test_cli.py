@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumbcalc import cli
 from plumbcalc.cli import main
 from plumbcalc.errors import PlumbingError
 from plumbcalc.graph import parse_graph
@@ -25,7 +27,7 @@ from plumbcalc.surgery import (
 )
 
 from conftest import two_star_chain
-from oracles import reference_zmin_lifo
+from oracles import reference_build_parser, reference_zmin_lifo
 from test_surgery import acceptance07_pool
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -511,3 +513,156 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_RUN_MAIN = """
+import json, sys
+from plumbcalc.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(codes)
+print([m for m in ("argparse", "gettext", "locale") if m in sys.modules])
+"""
+
+
+def test_well_formed_calls_skip_argparse(tmp_path):
+    # the three calls of a one-shot user import neither argparse nor the
+    # gettext and locale modules it pulls in; a help call does, which shows
+    # the fallback to argparse is live
+    graph, cert = str(ROOT / "examples" / "s237.graph"), str(tmp_path / "cert.json")
+    well_formed = [["classify", graph, "--json"], ["certificate", graph, "--out", cert],
+                   ["check-certificate", cert]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argvs, want_codes, via_argparse in (
+        (well_formed, "[0, 0, 0]", False),
+        ([["classify", "--help"]], "[0]", True),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _RUN_MAIN, json.dumps(argvs)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *_, codes, modules = proc.stdout.splitlines()
+        assert codes == want_codes
+        assert ("'argparse'" in modules) if via_argparse else modules == "[]"
+
+
+def _outcome(parse, argv):
+    """What a parse of ``argv`` gives: the namespace's fields, the usage
+    error, the exit and its output, or the type of another exception."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return ("namespace", vars(parse(argv)))
+    except PlumbingError as exc:
+        return ("usage error", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    except Exception as exc:  # argparse's own, on a token that is not a str
+        return ("raise", type(exc).__name__)
+
+
+def _argv_corpus() -> list:
+    """Argv drawn from the command table: option subsets in both orders and
+    on both sides of the positionals, odd values and tokens, repeats,
+    abbreviations, ``--opt=value``, other commands' options, extra and
+    missing positionals and unknown commands."""
+    odd = ["7", "-3", "1_0", "x", "-", "--", "-h", "", "+4", " 5 ", "a b", "-x y", "--json", "file", "p"]
+    every_option = sorted({name for _, _, arguments in cli._COMMANDS.values()
+                           for name, _ in arguments if name[0] == "-"})
+    corpus = [[], ["-h"], ["--help"], ["nope"], ["nope", "F"], ["classif", "F"], ["--", "bad", "F"],
+              ["--json", "classify", "F"], ["classify", "F", 7], [7], [("bad",), "F"]]
+    for command, (_, _, arguments) in cli._COMMANDS.items():
+        positionals = [(name, kw) for name, kw in arguments if name[0] != "-"]
+        options = [(name, kw) for name, kw in arguments if name[0] == "-"]
+
+        def good(kw):
+            return "7" if kw.get("type") is int else "F"
+
+        def tokens(name, kw):
+            return [name] if "action" in kw else [name, good(kw)]
+
+        pos = [good(kw) for _, kw in positionals]
+        required = [tok for name, kw in options if kw.get("required") for tok in tokens(name, kw)]
+        base = [command, *pos, *required]
+        for size in range(len(options) + 1):
+            for subset in itertools.combinations(options, size):
+                for order in (subset, subset[::-1]):
+                    opts = [tok for name, kw in order for tok in tokens(name, kw)]
+                    corpus += [[command, *pos, *opts], [command, *opts, *pos]]
+                    if pos:
+                        corpus.append([command, pos[0], *opts, *pos[1:]])
+        for i in range(len(pos)):
+            corpus += [[command, *pos[:i], tok, *pos[i + 1:], *required] for tok in odd]
+        for name, kw in options:
+            rest = [command, *pos, *[t for t in required if t not in tokens(name, kw)]]
+            if "action" not in kw:
+                corpus += [[*rest, name, tok] for tok in odd] + [[*rest, name]]
+                corpus.append([*rest, f"{name}={good(kw)}"])
+                corpus.append([*rest, name, "9", name, good(kw)])
+            corpus += [[*base, *tokens(name, kw), *tokens(name, kw)], [*rest, name[:-1], good(kw)],
+                       [*rest, name[:4], good(kw)], [*rest, name + "s", good(kw)],
+                       [*rest, name.upper(), good(kw)]]
+        corpus += [[*base, name, "7"] for name in every_option if name not in dict(options)]
+        corpus += [[*base, name] for name in every_option if name not in dict(options)]
+        corpus += [[*base, "extra"], [*base, *pos], [command, *required], [command]]
+        corpus += [[*base, tok] for tok in odd] + [[command, tok, *pos, *required] for tok in odd]
+        corpus += [[*base, "--", *pos], [command, "--", *pos, *required]]
+    return corpus
+
+
+def test_argv_reader_agrees_with_argparse():
+    # the reader gives argparse's namespace or declines; the table's parser
+    # gives the hand-written builder's every outcome: namespaces, usage
+    # errors, help texts and exits
+    parser, reference = cli.build_parser(), reference_build_parser()
+    corpus = _argv_corpus()
+    read = set()
+    for argv in corpus:
+        want = _outcome(reference.parse_args, argv)
+        assert _outcome(parser.parse_args, argv) == want, argv
+        ns = cli._read_argv(argv)
+        if ns is not None:
+            read.add(argv[0])
+            assert want == ("namespace", vars(ns)), argv
+    assert len(corpus) > 1000 and read == set(cli._COMMANDS)
+
+
+def test_help_matches_the_hand_written_builder():
+    parser, reference = cli.build_parser(), reference_build_parser()
+    assert parser.format_help() == reference.format_help()
+    (ours,), (theirs,) = parser._subparsers._group_actions, reference._subparsers._group_actions
+    assert list(ours.choices) == list(theirs.choices) == list(cli._COMMANDS)
+    for command, sub in ours.choices.items():
+        assert sub.format_help() == theirs.choices[command].format_help(), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "F", "--json"],
+    ["classify", "--json", "F"],
+    ["bad", "--json", "F"],
+    ["certificate", "F", "--out", "P"],
+    ["check-certificate", "P"],
+    ["census", "--max-vertices", "6", "--jobs", "2", "--out", "D"],
+])
+def test_argv_reader_reads_the_benchmark_and_ci_shapes(argv):
+    ns = cli._read_argv(argv)
+    assert ns is not None and vars(ns) == vars(reference_build_parser().parse_args(argv))
+
+
+def test_main_reads_sys_argv_like_a_list(s237_file, monkeypatch, capsys):
+    assert main(["classify", s237_file, "--json"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["plumbcalc", "classify", s237_file, "--json"])
+    with monkeypatch.context() as m:  # the reader alone reads an exact argv
+        m.setattr(cli, "_main_parser", None)
+        assert main() == 0
+    assert capsys.readouterr() == want
+    monkeypatch.setattr(sys, "argv", ["plumbcalc", "classify", "--js", s237_file])
+    assert main() == 0
+    assert capsys.readouterr() == want
+

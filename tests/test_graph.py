@@ -575,6 +575,20 @@ def test_minimize_matches_blow_down_loop(census6):
         assert minimize(g) == reference_minimize(g)
 
 
+def test_minimize_returns_a_minimal_graph_itself(census6):
+    # the blow-down loop agrees on which graphs are minimal, and a minimal
+    # one comes back as the same object, not a copy
+    minimal = 0
+    for g in census6:
+        assert is_minimal(g) == (reference_minimize(g) == g)
+        if is_minimal(g):
+            minimal += 1
+            assert minimize(g) is g
+        else:
+            assert is_minimal(minimize(g))
+    assert 0 < minimal < len(census6)
+
+
 # -- delete / components / subgraph ----------------------------------------
 
 
